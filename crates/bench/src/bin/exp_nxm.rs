@@ -1,16 +1,16 @@
 //! E9: the full N x M validation grid (every preset of both target kinds
-//! x every workload), run twice to report the artifact cache's warm-run
-//! speedup.
+//! x every workload), run twice to report what the artifact cache saves
+//! on the warm pass.
 //!
-//! The warm-run metric is **pipeline compute time** (per-stage execution
-//! from the cache's timers, Simulate included — since the Simulate stage
-//! joined the tier cache, a warm rerun of an identical grid skips the
-//! cycle-level simulation too and replays byte-identical `SimResult`s).
-//! With `ASIP_CACHE_DIR` set, the *first* pass of a repeat invocation is
-//! already disk-warm (the per-tier summary shows the disk hits); within
-//! one process the second pass is memory-warm. Grid cells are
-//! deterministic either way — only the `[timing]`/`[session]` lines vary
-//! between runs.
+//! The `[timing]` line reports absolute numbers for both passes:
+//! **pipeline compute time** (per-stage execution from the cache's
+//! timers, Simulate included — a warm rerun of an identical grid skips
+//! the cycle-level simulation too and replays byte-identical
+//! `SimResult`s) and grid wall time. With `ASIP_CACHE_DIR` set, the
+//! *first* pass of a repeat invocation is already disk-warm (the per-tier
+//! summary shows the disk hits); within one process the second pass is
+//! memory-warm. Grid cells are deterministic either way — only the
+//! `[timing]`/`[session]` lines vary between runs.
 
 use asip_core::StageKind;
 use std::time::Instant;
@@ -64,26 +64,13 @@ fn main() {
     let (front2, sim2) = (front2 - front1, sim2 - sim1);
     assert!(warm_grid.all_pass(), "warm pass must reproduce the grid");
 
-    let cold = front1 + sim1;
-    let warm = front2 + sim2;
-    if cold < 0.05 {
-        // A disk-warm process never computes anything at all: the whole
-        // pipeline — simulation included — replays from the disk tier.
-        println!(
-            "[timing] warm-run speedup: fully warm from the disk tier \
-             (0 compute; grid wall {:.3}s -> {:.3}s)",
-            wall1.as_secs_f64(),
-            wall2.as_secs_f64()
-        );
-    } else {
-        let speedup = cold / warm.max(0.01);
-        println!(
-            "[timing] warm-run speedup: {speedup:.0}x on the cached pipeline \
-             ({cold:.1}ms -> {warm:.1}ms compute, of which simulate {sim1:.1}ms -> {sim2:.1}ms; \
-             grid wall {:.3}s -> {:.3}s)",
-            wall1.as_secs_f64(),
-            wall2.as_secs_f64()
-        );
-    }
+    println!(
+        "[timing] first -> second pass: compute {:.1}ms -> {:.1}ms, of which simulate \
+         {sim1:.1}ms -> {sim2:.1}ms; grid wall {:.3}s -> {:.3}s",
+        front1 + sim1,
+        front2 + sim2,
+        wall1.as_secs_f64(),
+        wall2.as_secs_f64()
+    );
     asip_bench::finish();
 }

@@ -38,9 +38,9 @@ pub fn session() -> &'static Session {
 
 /// Per-tier summary of the shared session's cache behavior, printed by the
 /// `exp_*` binaries at exit: the serving simulation engine, stage hit/miss
-/// counters (the memoized Simulate stage and the prepared-simulation map
-/// included), the simulation-throughput line, plus one line per cache tier
-/// (memory, and disk when `ASIP_CACHE_DIR` is active).
+/// counters (the memoized Simulate stage included), the
+/// simulation-throughput line, plus one line per cache tier (memory, and
+/// disk when `ASIP_CACHE_DIR` is active).
 pub fn session_summary() -> String {
     use asip_core::StageKind;
     let s = session();
@@ -55,7 +55,7 @@ pub fn session_summary() -> String {
     let mut out = format!(
         "[session] {} workers | engine {} | cache budget {} KiB | {} evictions, {} KiB resident\n\
          [session] stages: parse {}/{} optimize {}/{} profile {}/{} compile {}/{} \
-         simulate {}/{} prepare {}/{} (hits/misses)\n\
+         simulate {}/{} (hits/misses)\n\
          [session] simulate throughput: {} cycles in {:.3}s host time ({:.0} MIPS; \
          cache hits re-measure nothing)\n\
          [session] mem tier: {}",
@@ -74,8 +74,6 @@ pub fn session_summary() -> String {
         stats.compile.misses,
         stats.simulate.hits,
         stats.simulate.misses,
-        stats.decode.hits,
-        stats.decode.misses,
         sim_cycles,
         sim_secs,
         mips,
@@ -112,8 +110,8 @@ pub fn session_summary() -> String {
             stage_lat.join(" | ")
         ));
     }
-    // Superblock trace activity (nonzero only under the superblock
-    // engine): formation and dispatch volume, plus how often traces bailed
+    // Superblock trace activity (nonzero once the block engine promoted a
+    // hot loop): formation and dispatch volume, plus how often traces bailed
     // sideways (side exit: the dominant successor prediction missed) or
     // never entered (fallback: an entry guard failed).
     let formed = snap.counter("sim.trace.formed");

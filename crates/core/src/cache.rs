@@ -52,12 +52,10 @@ pub use mem::MemoryStore;
 
 use crate::pipeline::ToolchainError;
 use asip_isa::codec::Codec;
-use std::any::Any;
-use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default memory-tier byte budget (256 MiB) when neither
@@ -283,13 +281,6 @@ pub struct CacheStats {
     /// (target, artifact, machine, sim options, inputs, args) → simulation
     /// result. A hit skips the cycle-level simulation entirely.
     pub simulate: StageStats,
-    /// (engine, target, machine, program) → prepared simulation engine
-    /// (validated + decoded/block-compiled program). A hit reuses the
-    /// in-memory preparation across runs of the same artifact — e.g. the
-    /// same cell under different inputs — instead of re-validating and
-    /// re-decoding per run. Process-local only (never persisted): the
-    /// prepared forms are cheap to rebuild and not serializable.
-    pub decode: StageStats,
     /// Memory-tier artifacts evicted to stay under the byte budget.
     pub evictions: u64,
     /// Estimated bytes currently held by the memory tier.
@@ -327,7 +318,7 @@ impl fmt::Display for CacheStats {
         write!(
             f,
             "parse {}/{} optimize {}/{} profile {}/{} compile {}/{} simulate {}/{} \
-             decode {}/{} (hits/misses), {} evictions, {} KiB resident",
+             (hits/misses), {} evictions, {} KiB resident",
             self.parse.hits,
             self.parse.misses,
             self.optimize.hits,
@@ -338,8 +329,6 @@ impl fmt::Display for CacheStats {
             self.compile.misses,
             self.simulate.hits,
             self.simulate.misses,
-            self.decode.hits,
-            self.decode.misses,
             self.evictions,
             self.resident_bytes / 1024,
         )?;
@@ -521,22 +510,7 @@ pub struct ArtifactCache {
     /// (cache hits add nothing): the numerator of the session throughput
     /// (MIPS) report.
     sim_cycles: AtomicU64,
-    /// Prepared simulation engines, keyed by (engine, target, machine,
-    /// program): validated + decoded/block-compiled forms shared across
-    /// runs of the same artifact. Type-erased because the four prepared
-    /// shapes (VLIW/scalar × decoded/block) share no trait; process-local
-    /// only (not a [`CacheStore`] tier — the forms are not serializable,
-    /// and rebuilding them is microseconds).
-    prepared: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
-    decode_hits: AtomicU64,
-    decode_misses: AtomicU64,
 }
-
-/// Bound on distinct prepared simulations held at once. Each entry is a
-/// decoded program (kilobytes); the map is wiped wholesale past the cap —
-/// a crude policy that is fine because re-preparing is microseconds and
-/// real sessions hold far fewer distinct (machine, program) pairs.
-const PREPARED_CAP: usize = 512;
 
 impl ArtifactCache {
     /// A new, empty cache with the default configuration (memory budget
@@ -585,9 +559,6 @@ impl ArtifactCache {
             misses: Default::default(),
             stage_ns: Default::default(),
             sim_cycles: AtomicU64::new(0),
-            prepared: Mutex::new(HashMap::new()),
-            decode_hits: AtomicU64::new(0),
-            decode_misses: AtomicU64::new(0),
         }
     }
 
@@ -633,10 +604,6 @@ impl ArtifactCache {
             profile: s(2),
             compile: s(3),
             simulate: s(4),
-            decode: StageStats {
-                hits: self.decode_hits.load(Ordering::Relaxed),
-                misses: self.decode_misses.load(Ordering::Relaxed),
-            },
             evictions: mem.evictions,
             resident_bytes: mem.resident_bytes,
             mem,
@@ -664,9 +631,6 @@ impl ArtifactCache {
             c.store(0, Ordering::Relaxed);
         }
         self.sim_cycles.store(0, Ordering::Relaxed);
-        self.prepared.lock().unwrap().clear();
-        self.decode_hits.store(0, Ordering::Relaxed);
-        self.decode_misses.store(0, Ordering::Relaxed);
     }
 
     /// Total simulated cycles recorded by Simulate-stage executions (cache
@@ -680,40 +644,6 @@ impl ArtifactCache {
     /// Record cycles simulated by one Simulate-stage execution.
     pub(crate) fn record_sim_cycles(&self, cycles: u64) {
         self.sim_cycles.fetch_add(cycles, Ordering::Relaxed);
-    }
-
-    /// Look up (or build and retain) a **prepared simulation** under
-    /// `key` — a validated, decoded or block-compiled program ready to
-    /// run. Counted in [`CacheStats::decode`]. `build` runs outside the
-    /// lock: a racing duplicate preparation is tolerated (both copies are
-    /// equivalent; last insert wins). Keys must render everything the
-    /// preparation reads — engine, target flavor, machine tables, program
-    /// — so distinct preparations can never alias; the engine tag also
-    /// keeps the map from serving a decoded form where a block-compiled
-    /// one was requested.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `build` returns (typically program validation failure).
-    pub fn get_or_prepare<T: Any + Send + Sync>(
-        &self,
-        key: String,
-        build: impl FnOnce() -> Result<T, ToolchainError>,
-    ) -> Result<Arc<T>, ToolchainError> {
-        if let Some(any) = self.prepared.lock().unwrap().get(&key) {
-            if let Ok(hit) = Arc::clone(any).downcast::<T>() {
-                self.decode_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(hit);
-            }
-        }
-        self.decode_misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(build()?);
-        let mut map = self.prepared.lock().unwrap();
-        if map.len() >= PREPARED_CAP {
-            map.clear();
-        }
-        map.insert(key, Arc::clone(&built) as Arc<dyn Any + Send + Sync>);
-        Ok(built)
     }
 
     /// Number of artifacts held by the hottest (memory) tier, per

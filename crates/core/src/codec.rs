@@ -255,7 +255,6 @@ impl Codec for CacheStats {
         self.profile.encode(w);
         self.compile.encode(w);
         self.simulate.encode(w);
-        self.decode.encode(w);
         w.put_u64(self.evictions);
         w.put_u64(self.resident_bytes);
         self.mem.encode(w);
@@ -270,7 +269,6 @@ impl Codec for CacheStats {
             profile: Codec::decode(r)?,
             compile: Codec::decode(r)?,
             simulate: Codec::decode(r)?,
-            decode: Codec::decode(r)?,
             evictions: r.get_u64()?,
             resident_bytes: r.get_u64()?,
             mem: Codec::decode(r)?,

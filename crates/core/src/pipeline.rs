@@ -62,10 +62,7 @@ use asip_ir::passes::{optimize, OptConfig};
 use asip_ir::Module;
 use asip_isa::codec::{Codec, CodecError, Reader, Writer};
 use asip_isa::{MachineDescription, TargetKind};
-use asip_sim::reference::{run_scalar_reference, run_vliw_reference};
-use asip_sim::{
-    BlockScalar, BlockVliw, DecodedScalar, DecodedVliw, SimEngine, SimOptions, SimResult,
-};
+use asip_sim::{ScalarSimulator, SimOptions, SimResult, Simulator};
 use asip_workloads::Workload;
 use std::fmt;
 use std::sync::Arc;
@@ -514,10 +511,11 @@ impl Toolchain {
     /// magnitude cheaper than `fmt` while remaining a complete, injective
     /// rendering. Two things are deliberately *not* part of the key:
     ///
-    /// * the [`SimEngine`] choice — every engine produces bit-identical
-    ///   `SimResult`s (pinned by the differential suites and the
-    ///   `session_env` engine-invariance test), so a cell measured under
-    ///   one engine is a valid hit for any other, on either tier;
+    /// * the [`asip_sim::SimEngine`] choice and its promotion threshold —
+    ///   both engines produce bit-identical `SimResult`s (pinned by the
+    ///   differential suites and the `session_env` engine-invariance
+    ///   test), so a cell measured under one is a valid hit for the other,
+    ///   on either tier;
     /// * the golden `expected` stream — the output check runs on every
     ///   call, hit or miss, so a sabotaged expectation still reports
     ///   [`ToolchainError::WrongOutput`] against the cached measurement.
@@ -543,102 +541,34 @@ impl Toolchain {
         hex_expand(key.into_bytes(), &blob.into_bytes())
     }
 
-    /// The prepared-simulation key (see [`ArtifactCache::get_or_prepare`]):
-    /// everything a preparation reads — engine, target flavor, machine
-    /// tables, program — with the program codec-rendered like
-    /// [`Toolchain::simulate_key`]. Unlike Simulate keys this one *does*
-    /// carry the engine: a decoded and a block-compiled preparation of the
-    /// same program are different objects.
-    fn prepare_key<P: Codec>(
-        &self,
-        flavor: TargetKind,
-        machine: &MachineDescription,
-        program: &P,
-    ) -> String {
-        let mut blob = Writer::new();
-        program.encode(&mut blob);
-        let key = format!(
-            "{}\u{1f}{flavor}\u{1f}{machine:?}\u{1f}",
-            self.sim.engine.name()
-        );
-        hex_expand(key.into_bytes(), &blob.into_bytes())
-    }
-
-    /// One VLIW measurement on the configured [`SimEngine`]. The decoded
-    /// and block engines run from a prepared form served by the cache's
-    /// process-local preparation map ([`CacheStats::decode`]), so repeated
-    /// runs of the same artifact skip validation + decode; the reference
-    /// interpreter prepares nothing by design.
+    /// One VLIW measurement on the configured engine: a Simulate miss
+    /// prepares a [`Simulator`], runs it once and drops it.
     fn simulate_vliw(
         &self,
         w: &Workload,
         machine: &MachineDescription,
         compiled: &CompiledProgram,
     ) -> Result<SimResult, ToolchainError> {
-        let program = &compiled.program;
-        match self.sim.engine {
-            SimEngine::Reference => Ok(run_vliw_reference(
-                machine, program, &w.inputs, &w.args, self.sim,
-            )?),
-            SimEngine::Decoded => {
-                let key = self.prepare_key(TargetKind::Vliw, machine, program);
-                let d = self
-                    .cache
-                    .get_or_prepare(key, || Ok(DecodedVliw::new(machine, program)?))?;
-                Ok(d.run_with_inputs(&w.inputs, &w.args, self.sim)?)
-            }
-            SimEngine::Block => {
-                let key = self.prepare_key(TargetKind::Vliw, machine, program);
-                let b = self
-                    .cache
-                    .get_or_prepare(key, || Ok(BlockVliw::new(machine, program)?))?;
-                Ok(b.run_with_inputs(&w.inputs, &w.args, self.sim)?)
-            }
-            SimEngine::Superblock => {
-                let key = self.prepare_key(TargetKind::Vliw, machine, program);
-                let b = self
-                    .cache
-                    .get_or_prepare(key, || Ok(BlockVliw::with_traces(machine, program)?))?;
-                Ok(b.run_with_inputs(&w.inputs, &w.args, self.sim)?)
-            }
+        let mut sim = Simulator::new(machine, &compiled.program, self.sim)?;
+        for (name, data) in &w.inputs {
+            sim.write_global(name, data);
         }
+        Ok(sim.run(&w.args)?)
     }
 
-    /// One scalar measurement on the configured [`SimEngine`]; prepared
-    /// forms are shared exactly like [`Toolchain::simulate_vliw`].
+    /// One scalar measurement, like [`Toolchain::simulate_vliw`] on a
+    /// [`ScalarSimulator`].
     fn simulate_scalar(
         &self,
         w: &Workload,
         machine: &MachineDescription,
         compiled: &CompiledScalarProgram,
     ) -> Result<SimResult, ToolchainError> {
-        let program = &compiled.program;
-        match self.sim.engine {
-            SimEngine::Reference => Ok(run_scalar_reference(
-                machine, program, &w.inputs, &w.args, self.sim,
-            )?),
-            SimEngine::Decoded => {
-                let key = self.prepare_key(TargetKind::Scalar, machine, program);
-                let d = self
-                    .cache
-                    .get_or_prepare(key, || Ok(DecodedScalar::new(machine, program)?))?;
-                Ok(d.run_with_inputs(&w.inputs, &w.args, self.sim)?)
-            }
-            SimEngine::Block => {
-                let key = self.prepare_key(TargetKind::Scalar, machine, program);
-                let b = self
-                    .cache
-                    .get_or_prepare(key, || Ok(BlockScalar::new(machine, program)?))?;
-                Ok(b.run_with_inputs(&w.inputs, &w.args, self.sim)?)
-            }
-            SimEngine::Superblock => {
-                let key = self.prepare_key(TargetKind::Scalar, machine, program);
-                let b = self
-                    .cache
-                    .get_or_prepare(key, || Ok(BlockScalar::with_traces(machine, program)?))?;
-                Ok(b.run_with_inputs(&w.inputs, &w.args, self.sim)?)
-            }
+        let mut sim = ScalarSimulator::new(machine, &compiled.program, self.sim)?;
+        for (name, data) in &w.inputs {
+            sim.write_global(name, data);
         }
+        Ok(sim.run(&w.args)?)
     }
 
     /// Golden-model output check shared by both Simulate flavors.

@@ -65,48 +65,6 @@ static CELL_EVAL_NS: asip_obs::Histogram = asip_obs::Histogram::new("cell.eval_n
 /// integration test.
 pub const THREADS_ENV: &str = "ASIP_GRID_THREADS";
 
-/// Environment variable overriding the default simulation engine.
-///
-/// Accepts `reference`, `decoded`, `block` or `superblock`
-/// (case-insensitive; unparseable values are ignored). Precedence mirrors
-/// [`THREADS_ENV`]: an explicit [`SessionBuilder::sim_engine`] call
-/// always wins, this variable feeds the builder's *default* (via
-/// [`default_engine`]), and with neither the engine is
-/// [`SimEngine::default`] (the block compiler). The engine can never
-/// change a measurement — all four produce bit-identical `SimResult`s
-/// (pinned by the differential suites) — so Simulate cache keys
-/// deliberately exclude it.
-pub const ENGINE_ENV: &str = "ASIP_SIM_ENGINE";
-
-/// Environment variable overriding the superblock promotion threshold:
-/// how many dispatches a hot loop-header block must accumulate before the
-/// superblock engine chains a trace through it (default 64). Only the
-/// `superblock` engine reads it. Precedence mirrors [`ENGINE_ENV`]: an
-/// explicit [`SessionBuilder::sb_threshold`] call wins, then this
-/// variable (positive integers only), then the default. Thresholds tune
-/// *when* traces form, never what they compute, so Simulate cache keys
-/// exclude this knob too.
-pub const SB_THRESHOLD_ENV: &str = "ASIP_SB_THRESHOLD";
-
-fn engine_from_env() -> Option<SimEngine> {
-    std::env::var(ENGINE_ENV)
-        .ok()
-        .and_then(|v| SimEngine::parse(&v))
-}
-
-fn sb_threshold_from_env() -> Option<u32> {
-    std::env::var(SB_THRESHOLD_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|&n| n > 0)
-}
-
-/// Default simulation engine: the `ASIP_SIM_ENGINE` environment variable
-/// if set (and parseable), else [`SimEngine::default`].
-pub fn default_engine() -> SimEngine {
-    engine_from_env().unwrap_or_default()
-}
-
 /// Default worker count: the `ASIP_GRID_THREADS` environment variable if
 /// set (and a positive integer), else one per available hardware thread.
 pub fn default_threads() -> usize {
@@ -160,21 +118,19 @@ impl SessionBuilder {
         self
     }
 
-    /// Set the simulation engine serving every evaluation. Defaults to
-    /// the `ASIP_SIM_ENGINE` environment variable, or the block compiler
-    /// ([`SimEngine::Block`]). Engines differ only in speed: results are
-    /// bit-identical, and Simulate cache keys exclude the engine.
+    /// Set the simulation engine serving every evaluation: the block
+    /// compiler ([`SimEngine::Block`], the default) or the reference
+    /// oracle. Engines differ only in speed: results are bit-identical,
+    /// and Simulate cache keys exclude the engine.
     pub fn sim_engine(mut self, engine: SimEngine) -> Self {
         self.engine = Some(engine);
         self
     }
 
     /// Set the superblock promotion threshold: dispatches a hot
-    /// loop-header block must accumulate before the superblock engine
-    /// chains a trace through it. Defaults to the `ASIP_SB_THRESHOLD`
-    /// environment variable, or 64. Only read by
-    /// [`SimEngine::Superblock`]; like the engine itself it never changes
-    /// a measurement, so Simulate cache keys exclude it.
+    /// loop-header block must accumulate before the block engine chains a
+    /// trace through it (default 64). Like the engine itself it never
+    /// changes a measurement, so Simulate cache keys exclude it.
     pub fn sb_threshold(mut self, threshold: u32) -> Self {
         self.sb_threshold = Some(threshold.max(1));
         self
@@ -289,17 +245,9 @@ impl SessionBuilder {
         tc.backend = self.backend;
         tc.profile_guided = self.profile_guided.unwrap_or(true);
         tc.sim = self.sim;
-        // Builder wins over environment; environment wins over whatever
-        // the sim options carried (normally the engine default). Pinned
-        // by the `session_env` integration tests.
-        tc.sim.engine = self
-            .engine
-            .or_else(engine_from_env)
-            .unwrap_or(tc.sim.engine);
-        tc.sim.sb_threshold = self
-            .sb_threshold
-            .or_else(sb_threshold_from_env)
-            .unwrap_or(tc.sim.sb_threshold);
+        // The dedicated knobs win over whatever `.sim(..)` carried.
+        tc.sim.engine = self.engine.unwrap_or(tc.sim.engine);
+        tc.sim.sb_threshold = self.sb_threshold.unwrap_or(tc.sim.sb_threshold);
         Session {
             tc,
             threads: self.threads.unwrap_or_else(default_threads),

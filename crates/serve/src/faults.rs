@@ -399,6 +399,14 @@ pub fn on_eval() -> EvalFault {
 mod tests {
     use super::*;
 
+    /// The installed plan is process-global, so the tests that install or
+    /// clear it take turns.
+    static PLAN_LOCK: Mutex<()> = Mutex::new(());
+
+    fn plan_lock() -> std::sync::MutexGuard<'static, ()> {
+        PLAN_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn spec_grammar_roundtrips_the_readme_example() {
         let plan = FaultPlan::parse("drop=0.05,stall=40ms@0.05,corrupt=0.02,crash_after=30")
@@ -449,6 +457,7 @@ mod tests {
 
     #[test]
     fn decision_stream_is_deterministic_per_seed() {
+        let _plan = plan_lock();
         let plan = |seed| FaultPlan {
             drop: 0.3,
             torn: 0.3,
@@ -478,6 +487,7 @@ mod tests {
 
     #[test]
     fn inactive_hooks_are_inert() {
+        let _plan = plan_lock();
         clear();
         assert!(!active());
         let mut frame = vec![0xabu8; 16];
@@ -489,6 +499,7 @@ mod tests {
 
     #[test]
     fn crash_after_counts_eval_requests() {
+        let _plan = plan_lock();
         install(FaultPlan {
             crash_after: Some(3),
             ..FaultPlan::default()

@@ -93,7 +93,6 @@ fn stats_delta(after: &CacheStats, before: &CacheStats) -> CacheStats {
         profile: stage(&after.profile, &before.profile),
         compile: stage(&after.compile, &before.compile),
         simulate: stage(&after.simulate, &before.simulate),
-        decode: stage(&after.decode, &before.decode),
         evictions: after.evictions.saturating_sub(before.evictions),
         resident_bytes: after.resident_bytes,
         mem: tier(&after.mem, &before.mem),
@@ -124,7 +123,6 @@ fn stats_accumulate(into: &mut CacheStats, add: &CacheStats) {
     stage(&mut into.profile, &add.profile);
     stage(&mut into.compile, &add.compile);
     stage(&mut into.simulate, &add.simulate);
-    stage(&mut into.decode, &add.decode);
     into.evictions += add.evictions;
     into.resident_bytes = add.resident_bytes;
     tier(&mut into.mem, &add.mem);

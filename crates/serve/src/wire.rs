@@ -32,8 +32,9 @@ pub const MAGIC: [u8; 8] = *b"ASIPSRV\0";
 /// Wire format version. Bump on any frame- or payload-layout change; a
 /// mismatch is a typed [`ProtocolError::BadVersion`], never a misparse.
 /// Version 2 added the `Metrics`/`MetricsReply` kinds; version 3 added
-/// `TierStats::tmp_reclaimed` to every stats-carrying payload.
-pub const WIRE_VERSION: u32 = 3;
+/// `TierStats::tmp_reclaimed` to every stats-carrying payload; version 4
+/// dropped the prepared-engine counters from `CacheStats`.
+pub const WIRE_VERSION: u32 = 4;
 
 /// Upper bound on a frame payload (64 MiB). A declared length beyond this
 /// is rejected before any allocation — a garbage length field cannot make

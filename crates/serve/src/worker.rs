@@ -3,7 +3,7 @@
 //!
 //! A worker builds its [`Session`] entirely from the inherited
 //! environment (`ASIP_CACHE_DIR` for the shared disk cache,
-//! `ASIP_GRID_THREADS`, `ASIP_SIM_ENGINE`, …), binds an ephemeral port,
+//! `ASIP_GRID_THREADS`, `ASIP_CACHE_BYTES`, …), binds an ephemeral port,
 //! reports it on stdout as a single `LISTENING <addr>` line — the handshake
 //! [`crate::shard::WorkerPool`] waits for — and then serves until a
 //! shutdown RPC or a kill.

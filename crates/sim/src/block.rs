@@ -1,15 +1,16 @@
-//! The block-compiled execution engines: translate basic blocks **once**
-//! into precomputed superops, then execute a threaded-code dispatch loop
-//! over them — the run-time-translation step past the pre-decoded cycle
-//! loops of [`crate::exec`].
+//! The block-compiled execution engines: decode the program **once** into
+//! flat tables, translate basic blocks into precomputed superops, then
+//! execute a threaded-code dispatch loop over them, with hot loops chained
+//! into superblock traces.
 //!
-//! The decoded engines already hoisted per-op decode out of the loop, but
-//! still pay per-cycle dispatch, scoreboard probes and I-cache bookkeeping
-//! on every op of every iteration. Hot kernels spend nearly all cycles in
-//! a handful of basic blocks whose *timing* is input-independent: within a
-//! straight-line block the schedule fixes every interlock stall, every
-//! fetch line and every issue-group boundary. So each block is translated
-//! on first visit (keyed by its entry pc) into a **superop**:
+//! Decoding hoists per-op table lookups out of the loop, but a per-pc
+//! interpreter still pays per-cycle dispatch, scoreboard probes and
+//! I-cache bookkeeping on every op of every iteration. Hot kernels spend
+//! nearly all cycles in a handful of basic blocks whose *timing* is
+//! input-independent: within a straight-line block the schedule fixes
+//! every interlock stall, every fetch line and every issue-group boundary.
+//! So each block is translated on first visit (keyed by its entry pc) into
+//! a **superop**:
 //!
 //! * block-level precomputed costs — total cycles, folded interlock
 //!   stalls, aggregated activity/fetch/idle statistics — applied in O(1)
@@ -30,13 +31,14 @@
 //! already fold in can fire), every fetch line resident, and the cycle
 //! limit out of reach. Each assumption is checked by a cheap guard
 //! at block entry; any failure — and any block the translator refuses
-//! (pathological multi-line I-cache straddles) — falls back to the
-//! existing decoded cycle loop for **one pc at a time**, re-attempting
-//! fast dispatch at the next block boundary. Correctness therefore never
-//! depends on the fast path covering everything: the slow path *is* the
-//! decoded engine's loop body, and the differential suites pin all three
-//! engines ([`crate::reference`], [`crate::exec`], this module) to
-//! bit-identical [`SimResult`](crate::SimResult)s.
+//! (pathological multi-line I-cache straddles) — falls back to an exact
+//! per-pc cycle loop over the decoded tables for **one pc at a time**,
+//! re-attempting fast dispatch at the next block boundary. Correctness
+//! therefore never depends on the fast path covering everything, and the
+//! differential suites pin this engine to the interpretive oracle
+//! ([`crate::reference`]) with bit-identical
+//! [`SimResult`](crate::SimResult)s, with the trace tier forming traces
+//! and with it held back.
 //!
 //! Block discovery (leader analysis + iterative Tarjan SCC loop marking)
 //! is the promoted, reusable analysis in [`asip_dbt::blocks`] — the same
@@ -44,10 +46,10 @@
 //!
 //! # The superblock tier
 //!
-//! Engines built with `with_traces` add a fourth, profile-directed tier
-//! above block dispatch. The dispatcher counts how often each loop-head
-//! block is entered (`TraceState::heat`) and keeps a one-slot majority
-//! sketch of each loop block's dominant successor (`TraceState::succ`).
+//! A profile-directed trace tier sits above block dispatch. The
+//! dispatcher counts how often each loop-head block is entered
+//! (`TraceState::heat`) and keeps a one-slot majority sketch of each loop
+//! block's dominant successor (`TraceState::succ`).
 //! Past a promotion threshold ([`crate::SimOptions::sb_threshold`]) the
 //! head is chained along confident dominant edges
 //! ([`asip_dbt::blocks::grow_trace`]) into a **superblock**: one superop
@@ -86,10 +88,9 @@ pub(crate) const MAX_TRACE_BLOCKS: usize = 16;
 pub(crate) const MAX_TRACE_PCS: u32 = 64;
 
 /// Runtime profile and promotion state for the superblock tier, shared
-/// by both engines and generic over their trace representation. Present
-/// only on engines built with `with_traces`; all state is atomic or
-/// [`OnceLock`]-guarded because one prepared engine is shared across
-/// session worker threads.
+/// by both engines and generic over their trace representation. All state
+/// is atomic or [`OnceLock`]-guarded because runs take `&self`: one engine
+/// may serve runs on several threads at once.
 #[derive(Debug)]
 pub(crate) struct TraceState<T> {
     /// Per-block dispatch counter, bumped at hot-loop-head entries until

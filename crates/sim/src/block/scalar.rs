@@ -1,5 +1,4 @@
-//! The block-compiled scalar engine: superops over [`DecodedScalar`]
-//! instructions.
+//! The block-compiled scalar engine: superops over decoded instructions.
 //!
 //! See the module docs of [`crate::block`] for the design. The scalar
 //! specifics:
@@ -18,13 +17,12 @@
 //!   alternate `s1p` trace (translated only when the first instruction's
 //!   pairing bit makes that state reachable with a distinct outcome).
 //! * **Direct architectural state.** Scalar semantics are sequential —
-//!   the decoded engine already writes registers and memory immediately —
+//!   the slow path already writes registers and memory immediately —
 //!   so the fast path needs no deferred-write machinery at all; the
 //!   scoreboard exists only in the static trace and the live-out set.
 
 use super::{ctrl_of, TraceState, MAX_TRACE_BLOCKS, MAX_TRACE_PCS};
-use crate::exec::scalar::DecodedScalar;
-use crate::exec::{ExecKind, Src, LR_HALT};
+use crate::exec::{DecodedScalar, ExecKind, Src, LR_HALT};
 use crate::icache::ICache;
 use crate::run::{SimError, SimOptions, SimResult};
 use asip_dbt::blocks::{discover, grow_trace, BlockMap};
@@ -146,24 +144,19 @@ struct SuperTrace {
 
 /// A [`ScalarProgram`] block-compiled against a [`MachineDescription`]:
 /// basic blocks are discovered up front ([`asip_dbt::blocks`]) and
-/// translated to `Superop`s on first visit; [`BlockScalar::run`] is the
-/// threaded-code dispatch loop over them, with the decoded pipeline loop
-/// as the per-instruction slow path.
+/// translated to `Superop`s on first visit, hot loop heads are chained
+/// into `SuperTrace`s once they pass [`SimOptions::sb_threshold`]
+/// dispatches, and [`BlockScalar::run_with_inputs`] is the threaded-code
+/// dispatch loop over them, with an exact per-instruction slow path.
 #[derive(Debug)]
 pub struct BlockScalar {
     d: DecodedScalar,
     map: BlockMap,
     /// Translate-on-first-visit cache, one slot per block. `OnceLock`
-    /// because one block-compiled program is shared across session
-    /// worker threads.
+    /// because runs take `&self`.
     tx: Vec<OnceLock<Superop>>,
-    /// The superblock tier's profile/promotion state; `None` on plain
-    /// block engines (see [`BlockScalar::with_traces`]).
-    traces: Option<TraceState<SuperTrace>>,
-    /// Reusable data-memory buffers for [`BlockScalar::run_with_inputs`]:
-    /// a prepared engine runs many times, and rebuilding the dmem image
-    /// per run would dominate short kernels.
-    pool: crate::exec::MemPool,
+    /// The superblock tier's profile/promotion state.
+    traces: TraceState<SuperTrace>,
     fast_blocks: AtomicU64,
     slow_insts: AtomicU64,
 }
@@ -180,32 +173,7 @@ impl BlockScalar {
         machine: &MachineDescription,
         program: &ScalarProgram,
     ) -> Result<BlockScalar, SimError> {
-        Self::build(machine, program, false)
-    }
-
-    /// Like [`BlockScalar::new`], but with the profile-directed
-    /// superblock tier armed: hot loop heads are chained into
-    /// `SuperTrace`s at run time once they pass
-    /// [`SimOptions::sb_threshold`] dispatches.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidProgram`] if the program fails static validation
-    /// against the machine.
-    pub fn with_traces(
-        machine: &MachineDescription,
-        program: &ScalarProgram,
-    ) -> Result<BlockScalar, SimError> {
-        Self::build(machine, program, true)
-    }
-
-    fn build(
-        machine: &MachineDescription,
-        program: &ScalarProgram,
-        traces: bool,
-    ) -> Result<BlockScalar, SimError> {
-        let mut span = asip_obs::span("engine", "prepare");
-        span.note(if traces { "superblock" } else { "block" });
+        let _span = asip_obs::span("engine", "prepare");
         let d = DecodedScalar::new(machine, program)?;
         let mut entries: Vec<u32> = d.program.functions.iter().map(|f| f.entry).collect();
         let ctrl: Vec<_> = d
@@ -215,13 +183,12 @@ impl BlockScalar {
             .collect();
         let map = discover(&ctrl, &entries);
         let tx = (0..map.blocks.len()).map(|_| OnceLock::new()).collect();
-        let traces = traces.then(|| TraceState::new(map.blocks.len()));
+        let traces = TraceState::new(map.blocks.len());
         Ok(BlockScalar {
             d,
             map,
             tx,
             traces,
-            pool: crate::exec::MemPool::default(),
             fast_blocks: AtomicU64::new(0),
             slow_insts: AtomicU64::new(0),
         })
@@ -229,12 +196,7 @@ impl BlockScalar {
 
     /// The program this block compilation was built from.
     pub fn program(&self) -> &ScalarProgram {
-        self.d.program()
-    }
-
-    /// The block partition (loop marking included) driving dispatch.
-    pub fn block_map(&self) -> &BlockMap {
-        &self.map
+        &self.d.program
     }
 
     /// Blocks executed via the superop fast path so far.
@@ -247,72 +209,27 @@ impl BlockScalar {
         self.slow_insts.load(Ordering::Relaxed)
     }
 
-    /// Superblock traces formed so far (0 on plain block engines).
+    /// Superblock traces formed so far.
     pub fn traces_formed(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.formed.load(Ordering::Relaxed))
+        self.traces.formed.load(Ordering::Relaxed)
     }
 
-    /// Superblock trace entries so far (0 on plain block engines).
+    /// Superblock trace entries so far.
     pub fn trace_entries(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.entries.load(Ordering::Relaxed))
+        self.traces.entries.load(Ordering::Relaxed)
     }
 
     /// Superblock side exits (internal transfer mispredictions) so far.
     pub fn trace_side_exits(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.side_exits.load(Ordering::Relaxed))
+        self.traces.side_exits.load(Ordering::Relaxed)
     }
 
     /// Superblock entry-guard failures that fell back to block dispatch.
     pub fn trace_fallbacks(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.fallbacks.load(Ordering::Relaxed))
+        self.traces.fallbacks.load(Ordering::Relaxed)
     }
 
-    /// A fresh data-memory image: zeroed to the machine's `dmem_words`,
-    /// with the program's global initializers applied.
-    pub fn initial_memory(&self) -> Vec<i32> {
-        self.d.initial_memory()
-    }
-
-    /// One-call form over a fresh memory image with named workload inputs
-    /// written in (unknown names are ignored, as in the reference loops).
-    ///
-    /// The image comes from the engine's internal buffer pool: a prepared
-    /// engine is run many times (budget sweeps, DSE revisits), and
-    /// reusing warm pages instead of rebuilding `dmem_words` of zeroed
-    /// memory per run is most of the win on short kernels. The reset
-    /// buffer is bit-identical to [`BlockScalar::initial_memory`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised during execution.
-    pub fn run_with_inputs(
-        &self,
-        inputs: &[(String, Vec<i32>)],
-        args: &[i32],
-        opts: SimOptions,
-    ) -> Result<SimResult, SimError> {
-        let mut memory = self
-            .pool
-            .acquire(self.d.machine.dmem_words, &self.d.program.globals);
-        crate::exec::write_inputs(&mut memory, &self.d.program.globals, inputs);
-        let mut dirty_from = memory.len();
-        let res = self.run_in(&mut memory, args, opts, &mut dirty_from);
-        if res.is_ok() {
-            self.pool
-                .release_scrubbed(memory, self.d.program.data_words as usize, dirty_from);
-        }
-        res
-    }
-
-    /// Statically replay the decoded pipeline's grouping and hazard
+    /// Statically replay the slow path's grouping and hazard
     /// arithmetic over block `bi` from `entry_len` group members (all
     /// fetch lines assumed resident — the entry guard checks that).
     fn trace(&self, bi: usize, entry_len: usize) -> ScalarTrace {
@@ -437,7 +354,7 @@ impl BlockScalar {
     #[allow(clippy::too_many_lines)]
     fn form_trace(&self, head: usize, threshold: u32) -> Option<SuperTrace> {
         let _span = asip_obs::span("engine", "trace_form");
-        let ts = self.traces.as_ref().expect("trace tier armed");
+        let ts = &self.traces;
         let conf = u64::from((threshold / 8).max(1));
         let mut edges: Vec<(u32, bool)> = Vec::new();
         let mut chain = grow_trace(&self.map, head, MAX_TRACE_BLOCKS, MAX_TRACE_PCS, |cur| {
@@ -576,43 +493,23 @@ impl BlockScalar {
         })
     }
 
-    /// Run the entry function over `memory` (normally a copy of
-    /// [`BlockScalar::initial_memory`] with workload inputs written in).
-    /// Observationally identical to [`DecodedScalar::run`] on the same
-    /// inputs — every [`SimResult`] field matches bit-for-bit.
+    /// Run the entry function over a fresh memory image with named
+    /// workload inputs written in (unknown names are ignored, as in the
+    /// reference loops). Observationally identical to
+    /// [`crate::reference::run_scalar_reference`] on the same inputs —
+    /// every [`SimResult`] field matches bit-for-bit.
     ///
     /// # Errors
     ///
     /// Any [`SimError`] raised during execution.
-    pub fn run(
-        &self,
-        mut memory: Vec<i32>,
-        args: &[i32],
-        opts: SimOptions,
-    ) -> Result<SimResult, SimError> {
-        let mut dirty_from = memory.len();
-        self.run_in(&mut memory, args, opts, &mut dirty_from)
-    }
-
-    /// The dispatch loop proper, over a borrowed memory image so
-    /// [`BlockScalar::run_with_inputs`] can recycle the buffer.
-    /// `dirty_out` is lowered to the least address at/above the data
-    /// region the run wrote to, so the caller can scrub only the dirty
-    /// stack span.
     #[allow(clippy::too_many_lines)]
-    fn run_in(
+    pub fn run_with_inputs(
         &self,
-        memory: &mut [i32],
+        inputs: &[(String, Vec<i32>)],
         args: &[i32],
         opts: SimOptions,
-        dirty_out: &mut usize,
     ) -> Result<SimResult, SimError> {
-        let mut span = asip_obs::span("engine", "run");
-        span.note(if self.traces.is_some() {
-            "superblock"
-        } else {
-            "block"
-        });
+        let _span = asip_obs::span("engine", "run");
         let d = &self.d;
         if args.len() != d.num_args as usize {
             return Err(SimError::BadArgs {
@@ -620,13 +517,14 @@ impl BlockScalar {
                 got: args.len() as u32,
             });
         }
-        let data_words = d.program.data_words as usize;
+        let mut memory = crate::exec::initial_memory(d.machine.dmem_words, &d.program.globals);
+        crate::exec::write_inputs(&mut memory, &d.program.globals, inputs);
+        // Stack setup: arguments at the very top; SP points at the first.
         let top = memory.len() as u32;
         let mut sp = top - args.len() as u32;
         for (i, &a) in args.iter().enumerate() {
             memory[sp as usize + i] = a;
         }
-        let mut dirty_lo = sp as usize;
         let mut lr: u32 = LR_HALT;
 
         let mut regs = vec![0i32; d.nregs];
@@ -717,11 +615,7 @@ impl BlockScalar {
                         if addr < 0 || addr as usize >= memory.len() {
                             return Err(SimError::MemFault { pc: ipc, addr });
                         }
-                        let a = addr as usize;
-                        if a >= data_words && a < dirty_lo {
-                            dirty_lo = a;
-                        }
-                        memory[a] = v;
+                        memory[addr as usize] = v;
                     }
                     ExecKind::Br { target } => {
                         $next_pc = *target;
@@ -831,145 +725,136 @@ impl BlockScalar {
                     break 'fast;
                 }
                 // ---- Trace tier: superblock dispatch at a hot loop head. ----
-                if let Some(ts) = &self.traces {
-                    if blk.in_loop {
-                        'trace: {
-                            // Entry group state → base shift, as for the
-                            // block traces below; a half-open pairable
-                            // group is left to the block tier's
-                            // specialized `s1p` trace.
-                            let shift = if group_closed || group_len >= width {
-                                1u64
-                            } else if group_len == 0 {
-                                0u64
-                            } else {
-                                break 'trace;
-                            };
-                            let tr = match ts.tx[bi].get() {
-                                Some(Some(t)) => t,
-                                // Judged unchainable: plain block dispatch,
-                                // and no more heat bookkeeping.
-                                Some(None) => break 'trace,
-                                None => {
-                                    let heat = ts.heat[bi].fetch_add(1, Ordering::Relaxed) + 1;
-                                    if heat < opts.sb_threshold {
-                                        break 'trace;
-                                    }
-                                    match ts.tx[bi]
-                                        .get_or_init(|| self.form_trace(bi, opts.sb_threshold))
-                                    {
-                                        Some(t) => t,
-                                        None => break 'trace,
-                                    }
-                                }
-                            };
-                            let base = cycle + shift;
-                            // Trace guard 1: first-touch admission over the
-                            // whole chain (see the block guard 1b below).
-                            // Admitted writes stay on the scoreboard: their
-                            // values are already architectural, and a side
-                            // exit before the touch point must leave their
-                            // future ready times observable.
-                            if !carry.is_empty()
-                                && !crate::exec::admit_ok(&carry, &reg_ready, &tr.touch, base)
-                            {
-                                trace_fallbacks += 1;
-                                break 'trace;
-                            }
-                            // Trace guard 2: every top-of-loop cycle-limit
-                            // check in the chain must be unreachable.
-                            if base + tr.last_issue > opts.max_cycles {
-                                trace_fallbacks += 1;
-                                break 'trace;
-                            }
-                            // Trace guard 3: the chain's whole fetch-line
-                            // union resident (read-only probe; hits never
-                            // evict, so residency holds at every segment).
-                            if let Some(ic) = icache.as_mut() {
-                                if !tr.probe.iter().all(|&l| ic.probe(l)) {
-                                    trace_fallbacks += 1;
+                let ts = &self.traces;
+                if blk.in_loop {
+                    'trace: {
+                        // Entry group state → base shift, as for the
+                        // block traces below; a half-open pairable
+                        // group is left to the block tier's
+                        // specialized `s1p` trace.
+                        let shift = if group_closed || group_len >= width {
+                            1u64
+                        } else if group_len == 0 {
+                            0u64
+                        } else {
+                            break 'trace;
+                        };
+                        let tr = match ts.tx[bi].get() {
+                            Some(Some(t)) => t,
+                            // Judged unchainable: plain block dispatch,
+                            // and no more heat bookkeeping.
+                            Some(None) => break 'trace,
+                            None => {
+                                let heat = ts.heat[bi].fetch_add(1, Ordering::Relaxed) + 1;
+                                if heat < opts.sb_threshold {
                                     break 'trace;
                                 }
-                            }
-                            trace_entries += 1;
-                            let mut seg_idx = 0usize;
-                            let mut next_pc;
-                            let mut taken;
-                            let mut halted;
-                            loop {
-                                let sblk = &self.map.blocks[tr.blocks[seg_idx] as usize];
-                                let seg = &tr.segs[seg_idx];
-                                if let Some(ic) = icache.as_mut() {
-                                    for &l in
-                                        &tr.lines[seg.lines_lo as usize..seg.lines_hi as usize]
-                                    {
-                                        ic.access_lines(l, l);
-                                    }
-                                }
-                                next_pc = sblk.end();
-                                taken = false;
-                                halted = false;
-                                for (i, inst) in d.insts[sblk.start() as usize..sblk.end() as usize]
-                                    .iter()
-                                    .enumerate()
+                                match ts.tx[bi]
+                                    .get_or_init(|| self.form_trace(bi, opts.sb_threshold))
                                 {
-                                    exec_inst!(
-                                        inst,
-                                        sblk.start() + i as u32,
-                                        next_pc,
-                                        taken,
-                                        halted
-                                    );
-                                }
-                                if halted || seg_idx + 1 == tr.segs.len() {
-                                    break;
-                                }
-                                if next_pc != seg.expect_pc || taken != seg.expect_taken {
-                                    trace_side_exits += 1;
-                                    break;
-                                }
-                                seg_idx += 1;
-                            }
-                            // Trace exit after `seg_idx`: cumulative
-                            // aggregates make any exit depth O(1).
-                            let seg = &tr.segs[seg_idx];
-                            out.bundles_executed += seg.groups;
-                            out.activity.bundles += seg.groups;
-                            out.ops_executed += seg.nops;
-                            for (t, &n) in class_counts.iter_mut().zip(seg.class.iter()) {
-                                *t += n;
-                            }
-                            out.activity.custom_area_executed += seg.custom_area;
-                            out.activity.fetch_bytes += seg.fetch_bytes;
-                            out.interlock_stalls += seg.stalls;
-                            out.branch_stalls += seg.branch;
-                            cycle = base + seg.total;
-                            fast_blocks += seg_idx as u64 + 1;
-                            if halted {
-                                cycle += 1;
-                                break 'run;
-                            }
-                            if taken {
-                                out.branch_stalls += d.branch_penalty;
-                                new_group!(1 + d.branch_penalty);
-                            } else {
-                                group_len = seg.exit_len as usize;
-                                group_closed = seg.exit_seals;
-                            }
-                            // Re-arm writes still landing after the exit.
-                            for &(r, t) in &seg.live_out {
-                                let t = base + t;
-                                if t > cycle {
-                                    reg_ready[r as usize] = t;
-                                    carry.push(r);
+                                    Some(t) => t,
+                                    None => break 'trace,
                                 }
                             }
-                            pc = next_pc;
-                            if pc as usize >= d.insts.len() {
-                                return Err(SimError::WildReturn { pc });
-                            }
-                            continue 'run;
+                        };
+                        let base = cycle + shift;
+                        // Trace guard 1: first-touch admission over the
+                        // whole chain (see the block guard 1b below).
+                        // Admitted writes stay on the scoreboard: their
+                        // values are already architectural, and a side
+                        // exit before the touch point must leave their
+                        // future ready times observable.
+                        if !carry.is_empty()
+                            && !crate::exec::admit_ok(&carry, &reg_ready, &tr.touch, base)
+                        {
+                            trace_fallbacks += 1;
+                            break 'trace;
                         }
+                        // Trace guard 2: every top-of-loop cycle-limit
+                        // check in the chain must be unreachable.
+                        if base + tr.last_issue > opts.max_cycles {
+                            trace_fallbacks += 1;
+                            break 'trace;
+                        }
+                        // Trace guard 3: the chain's whole fetch-line
+                        // union resident (read-only probe; hits never
+                        // evict, so residency holds at every segment).
+                        if let Some(ic) = icache.as_mut() {
+                            if !tr.probe.iter().all(|&l| ic.probe(l)) {
+                                trace_fallbacks += 1;
+                                break 'trace;
+                            }
+                        }
+                        trace_entries += 1;
+                        let mut seg_idx = 0usize;
+                        let mut next_pc;
+                        let mut taken;
+                        let mut halted;
+                        loop {
+                            let sblk = &self.map.blocks[tr.blocks[seg_idx] as usize];
+                            let seg = &tr.segs[seg_idx];
+                            if let Some(ic) = icache.as_mut() {
+                                for &l in &tr.lines[seg.lines_lo as usize..seg.lines_hi as usize] {
+                                    ic.access_lines(l, l);
+                                }
+                            }
+                            next_pc = sblk.end();
+                            taken = false;
+                            halted = false;
+                            for (i, inst) in d.insts[sblk.start() as usize..sblk.end() as usize]
+                                .iter()
+                                .enumerate()
+                            {
+                                exec_inst!(inst, sblk.start() + i as u32, next_pc, taken, halted);
+                            }
+                            if halted || seg_idx + 1 == tr.segs.len() {
+                                break;
+                            }
+                            if next_pc != seg.expect_pc || taken != seg.expect_taken {
+                                trace_side_exits += 1;
+                                break;
+                            }
+                            seg_idx += 1;
+                        }
+                        // Trace exit after `seg_idx`: cumulative
+                        // aggregates make any exit depth O(1).
+                        let seg = &tr.segs[seg_idx];
+                        out.bundles_executed += seg.groups;
+                        out.activity.bundles += seg.groups;
+                        out.ops_executed += seg.nops;
+                        for (t, &n) in class_counts.iter_mut().zip(seg.class.iter()) {
+                            *t += n;
+                        }
+                        out.activity.custom_area_executed += seg.custom_area;
+                        out.activity.fetch_bytes += seg.fetch_bytes;
+                        out.interlock_stalls += seg.stalls;
+                        out.branch_stalls += seg.branch;
+                        cycle = base + seg.total;
+                        fast_blocks += seg_idx as u64 + 1;
+                        if halted {
+                            cycle += 1;
+                            break 'run;
+                        }
+                        if taken {
+                            out.branch_stalls += d.branch_penalty;
+                            new_group!(1 + d.branch_penalty);
+                        } else {
+                            group_len = seg.exit_len as usize;
+                            group_closed = seg.exit_seals;
+                        }
+                        // Re-arm writes still landing after the exit.
+                        for &(r, t) in &seg.live_out {
+                            let t = base + t;
+                            if t > cycle {
+                                reg_ready[r as usize] = t;
+                                carry.push(r);
+                            }
+                        }
+                        pc = next_pc;
+                        if pc as usize >= d.insts.len() {
+                            return Err(SimError::WildReturn { pc });
+                        }
+                        continue 'run;
                     }
                 }
                 // Entry group state → (trace, base-cycle shift). A full
@@ -1033,9 +918,7 @@ impl BlockScalar {
                 // Feed the trace tier's successor profile: loop blocks
                 // only, and a halt has no successor edge.
                 if !halted && blk.in_loop {
-                    if let Some(ts) = &self.traces {
-                        ts.record_succ(bi, next_pc, taken);
-                    }
+                    ts.record_succ(bi, next_pc, taken);
                 }
 
                 // Block exit: apply the precomputed aggregates in O(1).
@@ -1077,7 +960,7 @@ impl BlockScalar {
                 continue 'run;
             }
 
-            // ---- Slow path: one instruction of the decoded loop. ----
+            // ---- Slow path: one instruction, cycle by cycle. ----
             if cycle > opts.max_cycles {
                 return Err(SimError::CycleLimit);
             }
@@ -1166,11 +1049,7 @@ impl BlockScalar {
                     if addr < 0 || addr as usize >= memory.len() {
                         return Err(SimError::MemFault { pc, addr });
                     }
-                    let a = addr as usize;
-                    if a >= data_words && a < dirty_lo {
-                        dirty_lo = a;
-                    }
-                    memory[a] = v;
+                    memory[addr as usize] = v;
                 }
                 ExecKind::Br { target } => {
                     next_pc = *target;
@@ -1278,9 +1157,8 @@ impl BlockScalar {
 
         self.fast_blocks.fetch_add(fast_blocks, Ordering::Relaxed);
         self.slow_insts.fetch_add(slow_insts, Ordering::Relaxed);
-        if let Some(ts) = &self.traces {
-            ts.count_run(trace_entries, trace_side_exits, trace_fallbacks);
-        }
+        self.traces
+            .count_run(trace_entries, trace_side_exits, trace_fallbacks);
         out.cycles = cycle;
         out.activity.cycles = cycle;
         out.activity.alu_ops += class_counts[LatClass::Alu as usize];
@@ -1293,12 +1171,12 @@ impl BlockScalar {
         out.activity.idle_slots =
             (out.activity.bundles * width as u64).saturating_sub(out.ops_executed);
         // The result carries only the static-data region: the stack above
-        // the watermark is scratch, and copying it out (instead of keeping
-        // the whole image) both bounds cached `SimResult`s and lets the
-        // caller recycle the dmem buffer.
-        let data = (d.program.data_words as usize).min(memory.len());
-        out.memory = memory[..data].to_vec();
-        *dirty_out = dirty_lo;
+        // the watermark is scratch, and dropping it keeps cached
+        // `SimResult`s (and their codec) at kilobytes instead of the
+        // machine's whole dmem.
+        memory.truncate(d.program.data_words as usize);
+        memory.shrink_to_fit();
+        out.memory = memory;
         Ok(out)
     }
 }

@@ -1,15 +1,15 @@
-//! The block-compiled VLIW engine: superops over [`DecodedVliw`] bundles.
+//! The block-compiled VLIW engine: superops over decoded bundles.
 //!
 //! See the module docs of [`crate::block`] for the design. The VLIW
 //! specifics:
 //!
 //! * **Folded stalls.** Within a block, the whole-machine interlock is a
-//!   pure function of the schedule: the static trace replays the decoded
-//!   engine's scoreboard arithmetic (stall to the latest in-flight
+//!   pure function of the schedule: the static trace replays the slow
+//!   path's scoreboard arithmetic (stall to the latest in-flight
 //!   ready time, commit, write `issue + latency`) at translation time,
 //!   so the fast path adds one precomputed stall total instead of probing
 //!   the scoreboard per bundle.
-//! * **Direct register writes.** The decoded engine buffers results in a
+//! * **Direct register writes.** The slow path buffers results in a
 //!   pending scoreboard to model VLIW read-before-write; but every read
 //!   is interlocked, so once the entry guard proves no write is in flight
 //!   the only observable reorderings are *within* one bundle. Bundles
@@ -24,8 +24,7 @@
 
 use super::{ctrl_of, for_each_read, for_each_write};
 use super::{TraceState, MAX_TRACE_BLOCKS, MAX_TRACE_PCS};
-use crate::exec::vliw::DecodedVliw;
-use crate::exec::{ActivityDelta, ExecKind, Src, LR_HALT};
+use crate::exec::{ActivityDelta, DecodedVliw, ExecKind, Src, LR_HALT};
 use crate::icache::ICache;
 use crate::run::{SimError, SimOptions, SimResult};
 use asip_dbt::blocks::{discover, grow_trace, BlockMap};
@@ -34,8 +33,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Residual per-bundle execution flags: the shapes where same-bundle
-/// ordering is observable and the fast path must buffer like the decoded
-/// engine instead of writing through.
+/// ordering is observable and the fast path must buffer like the slow
+/// path instead of writing through.
 #[derive(Debug, Clone, Copy, Default)]
 struct BundleFlags {
     /// The bundle reads a register it also writes: keep VLIW
@@ -150,24 +149,20 @@ struct SuperTrace {
 
 /// A [`VliwProgram`] block-compiled against a [`MachineDescription`]:
 /// basic blocks are discovered up front ([`asip_dbt::blocks`]) and
-/// translated to `Superop`s on first visit; [`BlockVliw::run`] is the
-/// threaded-code dispatch loop over them, with the decoded cycle loop as
-/// the per-bundle slow path.
+/// translated to `Superop`s on first visit, hot loop heads are chained
+/// into `SuperTrace`s once they pass [`SimOptions::sb_threshold`]
+/// dispatches, and [`BlockVliw::run_with_inputs`] is the threaded-code
+/// dispatch loop over them, with an exact per-bundle slow path.
 #[derive(Debug)]
 pub struct BlockVliw {
     d: DecodedVliw,
     map: BlockMap,
     /// Translate-on-first-visit cache, one slot per block (keyed by the
-    /// block's entry pc through `map.block_of`). `OnceLock` because one
-    /// block-compiled program is shared across session worker threads.
+    /// block's entry pc through `map.block_of`). `OnceLock` because runs
+    /// take `&self`.
     tx: Vec<OnceLock<Superop>>,
-    /// The superblock tier's profile/promotion state; `None` on plain
-    /// block engines (see [`BlockVliw::with_traces`]).
-    traces: Option<TraceState<SuperTrace>>,
-    /// Reusable data-memory buffers for [`BlockVliw::run_with_inputs`]:
-    /// a prepared engine runs many times, and rebuilding the dmem image
-    /// per run would dominate short kernels.
-    pool: crate::exec::MemPool,
+    /// The superblock tier's profile/promotion state.
+    traces: TraceState<SuperTrace>,
     fast_blocks: AtomicU64,
     slow_bundles: AtomicU64,
 }
@@ -181,31 +176,7 @@ impl BlockVliw {
     /// [`SimError::InvalidProgram`] if the program fails static validation
     /// against the machine.
     pub fn new(machine: &MachineDescription, program: &VliwProgram) -> Result<BlockVliw, SimError> {
-        Self::build(machine, program, false)
-    }
-
-    /// Like [`BlockVliw::new`], but with the profile-directed superblock
-    /// tier armed: hot loop heads are chained into `SuperTrace`s at run
-    /// time once they pass [`SimOptions::sb_threshold`] dispatches.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidProgram`] if the program fails static validation
-    /// against the machine.
-    pub fn with_traces(
-        machine: &MachineDescription,
-        program: &VliwProgram,
-    ) -> Result<BlockVliw, SimError> {
-        Self::build(machine, program, true)
-    }
-
-    fn build(
-        machine: &MachineDescription,
-        program: &VliwProgram,
-        traces: bool,
-    ) -> Result<BlockVliw, SimError> {
-        let mut span = asip_obs::span("engine", "prepare");
-        span.note(if traces { "superblock" } else { "block" });
+        let _span = asip_obs::span("engine", "prepare");
         let d = DecodedVliw::new(machine, program)?;
         let mut entries: Vec<u32> = d.program.functions.iter().map(|f| f.entry).collect();
         let ctrl: Vec<_> = d
@@ -215,13 +186,12 @@ impl BlockVliw {
             .collect();
         let map = discover(&ctrl, &entries);
         let tx = (0..map.blocks.len()).map(|_| OnceLock::new()).collect();
-        let traces = traces.then(|| TraceState::new(map.blocks.len()));
+        let traces = TraceState::new(map.blocks.len());
         Ok(BlockVliw {
             d,
             map,
             tx,
             traces,
-            pool: crate::exec::MemPool::default(),
             fast_blocks: AtomicU64::new(0),
             slow_bundles: AtomicU64::new(0),
         })
@@ -229,12 +199,7 @@ impl BlockVliw {
 
     /// The program this block compilation was built from.
     pub fn program(&self) -> &VliwProgram {
-        self.d.program()
-    }
-
-    /// The block partition (loop marking included) driving dispatch.
-    pub fn block_map(&self) -> &BlockMap {
-        &self.map
+        &self.d.program
     }
 
     /// Blocks executed via the superop fast path so far.
@@ -247,75 +212,28 @@ impl BlockVliw {
         self.slow_bundles.load(Ordering::Relaxed)
     }
 
-    /// Superblock traces formed so far (0 on plain block engines).
+    /// Superblock traces formed so far.
     pub fn traces_formed(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.formed.load(Ordering::Relaxed))
+        self.traces.formed.load(Ordering::Relaxed)
     }
 
-    /// Superblock trace entries so far (0 on plain block engines).
+    /// Superblock trace entries so far.
     pub fn trace_entries(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.entries.load(Ordering::Relaxed))
+        self.traces.entries.load(Ordering::Relaxed)
     }
 
     /// Superblock side exits (internal transfer mispredictions) so far.
     pub fn trace_side_exits(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.side_exits.load(Ordering::Relaxed))
+        self.traces.side_exits.load(Ordering::Relaxed)
     }
 
     /// Superblock entry-guard failures that fell back to block dispatch.
     pub fn trace_fallbacks(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.fallbacks.load(Ordering::Relaxed))
-    }
-
-    /// A fresh data-memory image: zeroed to the machine's `dmem_words`,
-    /// with the program's global initializers applied.
-    pub fn initial_memory(&self) -> Vec<i32> {
-        self.d.initial_memory()
-    }
-
-    /// One-call form over a fresh memory image with named workload inputs
-    /// written in (unknown names are ignored, as in the reference loops).
-    ///
-    /// The image comes from the engine's internal buffer pool: a prepared
-    /// engine is run many times (budget sweeps, DSE revisits), and
-    /// reusing warm pages instead of rebuilding `dmem_words` of zeroed
-    /// memory per run is most of the win on short kernels. The reset
-    /// buffer is bit-identical to [`BlockVliw::initial_memory`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised during execution.
-    pub fn run_with_inputs(
-        &self,
-        inputs: &[(String, Vec<i32>)],
-        args: &[i32],
-        opts: SimOptions,
-    ) -> Result<SimResult, SimError> {
-        let mut memory = self
-            .pool
-            .acquire(self.d.machine.dmem_words, &self.d.program.globals);
-        crate::exec::write_inputs(&mut memory, &self.d.program.globals, inputs);
-        let mut dirty_from = memory.len();
-        let res = self.run_in(&mut memory, args, opts, &mut dirty_from);
-        if res.is_ok() {
-            // Scrub only what the run dirtied and park the buffer; an
-            // errored run left an untracked image, so let it drop.
-            self.pool
-                .release_scrubbed(memory, self.d.program.data_words as usize, dirty_from);
-        }
-        res
+        self.traces.fallbacks.load(Ordering::Relaxed)
     }
 
     /// Translate block `bi` into a superop by statically replaying the
-    /// decoded engine's per-bundle cost arithmetic from a clean entry.
+    /// slow path's per-bundle cost arithmetic from a clean entry.
     fn translate(&self, bi: usize) -> Superop {
         let d = &self.d;
         let blk = &self.map.blocks[bi];
@@ -426,7 +344,7 @@ impl BlockVliw {
     /// (under two fast segments, or no confident successor).
     fn form_trace(&self, head: usize, threshold: u32) -> Option<SuperTrace> {
         let _span = asip_obs::span("engine", "trace_form");
-        let ts = self.traces.as_ref().expect("trace tier armed");
+        let ts = &self.traces;
         let conf = u64::from((threshold / 8).max(1));
         let mut edges: Vec<(u32, bool)> = Vec::new();
         let mut chain = grow_trace(&self.map, head, MAX_TRACE_BLOCKS, MAX_TRACE_PCS, |cur| {
@@ -548,42 +466,23 @@ impl BlockVliw {
         })
     }
 
-    /// Run the entry function over `memory` (normally a copy of
-    /// [`BlockVliw::initial_memory`] with workload inputs written in).
-    /// Observationally identical to [`DecodedVliw::run`] on the same
-    /// inputs — every [`SimResult`] field matches bit-for-bit.
+    /// Run the entry function over a fresh memory image with named
+    /// workload inputs written in (unknown names are ignored, as in the
+    /// reference loops). Observationally identical to
+    /// [`crate::reference::run_vliw_reference`] on the same inputs — every
+    /// [`SimResult`] field matches bit-for-bit.
     ///
     /// # Errors
     ///
     /// Any [`SimError`] raised during execution.
-    pub fn run(
-        &self,
-        mut memory: Vec<i32>,
-        args: &[i32],
-        opts: SimOptions,
-    ) -> Result<SimResult, SimError> {
-        let mut dirty_from = memory.len();
-        self.run_in(&mut memory, args, opts, &mut dirty_from)
-    }
-
-    /// The dispatch loop proper, over a borrowed memory image so
-    /// [`BlockVliw::run_with_inputs`] can recycle the buffer. On success
-    /// `dirty_out` is lowered to the least address at/above the data
-    /// region the run stored to (stack included) — the scrub watermark.
     #[allow(clippy::too_many_lines)]
-    fn run_in(
+    pub fn run_with_inputs(
         &self,
-        memory: &mut [i32],
+        inputs: &[(String, Vec<i32>)],
         args: &[i32],
         opts: SimOptions,
-        dirty_out: &mut usize,
     ) -> Result<SimResult, SimError> {
-        let mut span = asip_obs::span("engine", "run");
-        span.note(if self.traces.is_some() {
-            "superblock"
-        } else {
-            "block"
-        });
+        let _span = asip_obs::span("engine", "run");
         let d = &self.d;
         if args.len() != d.num_args as usize {
             return Err(SimError::BadArgs {
@@ -591,13 +490,14 @@ impl BlockVliw {
                 got: args.len() as u32,
             });
         }
-        let data_words = d.program.data_words as usize;
+        let mut memory = crate::exec::initial_memory(d.machine.dmem_words, &d.program.globals);
+        crate::exec::write_inputs(&mut memory, &d.program.globals, inputs);
+        // Stack setup: arguments at the very top; SP points at the first.
         let top = memory.len() as u32;
         let mut sp = top - args.len() as u32;
         for (i, &a) in args.iter().enumerate() {
             memory[sp as usize + i] = a;
         }
-        let mut dirty_lo = sp as usize;
         let mut lr: u32 = LR_HALT;
 
         let mut regs = vec![0i32; d.nregs];
@@ -695,11 +595,7 @@ impl BlockVliw {
                             if fl.defer_stores {
                                 stores.push((addr, v));
                             } else {
-                                let a = addr as usize;
-                                if a >= data_words && a < dirty_lo {
-                                    dirty_lo = a;
-                                }
-                                memory[a] = v;
+                                memory[addr as usize] = v;
                             }
                         }
                         ExecKind::Br { target } => {
@@ -796,11 +692,7 @@ impl BlockVliw {
                     regs[dst as usize] = v;
                 }
                 for &(addr, v) in &stores {
-                    let a = addr as usize;
-                    if a >= data_words && a < dirty_lo {
-                        dirty_lo = a;
-                    }
-                    memory[a] = v;
+                    memory[addr as usize] = v;
                 }
                 sp = sp_next;
                 lr = lr_next;
@@ -831,154 +723,150 @@ impl BlockVliw {
                     break 'fast;
                 }
                 // ---- Trace tier: superblock dispatch at a hot loop head. ----
-                if let Some(ts) = &self.traces {
-                    if blk.in_loop {
-                        'trace: {
-                            let tr = match ts.tx[bi].get() {
-                                Some(Some(t)) => t,
-                                // Judged unchainable: plain block dispatch,
-                                // and no more heat bookkeeping.
-                                Some(None) => break 'trace,
-                                None => {
-                                    let heat = ts.heat[bi].fetch_add(1, Ordering::Relaxed) + 1;
-                                    if heat < opts.sb_threshold {
-                                        break 'trace;
-                                    }
-                                    match ts.tx[bi]
-                                        .get_or_init(|| self.form_trace(bi, opts.sb_threshold))
-                                    {
-                                        Some(t) => t,
-                                        None => break 'trace,
-                                    }
-                                }
-                            };
-                            // Trace guard 1: first-touch admission over the
-                            // whole chain (see the block guard 1b below).
-                            if !inflight.is_empty()
-                                && !crate::exec::admit_ok(&inflight, &ready, &tr.touch, cycle)
-                            {
-                                trace_fallbacks += 1;
-                                break 'trace;
-                            }
-                            // Trace guard 2: every top-of-bundle cycle-limit
-                            // check in the chain must be unreachable.
-                            if cycle + tr.last_issue > opts.max_cycles {
-                                trace_fallbacks += 1;
-                                break 'trace;
-                            }
-                            // Trace guard 3: the chain's whole fetch-line
-                            // union resident (read-only probe; hits never
-                            // evict, so residency holds at every segment).
-                            if let Some(ic) = icache.as_mut() {
-                                if !tr.probe.iter().all(|&l| ic.probe(l)) {
-                                    trace_fallbacks += 1;
+                let ts = &self.traces;
+                if blk.in_loop {
+                    'trace: {
+                        let tr = match ts.tx[bi].get() {
+                            Some(Some(t)) => t,
+                            // Judged unchainable: plain block dispatch,
+                            // and no more heat bookkeeping.
+                            Some(None) => break 'trace,
+                            None => {
+                                let heat = ts.heat[bi].fetch_add(1, Ordering::Relaxed) + 1;
+                                if heat < opts.sb_threshold {
                                     break 'trace;
                                 }
-                            }
-                            // Admitted-register protocol, entry half: commit
-                            // the values of in-flight writes the chain will
-                            // touch, but keep them armed on the scoreboard —
-                            // a side exit before the touch point must leave
-                            // them observably in flight for the block tier.
-                            admitted.clear();
-                            for &r in &inflight {
-                                if tr.touch[r as usize] != u64::MAX {
-                                    regs[r as usize] = pending[r as usize];
-                                    admitted.push(r);
-                                }
-                            }
-                            trace_entries += 1;
-                            let entry = cycle;
-                            let mut seg_idx = 0usize;
-                            let mut next_pc;
-                            let mut taken;
-                            let mut halted;
-                            loop {
-                                let sblk = &self.map.blocks[tr.blocks[seg_idx] as usize];
-                                let seg = &tr.segs[seg_idx];
-                                if let Some(ic) = icache.as_mut() {
-                                    for &l in
-                                        &tr.lines[seg.lines_lo as usize..seg.lines_hi as usize]
-                                    {
-                                        ic.access_lines(l, l);
-                                    }
-                                }
-                                next_pc = sblk.end();
-                                taken = false;
-                                halted = false;
-                                for (i, meta) in d.bundles
-                                    [sblk.start() as usize..sblk.end() as usize]
-                                    .iter()
-                                    .enumerate()
+                                match ts.tx[bi]
+                                    .get_or_init(|| self.form_trace(bi, opts.sb_threshold))
                                 {
-                                    exec_bundle!(
-                                        meta,
-                                        sblk.start() + i as u32,
-                                        tr.flags[seg.flags_lo as usize + i],
-                                        next_pc,
-                                        taken,
-                                        halted
-                                    );
-                                }
-                                if halted || seg_idx + 1 == tr.segs.len() {
-                                    break;
-                                }
-                                if next_pc != seg.expect_pc || taken != seg.expect_taken {
-                                    trace_side_exits += 1;
-                                    break;
-                                }
-                                seg_idx += 1;
-                            }
-                            // Trace exit after `seg_idx`: cumulative
-                            // aggregates make any exit depth O(1).
-                            let seg = &tr.segs[seg_idx];
-                            out.bundles_executed += seg.nbundles;
-                            out.ops_executed += seg.act.ops;
-                            seg.act.apply(&mut out.activity);
-                            out.activity.bundles += seg.nbundles;
-                            out.activity.idle_slots += seg.idle_slots;
-                            out.activity.fetch_bytes += seg.fetch_bytes;
-                            out.interlock_stalls += seg.stalls;
-                            out.branch_stalls += seg.branch;
-                            cycle = entry + seg.total;
-                            fast_blocks += seg_idx as u64 + 1;
-                            // Admitted-register protocol, exit half: drop
-                            // entries that have landed *without* re-committing
-                            // (the chain may have overwritten the register
-                            // since the entry commit; `pending` is stale).
-                            // Entries still in the future — admitted ahead of
-                            // a touch point a side exit never reached — stay
-                            // armed, their pending value still equal to the
-                            // committed one.
-                            for &r in &admitted {
-                                if ready[r as usize] <= cycle {
-                                    ready[r as usize] = 0;
+                                    Some(t) => t,
+                                    None => break 'trace,
                                 }
                             }
-                            if !admitted.is_empty() {
-                                inflight.retain(|&r| ready[r as usize] != 0);
-                            }
-                            if halted {
-                                break 'run;
-                            }
-                            if taken {
-                                cycle += d.branch_penalty;
-                                out.branch_stalls += d.branch_penalty;
-                            }
-                            for &(r, t) in &seg.live_out {
-                                let t = entry + t;
-                                if t > cycle {
-                                    ready[r as usize] = t;
-                                    pending[r as usize] = regs[r as usize];
-                                    inflight.push(r);
-                                }
-                            }
-                            pc = next_pc;
-                            if pc as usize >= d.bundles.len() {
-                                return Err(SimError::WildReturn { pc });
-                            }
-                            continue 'run;
+                        };
+                        // Trace guard 1: first-touch admission over the
+                        // whole chain (see the block guard 1b below).
+                        if !inflight.is_empty()
+                            && !crate::exec::admit_ok(&inflight, &ready, &tr.touch, cycle)
+                        {
+                            trace_fallbacks += 1;
+                            break 'trace;
                         }
+                        // Trace guard 2: every top-of-bundle cycle-limit
+                        // check in the chain must be unreachable.
+                        if cycle + tr.last_issue > opts.max_cycles {
+                            trace_fallbacks += 1;
+                            break 'trace;
+                        }
+                        // Trace guard 3: the chain's whole fetch-line
+                        // union resident (read-only probe; hits never
+                        // evict, so residency holds at every segment).
+                        if let Some(ic) = icache.as_mut() {
+                            if !tr.probe.iter().all(|&l| ic.probe(l)) {
+                                trace_fallbacks += 1;
+                                break 'trace;
+                            }
+                        }
+                        // Admitted-register protocol, entry half: commit
+                        // the values of in-flight writes the chain will
+                        // touch, but keep them armed on the scoreboard —
+                        // a side exit before the touch point must leave
+                        // them observably in flight for the block tier.
+                        admitted.clear();
+                        for &r in &inflight {
+                            if tr.touch[r as usize] != u64::MAX {
+                                regs[r as usize] = pending[r as usize];
+                                admitted.push(r);
+                            }
+                        }
+                        trace_entries += 1;
+                        let entry = cycle;
+                        let mut seg_idx = 0usize;
+                        let mut next_pc;
+                        let mut taken;
+                        let mut halted;
+                        loop {
+                            let sblk = &self.map.blocks[tr.blocks[seg_idx] as usize];
+                            let seg = &tr.segs[seg_idx];
+                            if let Some(ic) = icache.as_mut() {
+                                for &l in &tr.lines[seg.lines_lo as usize..seg.lines_hi as usize] {
+                                    ic.access_lines(l, l);
+                                }
+                            }
+                            next_pc = sblk.end();
+                            taken = false;
+                            halted = false;
+                            for (i, meta) in d.bundles[sblk.start() as usize..sblk.end() as usize]
+                                .iter()
+                                .enumerate()
+                            {
+                                exec_bundle!(
+                                    meta,
+                                    sblk.start() + i as u32,
+                                    tr.flags[seg.flags_lo as usize + i],
+                                    next_pc,
+                                    taken,
+                                    halted
+                                );
+                            }
+                            if halted || seg_idx + 1 == tr.segs.len() {
+                                break;
+                            }
+                            if next_pc != seg.expect_pc || taken != seg.expect_taken {
+                                trace_side_exits += 1;
+                                break;
+                            }
+                            seg_idx += 1;
+                        }
+                        // Trace exit after `seg_idx`: cumulative
+                        // aggregates make any exit depth O(1).
+                        let seg = &tr.segs[seg_idx];
+                        out.bundles_executed += seg.nbundles;
+                        out.ops_executed += seg.act.ops;
+                        seg.act.apply(&mut out.activity);
+                        out.activity.bundles += seg.nbundles;
+                        out.activity.idle_slots += seg.idle_slots;
+                        out.activity.fetch_bytes += seg.fetch_bytes;
+                        out.interlock_stalls += seg.stalls;
+                        out.branch_stalls += seg.branch;
+                        cycle = entry + seg.total;
+                        fast_blocks += seg_idx as u64 + 1;
+                        // Admitted-register protocol, exit half: drop
+                        // entries that have landed *without* re-committing
+                        // (the chain may have overwritten the register
+                        // since the entry commit; `pending` is stale).
+                        // Entries still in the future — admitted ahead of
+                        // a touch point a side exit never reached — stay
+                        // armed, their pending value still equal to the
+                        // committed one.
+                        for &r in &admitted {
+                            if ready[r as usize] <= cycle {
+                                ready[r as usize] = 0;
+                            }
+                        }
+                        if !admitted.is_empty() {
+                            inflight.retain(|&r| ready[r as usize] != 0);
+                        }
+                        if halted {
+                            break 'run;
+                        }
+                        if taken {
+                            cycle += d.branch_penalty;
+                            out.branch_stalls += d.branch_penalty;
+                        }
+                        for &(r, t) in &seg.live_out {
+                            let t = entry + t;
+                            if t > cycle {
+                                ready[r as usize] = t;
+                                pending[r as usize] = regs[r as usize];
+                                inflight.push(r);
+                            }
+                        }
+                        pc = next_pc;
+                        if pc as usize >= d.bundles.len() {
+                            return Err(SimError::WildReturn { pc });
+                        }
+                        continue 'run;
                     }
                 }
                 // Entry guard 1b: a write still in flight is admissible if
@@ -1038,9 +926,7 @@ impl BlockVliw {
                 // Feed the trace tier's successor profile: loop blocks
                 // only, and a halt has no successor edge.
                 if !halted && blk.in_loop {
-                    if let Some(ts) = &self.traces {
-                        ts.record_succ(bi, next_pc, taken);
-                    }
+                    ts.record_succ(bi, next_pc, taken);
                 }
 
                 // Block exit: apply the precomputed aggregates in O(1).
@@ -1076,7 +962,7 @@ impl BlockVliw {
                 continue 'run;
             }
 
-            // ---- Slow path: one bundle of the decoded cycle loop. ----
+            // ---- Slow path: one bundle, cycle by cycle. ----
             if cycle > opts.max_cycles {
                 return Err(SimError::CycleLimit);
             }
@@ -1249,11 +1135,7 @@ impl BlockVliw {
             }
 
             for &(addr, v) in &stores {
-                let a = addr as usize;
-                if a >= data_words && a < dirty_lo {
-                    dirty_lo = a;
-                }
-                memory[a] = v;
+                memory[addr as usize] = v;
             }
             sp = sp_next;
             lr = lr_next;
@@ -1280,18 +1162,17 @@ impl BlockVliw {
 
         self.fast_blocks.fetch_add(fast_blocks, Ordering::Relaxed);
         self.slow_bundles.fetch_add(slow_bundles, Ordering::Relaxed);
-        if let Some(ts) = &self.traces {
-            ts.count_run(trace_entries, trace_side_exits, trace_fallbacks);
-        }
+        self.traces
+            .count_run(trace_entries, trace_side_exits, trace_fallbacks);
         out.cycles = cycle;
         out.activity.cycles = cycle;
         // The result carries only the static-data region: the stack above
-        // the watermark is scratch, and copying it out (instead of keeping
-        // the whole image) both bounds cached `SimResult`s and lets the
-        // caller recycle the dmem buffer.
-        let data = (d.program.data_words as usize).min(memory.len());
-        out.memory = memory[..data].to_vec();
-        *dirty_out = dirty_lo;
+        // the watermark is scratch, and dropping it keeps cached
+        // `SimResult`s (and their codec) at kilobytes instead of the
+        // machine's whole dmem.
+        memory.truncate(d.program.data_words as usize);
+        memory.shrink_to_fit();
+        out.memory = memory;
         Ok(out)
     }
 }

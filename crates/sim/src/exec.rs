@@ -1,12 +1,11 @@
-//! The pre-decoded execution layer: compile a program + machine description
-//! **once** into a dense, flat representation, then run cycle loops that do
-//! no per-cycle table lookups and no per-bundle allocations.
+//! The decoded tables: a program + machine description compiled **once**
+//! into a dense, flat representation that the block engines
+//! ([`crate::block`]) translate into superops and run their per-pc slow
+//! path over, with no per-cycle table lookups.
 //!
-//! The interpretive loops this layer replaces (preserved verbatim in
-//! [`crate::reference`] as the differential-testing oracle) re-resolved
-//! operands, re-looked-up latencies in the [`MachineDescription`] tables,
-//! recomputed bundle byte layout on every fetch, and allocated scratch
-//! `Vec`s inside the per-cycle loop. Pre-decoding hoists all of that out of
+//! The interpretive loops of [`crate::reference`] re-resolve operands,
+//! re-look-up latencies in the [`MachineDescription`] tables and recompute
+//! bundle byte layout on every fetch. Decoding hoists all of that out of
 //! the measurement loop:
 //!
 //! * **Operands** are resolved to flat register-file indices
@@ -17,23 +16,16 @@
 //! * **Branch targets and function entries** are resolved to bundle (or
 //!   instruction) indices, so `Call` never chases the function directory.
 //! * **Fetch geometry** — encoded byte size and the I-cache line span of
-//!   every pc — is a flat per-pc table; the per-fetch
-//!   `bundle_bytes`/`layout` calls are gone and the I-cache is probed with
+//!   every pc — is a flat per-pc table, so the I-cache is probed with
 //!   [`crate::ICache::access_lines`] on precomputed line numbers.
 //! * The scalar **dual-issue pairing rule** is precomputed per adjacent
-//!   instruction pair (see [`scalar::DecodedScalar`]).
-//!
-//! The engines are **observationally identical** to the reference loops:
-//! every [`SimResult`](crate::SimResult) field — outputs, memory, stalls of
-//! every kind, activity counters — matches exactly, which the workspace
-//! differential suite pins over all presets × all kernels plus fuzzed
-//! machine configurations.
+//!   instruction pair (see `scalar::DecodedScalar`).
 
-pub mod scalar;
-pub mod vliw;
+pub(crate) mod scalar;
+pub(crate) mod vliw;
 
-pub use scalar::DecodedScalar;
-pub use vliw::DecodedVliw;
+pub(crate) use scalar::DecodedScalar;
+pub(crate) use vliw::DecodedVliw;
 
 use asip_isa::{CustomOpDef, LatClass, MachineDescription, MachineOp, Opcode, Operand, Reg};
 
@@ -153,9 +145,9 @@ pub(crate) struct CustomPools {
 }
 
 /// A fresh data-memory image: zeroed to `dmem_words`, with `globals`'
-/// initializers applied — the one definition shared by both decoded
-/// engines and the reference loops, so the image semantics can never
-/// drift between the differential pair.
+/// initializers applied — the one definition shared by the block engines
+/// and the reference loops, so the image semantics can never drift
+/// between the differential pair.
 pub(crate) fn initial_memory(dmem_words: u32, globals: &[asip_isa::GlobalSym]) -> Vec<i32> {
     let mut memory = vec![0i32; dmem_words as usize];
     for g in globals {
@@ -183,71 +175,6 @@ pub(crate) fn write_inputs(
             for (i, &v) in data.iter().take(g.words as usize).enumerate() {
                 memory[g.addr as usize + i] = v;
             }
-        }
-    }
-}
-
-/// A small pool of reusable data-memory buffers.
-///
-/// Building a fresh image per run (`vec![0; dmem_words]`) costs an
-/// mmap/zero/munmap round trip per simulation — on a megaword machine
-/// that is most of a short kernel's wall time, and an explicit full
-/// memset on reuse would cost just as much. The block engines keep a few
-/// buffers resident instead, with a **scrub** protocol: parked buffers
-/// are always all-zero, [`MemPool::acquire`] re-applies the global
-/// initializers (identical contents to [`initial_memory`]), and
-/// [`MemPool::release_scrubbed`] zeroes only the regions a run can have
-/// dirtied — the static-data region plus everything from the lowest
-/// stack/store address up, which the engines watermark during execution.
-/// The pool is bounded: the engines are shared across session worker
-/// threads, so at most a handful of buffers ever stay parked.
-#[derive(Debug, Default)]
-pub(crate) struct MemPool {
-    bufs: std::sync::Mutex<Vec<Vec<i32>>>,
-}
-
-/// Buffers kept parked per pool; extras beyond concurrent demand are freed.
-const MEM_POOL_CAP: usize = 4;
-
-impl MemPool {
-    /// Pop a parked (all-zero) buffer — or allocate a fresh lazily-zeroed
-    /// one — and apply `globals`' initializers: identical contents to
-    /// [`initial_memory`].
-    pub(crate) fn acquire(&self, dmem_words: u32, globals: &[asip_isa::GlobalSym]) -> Vec<i32> {
-        let want = dmem_words as usize;
-        let mut memory = match self.bufs.lock().unwrap().pop() {
-            Some(b) if b.len() == want => b,
-            _ => vec![0i32; want],
-        };
-        for g in globals {
-            for (i, &v) in g.init.iter().enumerate() {
-                let a = g.addr as usize + i;
-                if a < memory.len() {
-                    memory[a] = v;
-                }
-            }
-        }
-        memory
-    }
-
-    /// Zero the regions a run can have dirtied — `[0, data_words)` (the
-    /// globals and every named store) and `[dirty_from, len)` (the stack
-    /// and every watermarked computed store) — then park the buffer for
-    /// the next [`MemPool::acquire`]. Runs that dirtied a large fraction
-    /// of the image are dropped instead: a fresh lazily-zeroed allocation
-    /// is cheaper than a near-full memset.
-    pub(crate) fn release_scrubbed(&self, mut buf: Vec<i32>, data_words: usize, dirty_from: usize) {
-        let n = buf.len();
-        let dw = data_words.min(n);
-        let lo = dirty_from.clamp(dw, n);
-        if dw + (n - lo) > n / 4 + 1024 {
-            return;
-        }
-        buf[..dw].fill(0);
-        buf[lo..].fill(0);
-        let mut bufs = self.bufs.lock().unwrap();
-        if bufs.len() < MEM_POOL_CAP {
-            bufs.push(buf);
         }
     }
 }

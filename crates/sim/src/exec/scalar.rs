@@ -1,12 +1,12 @@
-//! The pre-decoded scalar engine: flat operands, a precomputed adjacent-pair
-//! dual-issue table, and an allocation-free in-order pipeline loop.
+//! The decoded scalar tables: flat operands, baked latencies, fetch
+//! geometry and a precomputed adjacent-pair dual-issue bit per
+//! instruction.
 //!
-//! Timing semantics are exactly the reference model's (see
-//! [`crate::reference`] and the module docs of [`crate::scalar`]): 1–2-wide
-//! in-order issue, the slot table as the dynamic pairing rule, a
-//! per-register ready-time scoreboard with forwarding/+1-no-bypass,
-//! load-use and taken-branch stalls, and sequential architectural state.
-//! What moved to decode time:
+//! Timing semantics are the reference model's (see [`crate::reference`]
+//! and the module docs of [`crate::scalar`]): 1–2-wide in-order issue,
+//! the slot table as the dynamic pairing rule, a per-register ready-time
+//! scoreboard with forwarding/+1-no-bypass, load-use and taken-branch
+//! stalls, and sequential architectural state. What moved to decode time:
 //!
 //! * Operand resolution, latency lookup (the no-forwarding penalty is baked
 //!   into each op's latency), activity classification, fetch byte/line
@@ -14,15 +14,14 @@
 //! * The **dual-issue pairing check**: an issue group of an in-order 2-wide
 //!   front end only ever holds the dynamically previous instruction, which
 //!   on a fall-through is the one at `pc - 1` — so the bipartite slot
-//!   matching collapses to one precomputed `pair_ok[pc - 1]` bit per
+//!   matching collapses to one precomputed `pair_with_prev` bit per
 //!   adjacent instruction pair.
 
-use super::{CustomPools, DecodedOp, ExecKind, FetchInfo, Src, LR_HALT};
-use crate::icache::ICache;
-use crate::run::{SimError, SimOptions, SimResult};
+use super::{CustomPools, DecodedOp, FetchInfo};
+use crate::run::SimError;
 use crate::scalar::group_fits;
 use asip_isa::scalar::scalar_inst_bytes;
-use asip_isa::{ActivityCounts, EvalError, LatClass, MachineDescription, Opcode, ScalarProgram};
+use asip_isa::{MachineDescription, Opcode, ScalarProgram};
 
 /// One fully pre-decoded instruction: the op plus everything the pipeline
 /// loop consults per fetch, in one cache-friendly record.
@@ -47,16 +46,10 @@ pub(crate) struct Inst {
 }
 
 /// A [`ScalarProgram`] compiled once against a [`MachineDescription`] into
-/// the dense form the in-order pipeline loop executes. Build with
-/// [`DecodedScalar::new`] (validates the program), then
-/// [`DecodedScalar::run`] any number of times.
-///
-/// Owns clones of the machine and program (it is `'static`, `Send` and
-/// `Sync`), so a decoding can outlive its inputs — the session-level
-/// prepared-simulation cache holds decodings across pipeline runs, and the
-/// block engine ([`crate::block`]) embeds one as its slow path.
+/// the dense form the block engine executes. Owns clones of the machine
+/// and program, so a decoding can outlive its inputs.
 #[derive(Debug)]
-pub struct DecodedScalar {
+pub(crate) struct DecodedScalar {
     pub(crate) machine: MachineDescription,
     pub(crate) program: ScalarProgram,
     pub(crate) insts: Vec<Inst>,
@@ -71,18 +64,17 @@ pub struct DecodedScalar {
 }
 
 impl DecodedScalar {
-    /// Pre-decode `program` for the scalar pipeline of `machine`.
+    /// Validate `program` against the scalar pipeline of `machine`, then
+    /// decode it.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidProgram`] if the program fails static validation
     /// against the machine.
-    pub fn new(
+    pub(crate) fn new(
         machine: &MachineDescription,
         program: &ScalarProgram,
     ) -> Result<DecodedScalar, SimError> {
-        let mut span = asip_obs::span("engine", "prepare");
-        span.note("decoded");
         program
             .validate(machine)
             .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
@@ -143,330 +135,5 @@ impl DecodedScalar {
             width: machine.issue_width().clamp(1, 2),
             branch_penalty: u64::from(machine.branch_penalty),
         })
-    }
-
-    /// The program this decoding was built from.
-    pub fn program(&self) -> &ScalarProgram {
-        &self.program
-    }
-
-    /// A fresh data-memory image: zeroed to the machine's `dmem_words`,
-    /// with the program's global initializers applied.
-    pub fn initial_memory(&self) -> Vec<i32> {
-        super::initial_memory(self.machine.dmem_words, &self.program.globals)
-    }
-
-    /// One-call form over a fresh memory image with named workload inputs
-    /// written in (unknown names are ignored, as in the reference loops) —
-    /// what the session's prepared-simulation cache calls per run.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised during execution.
-    pub fn run_with_inputs(
-        &self,
-        inputs: &[(String, Vec<i32>)],
-        args: &[i32],
-        opts: SimOptions,
-    ) -> Result<SimResult, SimError> {
-        let mut memory = self.initial_memory();
-        super::write_inputs(&mut memory, &self.program.globals, inputs);
-        self.run(memory, args, opts)
-    }
-
-    /// Run the entry function over `memory` (normally a copy of
-    /// [`DecodedScalar::initial_memory`] with workload inputs written in).
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised during execution.
-    #[allow(clippy::too_many_lines)]
-    pub fn run(
-        &self,
-        mut memory: Vec<i32>,
-        args: &[i32],
-        opts: SimOptions,
-    ) -> Result<SimResult, SimError> {
-        let mut span = asip_obs::span("engine", "run");
-        span.note("decoded");
-        if args.len() != self.num_args as usize {
-            return Err(SimError::BadArgs {
-                expected: self.num_args,
-                got: args.len() as u32,
-            });
-        }
-        // Stack setup: arguments at the very top; SP points at the first.
-        let top = memory.len() as u32;
-        let mut sp = top - args.len() as u32;
-        for (i, &a) in args.iter().enumerate() {
-            memory[sp as usize + i] = a;
-        }
-        let mut lr: u32 = LR_HALT;
-
-        let mut regs = vec![0i32; self.nregs];
-        let mut reg_ready = vec![0u64; self.nregs];
-        let mut icache = self.machine.icache.map(ICache::new);
-        let mut out = SimResult {
-            output: Vec::new(),
-            cycles: 0,
-            interlock_stalls: 0,
-            icache_stalls: 0,
-            branch_stalls: 0,
-            bundles_executed: 0,
-            ops_executed: 0,
-            activity: ActivityCounts::default(),
-            icache_misses: 0,
-            memory: Vec::new(),
-        };
-
-        // Reusable scratch, owned outside the cycle loop.
-        let mut argv: Vec<i32> = Vec::new();
-        let mut cvals: Vec<i32> = Vec::new();
-        let mut couts: Vec<i32> = Vec::new();
-        // Per-class execution counters, indexed by `LatClass` order and
-        // folded into the named activity fields after the run.
-        let mut class_counts = [0u64; 7];
-
-        // Current issue group: how many instructions it holds (the slot
-        // table constrains membership via `pair_ok`) and whether a control
-        // op sealed it.
-        let mut cycle: u64 = 0;
-        let mut group_len: usize = 0;
-        let mut group_closed = false;
-        let mut pc: u32 = self.entry_pc;
-        let width = self.width;
-
-        macro_rules! new_group {
-            ($advance:expr) => {{
-                cycle += $advance;
-                group_len = 0;
-                group_closed = false;
-            }};
-        }
-
-        'run: loop {
-            if cycle > opts.max_cycles {
-                return Err(SimError::CycleLimit);
-            }
-            let inst = &self.insts[pc as usize];
-            let op = &inst.op;
-            let fetch = &inst.fetch;
-
-            // 1. Fetch, charging I-cache misses as front-end bubbles.
-            if let Some(ic) = icache.as_mut() {
-                let misses = ic.access_lines(fetch.first_line, fetch.last_line);
-                if misses > 0 {
-                    let pen = u64::from(misses) * u64::from(ic.miss_penalty());
-                    let bump = u64::from(group_len != 0);
-                    new_group!(bump + pen);
-                    out.icache_stalls += pen;
-                    out.icache_misses += u64::from(misses);
-                }
-            }
-            out.activity.fetch_bytes += u64::from(fetch.bytes);
-
-            // 2. Structural hazards: group full, sealed by a control op, or
-            //    the precomputed pairing bit says the slot table has no
-            //    distinct-slot assignment for the adjacent pair. (A group
-            //    member is always the fall-through predecessor at pc - 1;
-            //    an empty group accepts any validated instruction.)
-            if group_len >= width || group_closed || (group_len == 1 && !inst.pair_with_prev) {
-                new_group!(1);
-            }
-
-            // 3. Data hazards: operands (and, for in-order writeback,
-            //    destinations) must be ready.
-            let mut ready = cycle;
-            for &r in &self.interlock[inst.interlock.0 as usize..inst.interlock.1 as usize] {
-                let t = reg_ready[r as usize];
-                if t > ready {
-                    ready = t;
-                }
-            }
-            if ready > cycle {
-                out.interlock_stalls += ready - cycle;
-                new_group!(ready - cycle);
-            }
-
-            // 4. Issue and execute. Architectural state updates immediately
-            //    (sequential semantics); the scoreboard carries the timing.
-            group_len += 1;
-            if group_len == 1 {
-                out.bundles_executed += 1;
-                out.activity.bundles += 1;
-            }
-            out.ops_executed += 1;
-            class_counts[inst.class as usize] += 1;
-            out.activity.custom_area_executed += u64::from(inst.custom_area);
-
-            macro_rules! rd {
-                ($s:expr) => {
-                    match *$s {
-                        Src::Imm(v) => v,
-                        Src::Reg(i) => regs[i as usize],
-                    }
-                };
-            }
-            let lat = op.lat;
-            macro_rules! wr {
-                ($d:expr, $v:expr) => {{
-                    let d = $d as usize;
-                    if d != 0 {
-                        regs[d] = $v;
-                        let slot = &mut reg_ready[d];
-                        let t = cycle + lat;
-                        if *slot < t {
-                            *slot = t;
-                        }
-                    }
-                }};
-            }
-
-            let mut next_pc = pc + 1;
-            let mut taken = false;
-            let mut halted = false;
-
-            match &op.kind {
-                ExecKind::Ldw { dst, base, off } => {
-                    let addr = i64::from(rd!(base)) + off;
-                    if addr < 0 || addr as usize >= memory.len() {
-                        return Err(SimError::MemFault { pc, addr });
-                    }
-                    let v = memory[addr as usize];
-                    wr!(*dst, v);
-                }
-                ExecKind::Stw { val, base, off } => {
-                    let v = rd!(val);
-                    let addr = i64::from(rd!(base)) + off;
-                    if addr < 0 || addr as usize >= memory.len() {
-                        return Err(SimError::MemFault { pc, addr });
-                    }
-                    memory[addr as usize] = v;
-                }
-                ExecKind::Br { target } => {
-                    next_pc = *target;
-                    taken = true;
-                }
-                ExecKind::BrT { cond, target } => {
-                    if rd!(cond) != 0 {
-                        next_pc = *target;
-                        taken = true;
-                    }
-                }
-                ExecKind::BrF { cond, target } => {
-                    if rd!(cond) == 0 {
-                        next_pc = *target;
-                        taken = true;
-                    }
-                }
-                ExecKind::Call { entry } => {
-                    lr = pc + 1;
-                    next_pc = *entry;
-                    taken = true;
-                }
-                ExecKind::Ret => {
-                    if lr == LR_HALT {
-                        halted = true;
-                    } else if lr as usize >= self.insts.len() {
-                        return Err(SimError::WildReturn { pc });
-                    } else {
-                        next_pc = lr;
-                        taken = true;
-                    }
-                }
-                ExecKind::Halt => halted = true,
-                ExecKind::Emit { src } => {
-                    let v = rd!(src);
-                    out.output.push(v);
-                }
-                ExecKind::AddSp { imm } => {
-                    sp = (i64::from(sp) + imm) as u32;
-                }
-                ExecKind::MovFromSp { dst } => wr!(*dst, sp as i32),
-                ExecKind::MovFromLr { dst } => wr!(*dst, lr as i32),
-                ExecKind::MovToLr { src } => lr = rd!(src) as u32,
-                ExecKind::Mov { dst, src } => {
-                    let v = rd!(src);
-                    wr!(*dst, v);
-                }
-                ExecKind::Select { dst, c, a, b } => {
-                    let c = rd!(c);
-                    let a = rd!(a);
-                    let b = rd!(b);
-                    wr!(*dst, if c != 0 { a } else { b });
-                }
-                ExecKind::Custom { id, srcs, dsts } => {
-                    argv.clear();
-                    for s in &self.pools.srcs[srcs.0 as usize..srcs.1 as usize] {
-                        argv.push(rd!(s));
-                    }
-                    let def = &self.program.custom_ops[*id as usize];
-                    def.eval_into(&argv, &mut cvals, &mut couts)
-                        .map_err(|e| match e {
-                            asip_isa::CustomOpError::Eval(_) => SimError::DivideByZero { pc },
-                            other => SimError::InvalidProgram(other.to_string()),
-                        })?;
-                    for (&d, &v) in self.pools.dsts[dsts.0 as usize..dsts.1 as usize]
-                        .iter()
-                        .zip(couts.iter())
-                    {
-                        wr!(d, v);
-                    }
-                }
-                ExecKind::Nop => {}
-                ExecKind::Un { op, dst, a } => {
-                    let v = op.eval1(rd!(a)).expect("unary arith");
-                    wr!(*dst, v);
-                }
-                ExecKind::Bin { op, dst, a, b } => {
-                    let x = rd!(a);
-                    let y = rd!(b);
-                    let v = op.eval2(x, y).map_err(|e| match e {
-                        EvalError::DivideByZero => SimError::DivideByZero { pc },
-                        EvalError::NotArithmetic => {
-                            SimError::InvalidProgram(format!("opcode {op} is not executable"))
-                        }
-                    })?;
-                    wr!(*dst, v);
-                }
-            }
-
-            if halted {
-                cycle += 1;
-                break 'run;
-            }
-            if taken {
-                // Redirect: the branch's own cycle plus the penalty bubbles.
-                out.branch_stalls += self.branch_penalty;
-                new_group!(1 + self.branch_penalty);
-            } else if inst.seals {
-                // A fall-through control op still seals its issue group.
-                group_closed = true;
-            }
-            pc = next_pc;
-            if pc as usize >= self.insts.len() {
-                return Err(SimError::WildReturn { pc });
-            }
-        }
-
-        out.cycles = cycle;
-        out.activity.cycles = cycle;
-        out.activity.alu_ops += class_counts[LatClass::Alu as usize];
-        out.activity.mul_ops += class_counts[LatClass::Mul as usize];
-        out.activity.div_ops += class_counts[LatClass::Div as usize];
-        out.activity.mem_ops += class_counts[LatClass::Mem as usize];
-        out.activity.branch_ops += class_counts[LatClass::Branch as usize];
-        out.activity.copy_ops += class_counts[LatClass::Copy as usize];
-        out.activity.custom_ops += class_counts[LatClass::Custom as usize];
-        out.activity.idle_slots =
-            (out.activity.bundles * width as u64).saturating_sub(out.ops_executed);
-        // The result carries only the static-data region: the stack above
-        // the watermark is scratch, and dropping it keeps cached
-        // `SimResult`s (and their codec) at kilobytes instead of the
-        // machine's whole dmem.
-        memory.truncate(self.program.data_words as usize);
-        memory.shrink_to_fit();
-        out.memory = memory;
-        Ok(out)
     }
 }

@@ -1,30 +1,19 @@
-//! The pre-decoded VLIW engine: dense bundles, a per-register ready-time
-//! scoreboard, and an allocation-free cycle loop.
+//! The decoded VLIW tables: dense bundles, each with its flat op range,
+//! interlock register set, pre-aggregated statistics and fetch geometry.
 //!
-//! Timing semantics are exactly the reference model's (see
-//! [`crate::reference`]): in-order bundle issue, whole-machine interlock on
-//! not-ready source *and* destination registers, VLIW read-before-write
-//! within a bundle, stores applied at end of bundle, taken branches paying
-//! the machine's penalty. The implementation differs only in *how*:
-//!
-//! * The in-flight write set is a fixed-size **per-register scoreboard**
-//!   (`ready[r]`/`pending[r]`), replacing the linear scan of an `inflight`
-//!   vector with an O(1) probe. The reference loop maintains the invariant
-//!   that at most one write per register is ever in flight (the interlock
-//!   waits on destinations too), so the scoreboard loses no information.
-//! * Arrived writes commit **lazily** at the next read of (or write to)
-//!   their register instead of eagerly every bundle. The interlock has
-//!   already stalled past every in-flight write a bundle touches, so a
-//!   lazy commit can never be observed late.
-//! * Per-bundle work — operand resolution, latency lookup, activity
-//!   classification, fetch byte/line geometry — was hoisted to decode time
-//!   ([`super`]).
+//! Timing semantics are the reference model's (see [`crate::reference`]):
+//! in-order bundle issue, whole-machine interlock on not-ready source
+//! *and* destination registers, VLIW read-before-write within a bundle,
+//! stores applied at end of bundle, taken branches paying the machine's
+//! penalty. The block engine ([`crate::block::vliw`]) replays them over a
+//! per-register ready-time scoreboard (`ready[r]`/`pending[r]`): the
+//! interlock waits on destinations too, so at most one write per register
+//! is ever in flight and the scoreboard loses no information.
 
-use super::{ActivityDelta, CustomPools, DecodedOp, ExecKind, FetchInfo, Src, LR_HALT};
-use crate::icache::ICache;
-use crate::run::{SimError, SimOptions, SimResult};
+use super::{ActivityDelta, CustomPools, DecodedOp, FetchInfo};
+use crate::run::SimError;
 use asip_isa::encoding::{bundle_bytes, layout};
-use asip_isa::{ActivityCounts, EvalError, MachineDescription, VliwProgram};
+use asip_isa::{MachineDescription, VliwProgram};
 
 /// Per-bundle metadata: op and interlock-register ranges into the decoded
 /// program's flat pools, pre-aggregated statistics deltas, and the fetch
@@ -39,15 +28,10 @@ pub(crate) struct BundleMeta {
 }
 
 /// A [`VliwProgram`] compiled once against a [`MachineDescription`] into
-/// the dense form the cycle loop executes. Build with [`DecodedVliw::new`]
-/// (validates the program), then [`DecodedVliw::run`] any number of times.
-///
-/// Owns clones of the machine and program (it is `'static`, `Send` and
-/// `Sync`), so a decoding can outlive its inputs — the session-level
-/// prepared-simulation cache holds decodings across pipeline runs, and the
-/// block engine ([`crate::block`]) embeds one as its slow path.
+/// the dense form the block engine executes. Owns clones of the machine
+/// and program, so a decoding can outlive its inputs.
 #[derive(Debug)]
-pub struct DecodedVliw {
+pub(crate) struct DecodedVliw {
     pub(crate) machine: MachineDescription,
     pub(crate) program: VliwProgram,
     pub(crate) bundles: Vec<BundleMeta>,
@@ -62,18 +46,16 @@ pub struct DecodedVliw {
 }
 
 impl DecodedVliw {
-    /// Pre-decode `program` for `machine`.
+    /// Validate `program` against `machine`, then decode it.
     ///
     /// # Errors
     ///
     /// [`SimError::InvalidProgram`] if the program fails static validation
     /// against the machine.
-    pub fn new(
+    pub(crate) fn new(
         machine: &MachineDescription,
         program: &VliwProgram,
     ) -> Result<DecodedVliw, SimError> {
-        let mut span = asip_obs::span("engine", "prepare");
-        span.note("decoded");
         program
             .validate(machine)
             .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
@@ -122,311 +104,5 @@ impl DecodedVliw {
             nregs,
             branch_penalty: u64::from(machine.branch_penalty),
         })
-    }
-
-    /// The program this decoding was built from.
-    pub fn program(&self) -> &VliwProgram {
-        &self.program
-    }
-
-    /// A fresh data-memory image: zeroed to the machine's `dmem_words`,
-    /// with the program's global initializers applied.
-    pub fn initial_memory(&self) -> Vec<i32> {
-        super::initial_memory(self.machine.dmem_words, &self.program.globals)
-    }
-
-    /// One-call form over a fresh memory image with named workload inputs
-    /// written in (unknown names are ignored, as in the reference loops) —
-    /// what the session's prepared-simulation cache calls per run.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised during execution.
-    pub fn run_with_inputs(
-        &self,
-        inputs: &[(String, Vec<i32>)],
-        args: &[i32],
-        opts: SimOptions,
-    ) -> Result<SimResult, SimError> {
-        let mut memory = self.initial_memory();
-        super::write_inputs(&mut memory, &self.program.globals, inputs);
-        self.run(memory, args, opts)
-    }
-
-    /// Run the entry function over `memory` (normally a copy of
-    /// [`DecodedVliw::initial_memory`] with workload inputs written in).
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised during execution.
-    #[allow(clippy::too_many_lines)]
-    pub fn run(
-        &self,
-        mut memory: Vec<i32>,
-        args: &[i32],
-        opts: SimOptions,
-    ) -> Result<SimResult, SimError> {
-        let mut span = asip_obs::span("engine", "run");
-        span.note("decoded");
-        if args.len() != self.num_args as usize {
-            return Err(SimError::BadArgs {
-                expected: self.num_args,
-                got: args.len() as u32,
-            });
-        }
-        // Stack setup: arguments at the very top; SP points at the first.
-        let top = memory.len() as u32;
-        let mut sp = top - args.len() as u32;
-        for (i, &a) in args.iter().enumerate() {
-            memory[sp as usize + i] = a;
-        }
-        let mut lr: u32 = LR_HALT;
-
-        let mut regs = vec![0i32; self.nregs];
-        // Scoreboard: `ready[r]` is the cycle the one in-flight write to
-        // `r` lands (0 = none in flight); `pending[r]` its value.
-        let mut ready = vec![0u64; self.nregs];
-        let mut pending = vec![0i32; self.nregs];
-        let mut icache = self.machine.icache.map(ICache::new);
-        let mut out = SimResult {
-            output: Vec::new(),
-            cycles: 0,
-            interlock_stalls: 0,
-            icache_stalls: 0,
-            branch_stalls: 0,
-            bundles_executed: 0,
-            ops_executed: 0,
-            activity: ActivityCounts::default(),
-            icache_misses: 0,
-            memory: Vec::new(),
-        };
-
-        // Reusable scratch, owned outside the cycle loop.
-        let mut stores: Vec<(i64, i32)> = Vec::new();
-        let mut argv: Vec<i32> = Vec::new();
-        let mut cvals: Vec<i32> = Vec::new();
-        let mut couts: Vec<i32> = Vec::new();
-
-        let mut cycle: u64 = 0;
-        let mut pc: u32 = self.entry_pc;
-
-        'run: loop {
-            if cycle > opts.max_cycles {
-                return Err(SimError::CycleLimit);
-            }
-            let meta = &self.bundles[pc as usize];
-            let fetch = &meta.fetch;
-
-            // 1. Fetch, on precomputed line numbers.
-            if let Some(ic) = icache.as_mut() {
-                let misses = ic.access_lines(fetch.first_line, fetch.last_line);
-                if misses > 0 {
-                    let pen = u64::from(misses) * u64::from(ic.miss_penalty());
-                    cycle += pen;
-                    out.icache_stalls += pen;
-                    out.icache_misses += u64::from(misses);
-                }
-            }
-            out.activity.fetch_bytes += u64::from(fetch.bytes);
-
-            // 2. Interlock: O(1) scoreboard probe per touched register,
-            //    then commit the (now arrived) in-flight writes of exactly
-            //    the registers this bundle touches. After this pre-pass
-            //    every register the bundle reads or writes is committed
-            //    with no write in flight, so the read/write paths below
-            //    are branch-free array accesses.
-            let interlock = &self.interlock[meta.interlock.0 as usize..meta.interlock.1 as usize];
-            let mut ready_at = cycle;
-            for &r in interlock {
-                let t = ready[r as usize];
-                if t > ready_at {
-                    ready_at = t;
-                }
-            }
-            if ready_at > cycle {
-                out.interlock_stalls += ready_at - cycle;
-                cycle = ready_at;
-            }
-            for &r in interlock {
-                let r = r as usize;
-                if ready[r] != 0 {
-                    regs[r] = pending[r];
-                    ready[r] = 0;
-                }
-            }
-
-            // 3+4. Read and execute. Same-bundle writes stay invisible to
-            // reads: they only enter the pending scoreboard (VLIW
-            // read-before-write), committing at a later bundle's pre-pass.
-            macro_rules! rd {
-                ($s:expr) => {
-                    match *$s {
-                        Src::Imm(v) => v,
-                        Src::Reg(i) => regs[i as usize],
-                    }
-                };
-            }
-            macro_rules! wr {
-                ($d:expr, $v:expr, $lat:expr) => {{
-                    let d = $d as usize;
-                    if d != 0 {
-                        pending[d] = $v;
-                        ready[d] = cycle + $lat;
-                    }
-                }};
-            }
-
-            stores.clear();
-            let mut next_pc = pc + 1;
-            let mut taken = false;
-            let mut halted = false;
-            let mut sp_next = sp;
-            let mut lr_next = lr;
-
-            for op in &self.ops[meta.ops.0 as usize..meta.ops.1 as usize] {
-                let lat = op.lat;
-                match &op.kind {
-                    ExecKind::Ldw { dst, base, off } => {
-                        let addr = i64::from(rd!(base)) + off;
-                        if addr < 0 || addr as usize >= memory.len() {
-                            return Err(SimError::MemFault { pc, addr });
-                        }
-                        let v = memory[addr as usize];
-                        wr!(*dst, v, lat);
-                    }
-                    ExecKind::Stw { val, base, off } => {
-                        let v = rd!(val);
-                        let addr = i64::from(rd!(base)) + off;
-                        if addr < 0 || addr as usize >= memory.len() {
-                            return Err(SimError::MemFault { pc, addr });
-                        }
-                        stores.push((addr, v));
-                    }
-                    ExecKind::Br { target } => {
-                        next_pc = *target;
-                        taken = true;
-                    }
-                    ExecKind::BrT { cond, target } => {
-                        if rd!(cond) != 0 {
-                            next_pc = *target;
-                            taken = true;
-                        }
-                    }
-                    ExecKind::BrF { cond, target } => {
-                        if rd!(cond) == 0 {
-                            next_pc = *target;
-                            taken = true;
-                        }
-                    }
-                    ExecKind::Call { entry } => {
-                        lr_next = pc + 1;
-                        next_pc = *entry;
-                        taken = true;
-                    }
-                    ExecKind::Ret => {
-                        if lr == LR_HALT {
-                            halted = true;
-                        } else if lr as usize >= self.bundles.len() {
-                            return Err(SimError::WildReturn { pc });
-                        } else {
-                            next_pc = lr;
-                            taken = true;
-                        }
-                    }
-                    ExecKind::Halt => halted = true,
-                    ExecKind::Emit { src } => {
-                        let v = rd!(src);
-                        out.output.push(v);
-                    }
-                    ExecKind::AddSp { imm } => {
-                        sp_next = (i64::from(sp) + imm) as u32;
-                    }
-                    ExecKind::MovFromSp { dst } => wr!(*dst, sp as i32, lat),
-                    ExecKind::MovFromLr { dst } => wr!(*dst, lr as i32, lat),
-                    ExecKind::MovToLr { src } => lr_next = rd!(src) as u32,
-                    ExecKind::Mov { dst, src } => {
-                        let v = rd!(src);
-                        wr!(*dst, v, lat);
-                    }
-                    ExecKind::Select { dst, c, a, b } => {
-                        let c = rd!(c);
-                        let a = rd!(a);
-                        let b = rd!(b);
-                        wr!(*dst, if c != 0 { a } else { b }, lat);
-                    }
-                    ExecKind::Custom { id, srcs, dsts } => {
-                        argv.clear();
-                        for s in &self.pools.srcs[srcs.0 as usize..srcs.1 as usize] {
-                            argv.push(rd!(s));
-                        }
-                        let def = &self.program.custom_ops[*id as usize];
-                        def.eval_into(&argv, &mut cvals, &mut couts)
-                            .map_err(|e| match e {
-                                asip_isa::CustomOpError::Eval(_) => SimError::DivideByZero { pc },
-                                other => SimError::InvalidProgram(other.to_string()),
-                            })?;
-                        for (&d, &v) in self.pools.dsts[dsts.0 as usize..dsts.1 as usize]
-                            .iter()
-                            .zip(couts.iter())
-                        {
-                            wr!(d, v, lat);
-                        }
-                    }
-                    ExecKind::Nop => {}
-                    ExecKind::Un { op, dst, a } => {
-                        let v = op.eval1(rd!(a)).expect("unary arith");
-                        wr!(*dst, v, lat);
-                    }
-                    ExecKind::Bin { op, dst, a, b } => {
-                        let x = rd!(a);
-                        let y = rd!(b);
-                        let v = op.eval2(x, y).map_err(|e| match e {
-                            EvalError::DivideByZero => SimError::DivideByZero { pc },
-                            EvalError::NotArithmetic => {
-                                SimError::InvalidProgram(format!("opcode {op} is not executable"))
-                            }
-                        })?;
-                        wr!(*dst, v, lat);
-                    }
-                }
-            }
-
-            // End of bundle: apply stores, SP/LR, precomputed stats deltas.
-            for &(addr, v) in &stores {
-                memory[addr as usize] = v;
-            }
-            sp = sp_next;
-            lr = lr_next;
-            out.bundles_executed += 1;
-            out.ops_executed += meta.act.ops;
-            meta.act.apply(&mut out.activity);
-            out.activity.bundles += 1;
-            out.activity.idle_slots += meta.idle_slots;
-
-            if halted {
-                cycle += 1;
-                break 'run;
-            }
-            cycle += 1;
-            if taken {
-                cycle += self.branch_penalty;
-                out.branch_stalls += self.branch_penalty;
-            }
-            pc = next_pc;
-            if pc as usize >= self.bundles.len() {
-                return Err(SimError::WildReturn { pc });
-            }
-        }
-
-        out.cycles = cycle;
-        out.activity.cycles = cycle;
-        // The result carries only the static-data region: the stack above
-        // the watermark is scratch, and dropping it keeps cached
-        // `SimResult`s (and their codec) at kilobytes instead of the
-        // machine's whole dmem.
-        memory.truncate(self.program.data_words as usize);
-        memory.shrink_to_fit();
-        out.memory = memory;
-        Ok(out)
     }
 }

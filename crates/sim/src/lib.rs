@@ -19,54 +19,46 @@
 //! under the machine's instruction encoding, and both report through one
 //! [`SimResult`].
 //!
-//! ## The pre-decoded execution layer
+//! ## One engine plus the oracle
 //!
 //! Fast candidate evaluation is what makes instruction-set exploration
-//! tractable, so the cycle loops are built for speed: [`Simulator::new`]
-//! and [`ScalarSimulator::new`] compile the program + machine description
-//! **once** into a dense [`exec::DecodedVliw`] / [`exec::DecodedScalar`] —
-//! operands as flat register indices, latencies/activity classes/fetch
-//! geometry baked from the machine tables, branch targets resolved, the
-//! scalar dual-issue pairing rule precomputed per adjacent pair — and the
-//! loops then run allocation-free with O(1) per-register ready-time
-//! scoreboards. The original interpretive loops are preserved in
-//! [`mod@reference`] as the differential-testing oracle.
+//! tractable, so every run is served by one engine per target,
+//! [`BlockVliw`] / [`BlockScalar`] ([`SimEngine::Block`], the default).
+//! [`Simulator::new`] and [`ScalarSimulator::new`] build it:
 //!
-//! ## The block-compiled execution layer
+//! * **Decode once.** The program + machine description become dense
+//!   tables — operands as flat register indices, latencies, activity
+//!   classes and fetch geometry baked from the machine tables, branch
+//!   targets resolved, the scalar dual-issue pairing rule precomputed per
+//!   adjacent pair.
+//! * **Superops.** Basic blocks (discovered by `asip_dbt::blocks`) are
+//!   translated on first visit into superops whose static costs (issue
+//!   cycles, interlock stalls against a block-entry scoreboard, fetch
+//!   bytes, activity deltas, touched I-cache lines) are folded at
+//!   translate time. Entry guards (block-start pc, admissible in-flight
+//!   writes, resident I-cache lines, headroom under the cycle limit)
+//!   decide per dispatch whether the superop applies; when any guard
+//!   fails, execution runs an exact per-pc cycle loop for one pc and
+//!   re-attempts fast dispatch at the next block boundary.
+//! * **Superblock traces.** The dispatcher counts dispatches of in-loop
+//!   block leaders and records each block's dominant successor with a
+//!   Boyer–Moore majority sketch. When a leader crosses the promotion
+//!   threshold ([`SimOptions::sb_threshold`]), the confident successor
+//!   edges are chained into a **superblock**: one composed superop
+//!   covering the whole hot path, its aggregates pre-summed across the
+//!   internal control transfers, its I-cache line set unioned, its
+//!   scoreboard effects replayed chain-globally. Side exits (the
+//!   prediction missing mid-trace) resume in the block dispatcher with
+//!   exact partial aggregates; entry-guard failures fall back to plain
+//!   block dispatch.
 //!
-//! On top of the decoded form, [`block`] goes one step further:
-//! [`BlockVliw`] / [`BlockScalar`] discover basic blocks (via
-//! `asip_dbt::blocks`) and translate each hot block — on first visit, into
-//! a per-block [`std::sync::OnceLock`] cache — into a **superop** whose
-//! static costs (issue cycles, interlock stalls against a block-entry
-//! scoreboard, fetch bytes, activity deltas, touched I-cache lines) are
-//! folded at translate time. The dispatch loop then executes whole blocks:
-//! entry guards (block-start pc, no in-flight writes, resident I-cache
-//! lines, headroom under the cycle limit) decide per dispatch whether the
-//! superop applies; when any guard fails, execution falls back to the
-//! exact decoded loop body for one pc and re-attempts fast dispatch at the
-//! next block boundary.
-//!
-//! ## The superblock trace layer
-//!
-//! The fourth tier chains blocks: running with traces enabled
-//! ([`BlockVliw::with_traces`] / [`BlockScalar::with_traces`], the
-//! [`SimEngine::Superblock`] knob), the dispatcher counts dispatches of
-//! in-loop block leaders and records each block's dominant successor with
-//! a Boyer–Moore majority sketch. When a leader crosses the promotion
-//! threshold ([`SimOptions::sb_threshold`]), the confident successor
-//! edges are chained into a **superblock**: one composed superop covering
-//! the whole hot path, its aggregates pre-summed across the internal
-//! control transfers, its I-cache line set unioned, its scoreboard
-//! effects replayed chain-globally and specialized for the dominant entry
-//! state. Side exits (the prediction missing mid-trace) resume in the
-//! block dispatcher with exact partial aggregates; entry-guard failures
-//! fall back to plain block dispatch.
-//!
-//! Which engine serves a run is a [`SimEngine`] knob on [`SimOptions`];
-//! all four are observationally identical — the workspace test suite pins
-//! bit-identical [`SimResult`]s on every preset × kernel and under fuzzed
-//! machine configurations, fallback and side-exit paths included.
+//! Each run starts from a fresh, zero-initialized data-memory image. The
+//! original interpretive loops are preserved in [`mod@reference`]
+//! ([`SimEngine::Reference`]) as the differential-testing oracle: the
+//! workspace test suite pins bit-identical [`SimResult`]s between the two
+//! on every preset × kernel and under fuzzed machine configurations,
+//! fallback, side-exit and cycle-limit paths included, with traces forming
+//! and with the threshold out of reach.
 //!
 //! ## Example
 //!
@@ -88,14 +80,13 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod exec;
+mod exec;
 pub mod icache;
 pub mod reference;
 pub mod run;
 pub mod scalar;
 
 pub use block::{BlockScalar, BlockVliw};
-pub use exec::{DecodedScalar, DecodedVliw};
 pub use icache::ICache;
 pub use run::{run_program, SimEngine, SimError, SimOptions, SimResult, Simulator};
 pub use scalar::{run_scalar_program, ScalarSimulator};

@@ -16,71 +16,44 @@
 //!
 //! Taken control transfers pay the machine's branch penalty.
 //!
-//! Since the pre-decode refactor the loop itself lives in
-//! [`crate::exec::vliw`]: [`Simulator::new`] compiles the program once into
-//! a [`DecodedVliw`] (operands as flat register indices, latencies and
-//! fetch geometry baked in) and [`Simulator::run`] drives that engine. The
-//! original interpretive loop survives in [`crate::reference`] as the
-//! differential oracle.
+//! [`Simulator::new`] prepares the program for the engine
+//! [`SimOptions::engine`] names: the block engine ([`crate::block`]) by
+//! default, or the original interpretive loop ([`crate::reference`]), kept
+//! as the differential oracle.
 
 use crate::block::BlockVliw;
-use crate::exec::DecodedVliw;
 use asip_isa::codec::{Codec, CodecError, Reader, Writer};
 use asip_isa::{ActivityCounts, MachineDescription, VliwProgram};
 use std::fmt;
 
-/// Which execution engine the simulators drive. All four are
+/// Which execution engine the simulators drive. Both are
 /// **observationally identical** — every [`SimResult`] field matches
 /// bit-for-bit (the workspace differential suites pin this) — and differ
 /// only in throughput:
 ///
 /// * [`Reference`](SimEngine::Reference): the preserved interpretive
 ///   loops ([`crate::reference`]), the differential oracle.
-/// * [`Decoded`](SimEngine::Decoded): the pre-decoded cycle loops
-///   ([`crate::exec`]) — per-op table lookups hoisted to decode time.
 /// * [`Block`](SimEngine::Block): the block-compiled superop engine
 ///   ([`crate::block`]) — basic blocks translated once into precomputed
-///   block-level costs, dispatched by a threaded-code loop, falling back
-///   to the decoded cycle loop per bundle when a block's fast-path
-///   assumptions fail. The default.
-/// * [`Superblock`](SimEngine::Superblock): the block engine plus a
-///   trace tier — hot loop blocks are chained into superblocks along
-///   their profiled dominant path ([`SimOptions::sb_threshold`]); side
-///   exits fall back into the block dispatcher, guard failures fall
-///   further to the decoded loop body.
+///   block-level costs, dispatched by a threaded-code loop, with hot loop
+///   blocks chained into superblock traces past
+///   [`SimOptions::sb_threshold`] dispatches, and an exact per-bundle
+///   slow path for whatever the fast paths do not cover. The default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimEngine {
     /// Interpretive oracle loops.
     Reference,
-    /// Pre-decoded cycle loops.
-    Decoded,
-    /// Block-compiled superop engine (default).
+    /// Block-compiled superop engine with its trace tier (default).
     #[default]
     Block,
-    /// Block engine with profile-directed trace superblocks on top.
-    Superblock,
 }
 
 impl SimEngine {
-    /// Parse an engine name (`"reference"`, `"decoded"`, `"block"`,
-    /// `"superblock"`, case-insensitive); `None` for anything else.
-    pub fn parse(s: &str) -> Option<SimEngine> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "reference" => Some(SimEngine::Reference),
-            "decoded" => Some(SimEngine::Decoded),
-            "block" => Some(SimEngine::Block),
-            "superblock" => Some(SimEngine::Superblock),
-            _ => None,
-        }
-    }
-
-    /// The canonical lowercase name ([`SimEngine::parse`]'s input).
+    /// The canonical lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             SimEngine::Reference => "reference",
-            SimEngine::Decoded => "decoded",
             SimEngine::Block => "block",
-            SimEngine::Superblock => "superblock",
         }
     }
 }
@@ -101,10 +74,10 @@ pub struct SimOptions {
     /// Simulate artifacts are deliberately keyed *without* it.
     pub engine: SimEngine,
     /// Superblock promotion threshold: a loop block must dispatch this many
-    /// times before the [`SimEngine::Superblock`] tier tries to chain a
-    /// trace from it. Read at *run* time, so prepared engine state stays
-    /// threshold-independent; like `engine`, it can never change results
-    /// and is keyed out of cached Simulate artifacts.
+    /// times before the [`SimEngine::Block`] engine's trace tier tries to
+    /// chain a trace from it (`u32::MAX` in effect leaves plain block
+    /// dispatch). Like `engine`, it can never change results and is keyed
+    /// out of cached Simulate artifacts.
     pub sb_threshold: u32,
 }
 
@@ -377,8 +350,10 @@ impl Codec for SimError {
 }
 
 /// The engine a [`Simulator`] dispatches to, selected by
-/// [`SimOptions::engine`] at construction.
+/// [`SimOptions::engine`] at construction. One lives in each simulator,
+/// so the variants' size difference costs nothing worth a box.
 #[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
 enum VliwBackend {
     /// The interpretive oracle re-reads the raw program per run, so this
     /// arm carries its own clones instead of a decoding.
@@ -386,15 +361,14 @@ enum VliwBackend {
         machine: MachineDescription,
         program: VliwProgram,
     },
-    Decoded(DecodedVliw),
-    Block(Box<BlockVliw>),
+    Block(BlockVliw),
 }
 
 /// The simulator. Construct with [`Simulator::new`] — which prepares the
 /// program once for the engine named by [`SimOptions::engine`] — optionally
 /// override global data ([`Simulator::write_global`]), then
-/// [`Simulator::run`] any number of times (each run starts from the same
-/// prepared memory image).
+/// [`Simulator::run`] any number of times (each run starts from a fresh
+/// memory image).
 #[derive(Debug)]
 pub struct Simulator {
     backend: VliwBackend,
@@ -407,8 +381,8 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Prepare a simulation: validates the program and pre-decodes (or
-    /// block-compiles) it for the engine in `opts`.
+    /// Prepare a simulation: validates the program and block-compiles it
+    /// when `opts` selects the block engine.
     ///
     /// # Errors
     ///
@@ -429,11 +403,7 @@ impl Simulator {
                     program: program.clone(),
                 }
             }
-            SimEngine::Decoded => VliwBackend::Decoded(DecodedVliw::new(machine, program)?),
-            SimEngine::Block => VliwBackend::Block(Box::new(BlockVliw::new(machine, program)?)),
-            SimEngine::Superblock => {
-                VliwBackend::Block(Box::new(BlockVliw::with_traces(machine, program)?))
-            }
+            SimEngine::Block => VliwBackend::Block(BlockVliw::new(machine, program)?),
         };
         Ok(Simulator {
             backend,
@@ -452,7 +422,6 @@ impl Simulator {
     pub fn write_global(&mut self, name: &str, data: &[i32]) -> bool {
         let program = match &self.backend {
             VliwBackend::Reference { program, .. } => program,
-            VliwBackend::Decoded(d) => d.program(),
             VliwBackend::Block(b) => b.program(),
         };
         let Some(g) = program.global(name) else {
@@ -478,7 +447,6 @@ impl Simulator {
                 args,
                 self.opts,
             ),
-            VliwBackend::Decoded(d) => d.run_with_inputs(&self.overrides, args, self.opts),
             VliwBackend::Block(b) => b.run_with_inputs(&self.overrides, args, self.opts),
         }
     }
@@ -571,5 +539,40 @@ mod tests {
         let start_off = bytes.len() - 4 /* value */ - 4 /* count */ - 4 /* start */;
         bytes[start_off..start_off + 4].copy_from_slice(&100u32.to_le_bytes());
         assert!(SimResult::decode_all(&bytes).is_err());
+    }
+
+    /// Repeated runs of one `Simulator` are identical, also after a run
+    /// that faulted midway: the loop stores into globals, and only then
+    /// divides by its argument.
+    #[test]
+    fn repeated_runs_are_identical_after_a_fault() {
+        let src = r#"
+            int t[4] = {1, 2, 3, 4};
+            int seed[2];
+            void main(int n) {
+                int i; int s = seed[1];
+                for (i = 0; i < 8; i++) { t[i & 3] += i; s += t[i & 3]; }
+                emit(s / n);
+                emit(t[0] + t[3]);
+            }
+        "#;
+        let mut module = asip_tinyc::compile(src).unwrap();
+        asip_ir::passes::optimize(&mut module, &asip_ir::passes::OptConfig::default());
+        let m = MachineDescription::ember4();
+        let prog = asip_backend::compile_module(
+            &module,
+            &m,
+            None,
+            &asip_backend::BackendOptions::default(),
+        )
+        .unwrap()
+        .program;
+        let mut sim = Simulator::new(&m, &prog, SimOptions::default()).unwrap();
+        assert!(sim.write_global("seed", &[0, 5]));
+        let a = sim.run(&[3]).unwrap();
+        assert!(matches!(sim.run(&[0]), Err(SimError::DivideByZero { .. })));
+        let b = sim.run(&[3]).unwrap();
+        assert_eq!(a, b, "state must not leak between runs");
+        assert_eq!(a.output, vec![59 / 3, 5 + 14]);
     }
 }

@@ -24,24 +24,23 @@
 //! can only cost cycles, never correctness (the same invariant the VLIW
 //! simulator keeps via interlocks).
 //!
-//! Since the pre-decode refactor the loop itself lives in
-//! [`crate::exec::scalar`]: [`ScalarSimulator::new`] compiles the program
-//! once into a [`DecodedScalar`] (flat operands, baked latencies, the
-//! dual-issue pairing rule precomputed per adjacent instruction pair) and
-//! [`ScalarSimulator::run`] drives that engine. The original interpretive
-//! loop survives in [`crate::reference`] as the differential oracle.
+//! [`ScalarSimulator::new`] prepares the program for the engine
+//! [`SimOptions::engine`] names: the block engine ([`crate::block`]) by
+//! default, or the original interpretive loop ([`crate::reference`]), kept
+//! as the differential oracle.
 //!
 //! [`forwarding`]: asip_isa::MachineDescription::forwarding
 //! [`ICache`]: crate::ICache
 
 use crate::block::BlockScalar;
-use crate::exec::DecodedScalar;
 use crate::run::{SimEngine, SimError, SimOptions, SimResult};
 use asip_isa::{MachineDescription, ScalarProgram};
 
 /// The engine a [`ScalarSimulator`] dispatches to, selected by
-/// [`SimOptions::engine`] at construction.
+/// [`SimOptions::engine`] at construction (unboxed, like
+/// `run::VliwBackend`).
 #[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
 enum ScalarBackend {
     /// The interpretive oracle re-reads the raw program per run, so this
     /// arm carries its own clones instead of a decoding.
@@ -49,8 +48,7 @@ enum ScalarBackend {
         machine: MachineDescription,
         program: ScalarProgram,
     },
-    Decoded(DecodedScalar),
-    Block(Box<BlockScalar>),
+    Block(BlockScalar),
 }
 
 /// The scalar simulator. Construct with [`ScalarSimulator::new`] — which
@@ -68,8 +66,8 @@ pub struct ScalarSimulator {
 }
 
 impl ScalarSimulator {
-    /// Prepare a simulation: validates the program and pre-decodes (or
-    /// block-compiles) it for the engine in `opts`.
+    /// Prepare a simulation: validates the program and block-compiles it
+    /// when `opts` selects the block engine.
     ///
     /// # Errors
     ///
@@ -90,11 +88,7 @@ impl ScalarSimulator {
                     program: program.clone(),
                 }
             }
-            SimEngine::Decoded => ScalarBackend::Decoded(DecodedScalar::new(machine, program)?),
-            SimEngine::Block => ScalarBackend::Block(Box::new(BlockScalar::new(machine, program)?)),
-            SimEngine::Superblock => {
-                ScalarBackend::Block(Box::new(BlockScalar::with_traces(machine, program)?))
-            }
+            SimEngine::Block => ScalarBackend::Block(BlockScalar::new(machine, program)?),
         };
         Ok(ScalarSimulator {
             backend,
@@ -113,7 +107,6 @@ impl ScalarSimulator {
     pub fn write_global(&mut self, name: &str, data: &[i32]) -> bool {
         let program = match &self.backend {
             ScalarBackend::Reference { program, .. } => program,
-            ScalarBackend::Decoded(d) => d.program(),
             ScalarBackend::Block(b) => b.program(),
         };
         let Some(g) = program.global(name) else {
@@ -141,7 +134,6 @@ impl ScalarSimulator {
                     self.opts,
                 )
             }
-            ScalarBackend::Decoded(d) => d.run_with_inputs(&self.overrides, args, self.opts),
             ScalarBackend::Block(b) => b.run_with_inputs(&self.overrides, args, self.opts),
         }
     }
@@ -152,7 +144,7 @@ impl ScalarSimulator {
 /// machine's slot table — the dynamic pairing rule of the in-order front
 /// end. Solved as a tiny bipartite matching (groups hold at most two
 /// instructions, so this is a couple of probes, not a search). The decoded
-/// engine evaluates this once per adjacent instruction pair at decode time;
+/// tables evaluate this once per adjacent instruction pair at decode time;
 /// the reference loop still calls it per issued instruction.
 pub(crate) fn group_fits(
     slots: &[asip_isa::Slot],
@@ -365,7 +357,7 @@ mod tests {
     }
 
     /// Decode once, run many: repeated runs of one `ScalarSimulator` are
-    /// identical (each starts from the same prepared memory image).
+    /// identical (each starts from a fresh memory image).
     #[test]
     fn repeated_runs_are_identical() {
         let src = r#"

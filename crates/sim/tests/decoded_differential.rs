@@ -1,27 +1,43 @@
-//! Differential testing of the pre-decoded engines ([`asip_sim::exec`])
-//! and the block-compiled engines ([`asip_sim::block`]) against the
-//! preserved interpretive loops ([`asip_sim::reference`]).
+//! Differential testing of the block-compiled engines ([`asip_sim::block`])
+//! against the preserved interpretive loops ([`asip_sim::reference`]).
 //!
-//! The faster engines must be **observationally identical**: every field
-//! of [`SimResult`] — outputs, final memory, total cycles, interlock /
+//! The block engine must be **observationally identical**: every field of
+//! [`SimResult`] — outputs, final memory, total cycles, interlock /
 //! I-cache / branch stall counters, bundles and ops executed, and all
 //! dynamic activity counters — must match the reference loops exactly, on
 //! every preset of both target kinds × every workload kernel, and on
-//! fuzzed machine configurations drawn from the customization space. The
-//! block engines' guard-failure fallback (cold I-cache lines, in-flight
-//! writes, looming cycle limits, mid-block entries) is pinned separately
-//! at the bottom of this file.
+//! fuzzed machine configurations drawn from the customization space.
+//! Every check runs at each of [`THRESHOLDS`], so trace dispatch and plain
+//! block dispatch both stay pinned. The guard-failure fallbacks (cold
+//! I-cache lines, in-flight writes, looming cycle limits, mid-block
+//! entries) and the trace tier's side exits are pinned separately at the
+//! bottom of this file.
 
 use asip_backend::{compile_module, compile_module_scalar, BackendOptions};
 use asip_ir::interp::{Interp, InterpOptions, Profile};
 use asip_ir::passes::{optimize, OptConfig};
 use asip_ir::Module;
-use asip_isa::{FuKind, ICacheConfig, MachineDescription, TargetKind};
+use asip_isa::{FuKind, ICacheConfig, MachineDescription, TargetKind, VliwProgram};
 use asip_sim::{
-    reference, BlockScalar, BlockVliw, ScalarSimulator, SimEngine, SimOptions, SimResult, Simulator,
+    reference, BlockScalar, BlockVliw, ScalarSimulator, SimEngine, SimError, SimOptions, SimResult,
+    Simulator,
 };
 use asip_workloads::Workload;
 use proptest::prelude::*;
+
+/// The superblock promotion thresholds every check runs the block engine
+/// at: 4 makes the trace tier form and dispatch traces on the short
+/// differential kernels; `u32::MAX` keeps any loop from ever promoting,
+/// which leaves plain block dispatch.
+const THRESHOLDS: [u32; 2] = [4, u32::MAX];
+
+/// The oracle's options (it has no promotion threshold to vary).
+fn reference_opts() -> SimOptions {
+    SimOptions {
+        engine: SimEngine::Reference,
+        ..SimOptions::default()
+    }
+}
 
 fn frontend(w: &Workload) -> Module {
     let mut module = asip_tinyc::compile(&w.source).unwrap_or_else(|e| panic!("{}: {e}", w.name));
@@ -41,61 +57,56 @@ fn profile(module: &Module, w: &Workload) -> Profile {
         .profile
 }
 
-fn opts(engine: SimEngine) -> SimOptions {
+/// Options selecting `engine` at promotion threshold `sb_threshold`.
+fn opts(engine: SimEngine, sb_threshold: u32) -> SimOptions {
     SimOptions {
         engine,
-        // Low promotion threshold so the superblock tier actually forms
-        // and dispatches traces on the short differential kernels.
-        sb_threshold: 4,
+        sb_threshold,
         ..SimOptions::default()
     }
 }
 
-/// Run one workload under one explicitly-selected engine for `machine`
-/// (dispatching on its target kind) and return the result.
-fn run_engine(machine: &MachineDescription, w: &Workload, engine: SimEngine) -> SimResult {
+/// The reference run of one workload on `machine` (dispatching on its
+/// target kind), then one block-engine run per threshold, each labelled.
+fn all_runs(machine: &MachineDescription, w: &Workload) -> (SimResult, Vec<(String, SimResult)>) {
     let module = frontend(w);
     let prof = profile(&module, w);
     let prof = Some(&prof);
-    match machine.target {
+    let run: Box<dyn Fn(SimOptions) -> Result<SimResult, SimError>> = match machine.target {
         TargetKind::Vliw => {
-            let compiled = compile_module(&module, machine, prof, &BackendOptions::default())
-                .unwrap_or_else(|e| panic!("compile {} on {}: {e}", w.name, machine.name));
-            let mut sim = Simulator::new(machine, &compiled.program, opts(engine))
-                .unwrap_or_else(|e| panic!("decode {} on {}: {e}", w.name, machine.name));
-            for (name, data) in &w.inputs {
-                sim.write_global(name, data);
-            }
-            sim.run(&w.args)
-                .unwrap_or_else(|e| panic!("{engine} {} on {}: {e}", w.name, machine.name))
+            let program = compile_module(&module, machine, prof, &BackendOptions::default())
+                .unwrap_or_else(|e| panic!("compile {} on {}: {e}", w.name, machine.name))
+                .program;
+            Box::new(move |o| {
+                let mut sim = Simulator::new(machine, &program, o)?;
+                for (name, data) in &w.inputs {
+                    sim.write_global(name, data);
+                }
+                sim.run(&w.args)
+            })
         }
         TargetKind::Scalar => {
-            let compiled =
-                compile_module_scalar(&module, machine, prof, &BackendOptions::default())
-                    .unwrap_or_else(|e| panic!("compile {} on {}: {e}", w.name, machine.name));
-            let mut sim = ScalarSimulator::new(machine, &compiled.program, opts(engine))
-                .unwrap_or_else(|e| panic!("decode {} on {}: {e}", w.name, machine.name));
-            for (name, data) in &w.inputs {
-                sim.write_global(name, data);
-            }
-            sim.run(&w.args)
-                .unwrap_or_else(|e| panic!("{engine} {} on {}: {e}", w.name, machine.name))
+            let program = compile_module_scalar(&module, machine, prof, &BackendOptions::default())
+                .unwrap_or_else(|e| panic!("compile {} on {}: {e}", w.name, machine.name))
+                .program;
+            Box::new(move |o| {
+                let mut sim = ScalarSimulator::new(machine, &program, o)?;
+                for (name, data) in &w.inputs {
+                    sim.write_global(name, data);
+                }
+                sim.run(&w.args)
+            })
         }
-    }
-}
-
-/// Run one workload through all four engines for `machine` and return
-/// the results as `(reference, decoded, block, superblock)`.
-fn all_engines(
-    machine: &MachineDescription,
-    w: &Workload,
-) -> (SimResult, SimResult, SimResult, SimResult) {
-    (
-        run_engine(machine, w, SimEngine::Reference),
-        run_engine(machine, w, SimEngine::Decoded),
-        run_engine(machine, w, SimEngine::Block),
-        run_engine(machine, w, SimEngine::Superblock),
-    )
+    };
+    let ok = |o: SimOptions| {
+        run(o).unwrap_or_else(|e| panic!("{} {} on {}: {e}", o.engine, w.name, machine.name))
+    };
+    let r = ok(reference_opts());
+    let blocks = THRESHOLDS
+        .iter()
+        .map(|&t| (format!("block@{t}"), ok(opts(SimEngine::Block, t))))
+        .collect();
+    (r, blocks)
 }
 
 /// Field-by-field identity of one engine against the reference, with
@@ -122,18 +133,16 @@ fn assert_fields(d: &SimResult, r: &SimResult, ctx: &str) {
     assert_eq!(d, r, "{ctx}: SimResult");
 }
 
-/// Decoded ≡ reference, block ≡ reference and superblock ≡ reference,
-/// field by field.
+/// Block ≡ reference at every threshold, field by field.
 fn assert_identical(machine: &MachineDescription, w: &Workload) {
-    let (r, d, b, s) = all_engines(machine, w);
-    let ctx = format!("{} on {}", w.name, machine.name);
-    assert_fields(&d, &r, &format!("decoded, {ctx}"));
-    assert_fields(&b, &r, &format!("block, {ctx}"));
-    assert_fields(&s, &r, &format!("superblock, {ctx}"));
+    let (r, blocks) = all_runs(machine, w);
+    for (label, b) in &blocks {
+        assert_fields(b, &r, &format!("{label}, {} on {}", w.name, machine.name));
+    }
 }
 
-/// Every preset of both target kinds × every workload kernel: the decoded
-/// and block engines reproduce the reference engines bit-for-bit.
+/// Every preset of both target kinds × every workload kernel: the block
+/// engine reproduces the reference engine bit-for-bit.
 #[test]
 fn all_presets_all_kernels_identical() {
     for machine in MachineDescription::all_presets() {
@@ -162,35 +171,23 @@ fn icache_accounting_unchanged_on_all_presets() {
         for name in ws {
             let w = asip_workloads::by_name(name).unwrap();
             for machine in [&base, &tiny] {
-                let (r, d, b, s) = all_engines(machine, &w);
-                assert_eq!(
-                    (d.icache_misses, d.icache_stalls),
-                    (r.icache_misses, r.icache_stalls),
-                    "decoded, {} on {}: icache accounting diverged",
-                    w.name,
-                    machine.name
-                );
-                assert_eq!(
-                    (b.icache_misses, b.icache_stalls),
-                    (r.icache_misses, r.icache_stalls),
-                    "block, {} on {}: icache accounting diverged",
-                    w.name,
-                    machine.name
-                );
-                assert_eq!(
-                    (s.icache_misses, s.icache_stalls),
-                    (r.icache_misses, r.icache_stalls),
-                    "superblock, {} on {}: icache accounting diverged",
-                    w.name,
-                    machine.name
-                );
+                let (r, blocks) = all_runs(machine, &w);
+                for (label, b) in &blocks {
+                    assert_eq!(
+                        (b.icache_misses, b.icache_stalls),
+                        (r.icache_misses, r.icache_stalls),
+                        "{label}, {} on {}: icache accounting diverged",
+                        w.name,
+                        machine.name
+                    );
+                }
             }
         }
     }
 }
 
-/// Errors must shape-match too: the decoded and block engines report the
-/// same divide-by-zero / bad-args errors the reference engine does.
+/// Errors must shape-match too: the block engine reports the same
+/// divide-by-zero / bad-args errors the reference engine does.
 #[test]
 fn error_paths_match_reference() {
     let src = "void main(int x) { emit(100 / x); }";
@@ -202,12 +199,12 @@ fn error_paths_match_reference() {
         let reference =
             reference::run_vliw_reference(&m, &compiled.program, &[], args, SimOptions::default())
                 .unwrap_err();
-        for engine in [SimEngine::Decoded, SimEngine::Block, SimEngine::Superblock] {
-            let err = Simulator::new(&m, &compiled.program, opts(engine))
+        for t in THRESHOLDS {
+            let err = Simulator::new(&m, &compiled.program, opts(SimEngine::Block, t))
                 .unwrap()
                 .run(args)
                 .unwrap_err();
-            assert_eq!(err, reference, "{engine} error for args {args:?}");
+            assert_eq!(err, reference, "block@{t} error for args {args:?}");
         }
     }
 }
@@ -313,8 +310,8 @@ fn fuzzed_scalar(
 }
 
 proptest! {
-    /// Property: on a random kernel and a random VLIW machine, decoded and
-    /// reference engines produce identical `SimResult`s.
+    /// Property: on a random kernel and a random VLIW machine, the block
+    /// and reference engines produce identical `SimResult`s.
     #[test]
     fn random_vliw_machines_identical(
         kernel in 0usize..17,
@@ -342,7 +339,7 @@ proptest! {
         assert_identical(&m, w);
     }
 
-    /// Property: on a random kernel and a random scalar machine, decoded
+    /// Property: on a random kernel and a random scalar machine, the block
     /// and reference engines produce identical `SimResult`s.
     #[test]
     fn random_scalar_machines_identical(
@@ -372,11 +369,18 @@ proptest! {
     }
 }
 
+/// `w` compiled for the VLIW machine `m`, without a profile.
+fn vliw_program(m: &MachineDescription, w: &Workload) -> VliwProgram {
+    compile_module(&frontend(w), m, None, &BackendOptions::default())
+        .unwrap()
+        .program
+}
+
 /// The block engines' guard-failure fallback must actually be exercised
 /// and stay exact: on an I-cached machine, every *first* visit to a block
 /// finds cold lines, fails the residency probe and takes the slow path
-/// (the decoded loop body, one pc at a time), while hot revisits run as
-/// superops — and the result is still bit-identical to the reference.
+/// (one pc at a time), while hot revisits run as superops — and the
+/// result is still bit-identical to the reference.
 #[test]
 fn block_vliw_fallback_slow_path_exercised() {
     let m = MachineDescription::ember4().derive("ember4-tinyic", |m| {
@@ -388,29 +392,27 @@ fn block_vliw_fallback_slow_path_exercised() {
         });
     });
     let w = asip_workloads::by_name("fir").unwrap();
-    let module = frontend(&w);
-    let compiled = compile_module(&module, &m, None, &BackendOptions::default()).unwrap();
-    let block = BlockVliw::new(&m, &compiled.program).unwrap();
-    let got = block
-        .run_with_inputs(&w.inputs, &w.args, SimOptions::default())
+    let program = vliw_program(&m, &w);
+    let r = reference::run_vliw_reference(&m, &program, &w.inputs, &w.args, SimOptions::default())
         .unwrap();
-    assert!(
-        block.slow_bundles() > 0,
-        "cold I-cache lines must exercise the slow path"
-    );
-    assert!(
-        block.fast_blocks() > 0,
-        "hot blocks must still dispatch as superops"
-    );
-    let r = reference::run_vliw_reference(
-        &m,
-        &compiled.program,
-        &w.inputs,
-        &w.args,
-        SimOptions::default(),
-    )
-    .unwrap();
-    assert_fields(&got, &r, "block fallback, fir on ember4-tinyic");
+    for t in THRESHOLDS {
+        let block = BlockVliw::new(&m, &program).unwrap();
+        let o = opts(SimEngine::Block, t);
+        let got = block.run_with_inputs(&w.inputs, &w.args, o).unwrap();
+        assert!(
+            block.slow_bundles() > 0,
+            "block@{t}: cold I-cache lines must exercise the slow path"
+        );
+        assert!(
+            block.fast_blocks() > 0,
+            "block@{t}: hot blocks must still dispatch as superops"
+        );
+        assert_fields(
+            &got,
+            &r,
+            &format!("block@{t} fallback, fir on ember4-tinyic"),
+        );
+    }
 }
 
 /// Same fallback pin for the scalar block engine, via its `slow_insts`
@@ -432,18 +434,6 @@ fn block_scalar_fallback_slow_path_exercised() {
     let w = asip_workloads::by_name("fir").unwrap();
     let module = frontend(&w);
     let compiled = compile_module_scalar(&module, &m, None, &BackendOptions::default()).unwrap();
-    let block = BlockScalar::new(&m, &compiled.program).unwrap();
-    let got = block
-        .run_with_inputs(&w.inputs, &w.args, SimOptions::default())
-        .unwrap();
-    assert!(
-        block.slow_insts() > 0,
-        "cold I-cache lines must exercise the slow path"
-    );
-    assert!(
-        block.fast_blocks() > 0,
-        "hot blocks must still dispatch as superops"
-    );
     let r = reference::run_scalar_reference(
         &m,
         &compiled.program,
@@ -452,33 +442,79 @@ fn block_scalar_fallback_slow_path_exercised() {
         SimOptions::default(),
     )
     .unwrap();
-    assert_fields(&got, &r, "block fallback, fir on scalar tinyic");
+    for t in THRESHOLDS {
+        let block = BlockScalar::new(&m, &compiled.program).unwrap();
+        let o = opts(SimEngine::Block, t);
+        let got = block.run_with_inputs(&w.inputs, &w.args, o).unwrap();
+        assert!(
+            block.slow_insts() > 0,
+            "block@{t}: cold I-cache lines must exercise the slow path"
+        );
+        assert!(
+            block.fast_blocks() > 0,
+            "block@{t}: hot blocks must still dispatch as superops"
+        );
+        assert_fields(
+            &got,
+            &r,
+            &format!("block@{t} fallback, fir on scalar tinyic"),
+        );
+    }
 }
 
-/// The superblock tier must actually fire on a hot loop: traces are
-/// formed, dispatched repeatedly, and side exits (the dominant successor
-/// prediction missing on a data-dependent branch) are exercised — and the
-/// result is still bit-identical to the reference loop.
+/// The trace tier is always armed: at the default promotion threshold a
+/// hot loop forms traces and dispatches them, bit-identical to the
+/// reference.
+#[test]
+fn default_options_form_traces_on_a_hot_loop() {
+    let m = MachineDescription::ember4();
+    let w = asip_workloads::by_name("sort").unwrap();
+    let program = vliw_program(&m, &w);
+    let engine = BlockVliw::new(&m, &program).unwrap();
+    let o = SimOptions::default();
+    let got = engine.run_with_inputs(&w.inputs, &w.args, o).unwrap();
+    assert!(
+        engine.traces_formed() > 0,
+        "default options must form traces"
+    );
+    assert!(
+        engine.trace_entries() > 0,
+        "formed traces must be dispatched"
+    );
+    let r = reference::run_vliw_reference(&m, &program, &w.inputs, &w.args, o).unwrap();
+    assert_fields(&got, &r, "default options, sort on ember4");
+}
+
+/// The superblock tier must actually fire on a hot loop at a low
+/// threshold: traces are formed, dispatched repeatedly, and side exits
+/// (the dominant successor prediction missing on a data-dependent branch)
+/// are exercised; with the threshold out of reach no trace forms. Either
+/// way the result is bit-identical to the reference loop.
 #[test]
 fn superblock_vliw_traces_and_side_exits_exercised() {
     let m = MachineDescription::ember4();
     let w = asip_workloads::by_name("sort").unwrap();
-    let module = frontend(&w);
-    let compiled = compile_module(&module, &m, None, &BackendOptions::default()).unwrap();
-    let sb = BlockVliw::with_traces(&m, &compiled.program).unwrap();
-    let o = opts(SimEngine::Superblock);
-    let got = sb.run_with_inputs(&w.inputs, &w.args, o).unwrap();
-    assert!(
-        sb.traces_formed() > 0,
-        "hot loop must form superblock traces"
-    );
-    assert!(sb.trace_entries() > 0, "formed traces must be dispatched");
-    assert!(
-        sb.trace_side_exits() > 0,
-        "data-dependent branches must take side exits"
-    );
-    let r = reference::run_vliw_reference(&m, &compiled.program, &w.inputs, &w.args, o).unwrap();
-    assert_fields(&got, &r, "superblock, sort on ember4");
+    let program = vliw_program(&m, &w);
+    let r = reference::run_vliw_reference(&m, &program, &w.inputs, &w.args, SimOptions::default())
+        .unwrap();
+    for t in THRESHOLDS {
+        let engine = BlockVliw::new(&m, &program).unwrap();
+        let got = engine
+            .run_with_inputs(&w.inputs, &w.args, opts(SimEngine::Block, t))
+            .unwrap();
+        let tier = (
+            engine.traces_formed() > 0,
+            engine.trace_entries() > 0,
+            engine.trace_side_exits() > 0,
+        );
+        let fires = t != u32::MAX;
+        assert_eq!(
+            tier,
+            (fires, fires, fires),
+            "block@{t}: (formed, entered, side-exited)"
+        );
+        assert_fields(&got, &r, &format!("block@{t}, sort on ember4"));
+    }
 }
 
 /// Scalar mirror of the trace-formation pin.
@@ -491,25 +527,38 @@ fn superblock_scalar_traces_and_side_exits_exercised() {
     let w = asip_workloads::by_name("sort").unwrap();
     let module = frontend(&w);
     let compiled = compile_module_scalar(&module, &m, None, &BackendOptions::default()).unwrap();
-    let sb = BlockScalar::with_traces(&m, &compiled.program).unwrap();
-    let o = opts(SimEngine::Superblock);
-    let got = sb.run_with_inputs(&w.inputs, &w.args, o).unwrap();
-    assert!(
-        sb.traces_formed() > 0,
-        "hot loop must form superblock traces"
-    );
-    assert!(sb.trace_entries() > 0, "formed traces must be dispatched");
-    assert!(
-        sb.trace_side_exits() > 0,
-        "data-dependent branches must take side exits"
-    );
-    let r = reference::run_scalar_reference(&m, &compiled.program, &w.inputs, &w.args, o).unwrap();
-    assert_fields(&got, &r, "superblock, sort on scalar preset");
+    let r = reference::run_scalar_reference(
+        &m,
+        &compiled.program,
+        &w.inputs,
+        &w.args,
+        SimOptions::default(),
+    )
+    .unwrap();
+    for t in THRESHOLDS {
+        let engine = BlockScalar::new(&m, &compiled.program).unwrap();
+        let got = engine
+            .run_with_inputs(&w.inputs, &w.args, opts(SimEngine::Block, t))
+            .unwrap();
+        let tier = (
+            engine.traces_formed() > 0,
+            engine.trace_entries() > 0,
+            engine.trace_side_exits() > 0,
+        );
+        let fires = t != u32::MAX;
+        assert_eq!(
+            tier,
+            (fires, fires, fires),
+            "block@{t}: (formed, entered, side-exited)"
+        );
+        assert_fields(&got, &r, &format!("block@{t}, sort on scalar preset"));
+    }
 }
 
 /// With a tiny I-cache the trace-entry residency probe must sometimes
 /// fail (evicted lines inside the chained path), falling back to the
-/// plain block dispatcher — exactly, with the fallback counter moving.
+/// plain block dispatcher — exactly, with the fallback counter moving
+/// only when traces can form.
 #[test]
 fn superblock_guard_failure_fallback_exercised() {
     let m = MachineDescription::ember4().derive("ember4-tinyic", |m| {
@@ -522,57 +571,50 @@ fn superblock_guard_failure_fallback_exercised() {
         m.encoding = asip_isa::Encoding::Uncompressed;
     });
     let w = asip_workloads::by_name("sort").unwrap();
-    let module = frontend(&w);
-    let compiled = compile_module(&module, &m, None, &BackendOptions::default()).unwrap();
-    let sb = BlockVliw::with_traces(&m, &compiled.program).unwrap();
-    let o = opts(SimEngine::Superblock);
-    let got = sb.run_with_inputs(&w.inputs, &w.args, o).unwrap();
-    assert!(
-        sb.trace_fallbacks() > 0,
-        "cold chained lines must fall back to the block dispatcher"
-    );
-    let r = reference::run_vliw_reference(&m, &compiled.program, &w.inputs, &w.args, o).unwrap();
-    assert_fields(&got, &r, "superblock fallback, sort on ember4-tinyic");
+    let program = vliw_program(&m, &w);
+    let r = reference::run_vliw_reference(&m, &program, &w.inputs, &w.args, SimOptions::default())
+        .unwrap();
+    for t in THRESHOLDS {
+        let engine = BlockVliw::new(&m, &program).unwrap();
+        let got = engine
+            .run_with_inputs(&w.inputs, &w.args, opts(SimEngine::Block, t))
+            .unwrap();
+        assert_eq!(
+            engine.trace_fallbacks() > 0,
+            t != u32::MAX,
+            "block@{t}: cold chained lines must fall back to the block dispatcher"
+        );
+        assert_fields(&got, &r, &format!("block@{t}, sort on ember4-tinyic"));
+    }
 }
 
 /// Near the cycle limit the block engine's conservative `last_issue`
-/// entry guard must hand over to the slow path, and all three engines
-/// must agree on exactly where `CycleLimit` trips.
+/// entry guards must hand over to the slow path, and both engines must
+/// agree on exactly where `CycleLimit` trips.
 #[test]
-fn block_cycle_limit_matches_other_engines() {
+fn block_cycle_limit_matches_reference() {
     let w = asip_workloads::by_name("fir").unwrap();
     let m = MachineDescription::ember4();
-    let module = frontend(&w);
-    let compiled = compile_module(&module, &m, None, &BackendOptions::default()).unwrap();
-    let run = |engine: SimEngine, max_cycles: u64| {
-        let mut sim = Simulator::new(
-            &m,
-            &compiled.program,
-            SimOptions {
-                max_cycles,
-                ..opts(engine)
-            },
-        )
-        .unwrap();
+    let program = vliw_program(&m, &w);
+    let run = |o: SimOptions| {
+        let mut sim = Simulator::new(&m, &program, o).unwrap();
         for (name, data) in &w.inputs {
             sim.write_global(name, data);
         }
         sim.run(&w.args)
     };
-    let full = run(SimEngine::Reference, SimOptions::default().max_cycles)
-        .expect("fir completes under the default limit");
+    let full = run(reference_opts()).expect("fir completes under the default limit");
     for max_cycles in [
         full.cycles / 2,
         full.cycles - 1,
         full.cycles,
         full.cycles + 1,
     ] {
-        let d = run(SimEngine::Decoded, max_cycles);
-        let b = run(SimEngine::Block, max_cycles);
-        let s = run(SimEngine::Superblock, max_cycles);
-        let r = run(SimEngine::Reference, max_cycles);
-        assert_eq!(d, r, "decoded vs reference at max_cycles={max_cycles}");
-        assert_eq!(b, r, "block vs reference at max_cycles={max_cycles}");
-        assert_eq!(s, r, "superblock vs reference at max_cycles={max_cycles}");
+        let limit = |o: SimOptions| SimOptions { max_cycles, ..o };
+        let r = run(limit(reference_opts()));
+        for t in THRESHOLDS {
+            let b = run(limit(opts(SimEngine::Block, t)));
+            assert_eq!(b, r, "block@{t} vs reference at max_cycles={max_cycles}");
+        }
     }
 }

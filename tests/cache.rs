@@ -90,50 +90,3 @@ fn repeated_run_workload_hits_and_is_stable() {
         assert_eq!(stats.compile.hits, i);
     }
 }
-
-/// Repeated measurement of one compiled artifact reuses its prepared
-/// (block-compiled / decoded) simulation form: different arguments miss
-/// the Simulate tier — they are distinct measurements — but hit the
-/// process-local preparation map surfaced as [`CacheStats::decode`].
-#[test]
-fn prepared_simulation_reused_across_runs() {
-    let w = |x: i32| workloads::Workload {
-        name: "triple".into(),
-        area: workloads::AppArea::Cellphone,
-        description: "scale by three".into(),
-        source: "void main(int x) { emit(x * 3); }".into(),
-        args: vec![x],
-        inputs: vec![],
-        expected: vec![3 * x],
-    };
-    let m = MachineDescription::ember4();
-
-    let session = Session::builder().build();
-    session.run_workload(&w(5), &m).expect("first run");
-    let stats = session.cache_stats();
-    assert_eq!(
-        (stats.decode.hits, stats.decode.misses),
-        (0, 1),
-        "first run prepares: {stats}"
-    );
-
-    session.run_workload(&w(7), &m).expect("second run");
-    let stats = session.cache_stats();
-    assert_eq!(
-        stats.simulate.misses, 2,
-        "distinct args are distinct measurements: {stats}"
-    );
-    assert_eq!(
-        (stats.decode.hits, stats.decode.misses),
-        (1, 1),
-        "the prepared engine must be reused: {stats}"
-    );
-
-    // The reference interpreter prepares nothing by design.
-    let session = Session::builder()
-        .sim_engine(asip::sim::SimEngine::Reference)
-        .build();
-    session.run_workload(&w(5), &m).expect("reference run");
-    let stats = session.cache_stats();
-    assert_eq!((stats.decode.hits, stats.decode.misses), (0, 0), "{stats}");
-}
