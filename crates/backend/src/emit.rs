@@ -1,22 +1,23 @@
 //! Final emission: scheduled, allocated LIR → a linked [`VliwProgram`].
 //!
-//! This is where the two remaining symbols are bound: frame references
-//! become concrete word offsets (the spill count is final) and block ids
-//! become global bundle indices.
+//! This is where the remaining symbols are bound: virtual registers become
+//! their assigned physical ones, frame references become concrete word
+//! offsets (the spill count is final) and block ids become global bundle
+//! indices.
 
-use crate::lir::{LFunc, LImm, LModule, LTarget, LVal};
-use crate::regalloc::packed_to_reg;
-use crate::sched::ScheduledFunc;
+use crate::lir::{LFunc, LImm, LModule, LOp, LTarget, LVal};
+use crate::regalloc::Assignment;
+use crate::sched::EMPTY;
+use crate::Allocated;
 use asip_ir::Module;
 use asip_isa::{Bundle, FuncSym, GlobalSym, MachineDescription, MachineOp, Operand, VliwProgram};
 
-/// Emit the whole program. `scheduled[i]` must correspond to
-/// `lm.funcs[i]` and already carry packed physical registers (see
-/// [`crate::regalloc::apply_assignment`]).
-pub fn emit_program(
+/// Emit the whole program. `scheduled[i]` is the schedule and register
+/// assignment of `lm.funcs[i]`.
+pub(crate) fn emit_program(
     ir: &Module,
     lm: &LModule,
-    scheduled: &[ScheduledFunc],
+    scheduled: &[Allocated],
     machine: &MachineDescription,
 ) -> VliwProgram {
     // Pass 1: lay out bundles; record every block's global bundle index.
@@ -24,34 +25,36 @@ pub fn emit_program(
     let mut block_base: Vec<Vec<u32>> = Vec::with_capacity(scheduled.len());
     let mut func_entry: Vec<u32> = Vec::with_capacity(scheduled.len());
     let mut next = 0u32;
-    for sf in scheduled {
-        let mut bases = Vec::with_capacity(sf.blocks.len());
+    for (sf, _) in scheduled {
+        let mut bases = Vec::with_capacity(sf.num_blocks());
         func_entry.push(next);
-        for block in &sf.blocks {
+        for b in 0..sf.num_blocks() {
             bases.push(next);
-            next += block.len().max(1) as u32;
+            next += sf.bundles(b).len().max(1) as u32;
         }
         block_base.push(bases);
     }
 
     // Pass 2: build bundles with resolved operands and targets.
     let mut bundles: Vec<Bundle> = Vec::with_capacity(next as usize);
-    for (fi, sf) in scheduled.iter().enumerate() {
+    for (fi, (sf, regs)) in scheduled.iter().enumerate() {
         let lf = &lm.funcs[fi];
-        for block in &sf.blocks {
-            if block.is_empty() {
+        for (b, block) in lf.blocks.iter().enumerate() {
+            if sf.bundles(b).len() == 0 {
                 // Keep layout alignment with pass 1 (empty blocks get one
                 // empty bundle so every block id has an address).
                 bundles.push(Bundle::empty(machine.issue_width()));
                 continue;
             }
-            for lb in block {
-                let mut b = Bundle::empty(machine.issue_width());
-                for (si, slot) in lb.slots.iter().enumerate() {
-                    let Some(op) = slot else { continue };
-                    b.slots[si] = Some(finalize_op(op, lf, &block_base[fi], &func_entry));
+            for lb in sf.bundles(b) {
+                let mut bu = Bundle::empty(machine.issue_width());
+                for (si, &o) in lb.iter().enumerate() {
+                    if o != EMPTY {
+                        let op = &block.ops[o as usize];
+                        bu.slots[si] = Some(finalize_op(op, lf, regs, &block_base[fi]));
+                    }
                 }
-                bundles.push(b);
+                bundles.push(bu);
             }
         }
     }
@@ -92,12 +95,7 @@ pub fn emit_program(
     }
 }
 
-fn finalize_op(
-    op: &crate::lir::LOp,
-    lf: &LFunc,
-    block_base: &[u32],
-    func_entry: &[u32],
-) -> MachineOp {
+fn finalize_op(op: &LOp, lf: &LFunc, regs: &Assignment, block_base: &[u32]) -> MachineOp {
     let resolve_imm = |imm: LImm| -> i32 {
         match imm {
             LImm::Const(v) => v,
@@ -106,11 +104,11 @@ fn finalize_op(
     };
     let mut out = MachineOp::new(
         op.opcode,
-        op.dsts.iter().map(|&d| packed_to_reg(d)).collect(),
+        op.dsts.iter().map(|&d| regs.reg(d)).collect(),
         op.srcs
             .iter()
             .map(|&s| match s {
-                LVal::Reg(r) => Operand::Reg(packed_to_reg(r)),
+                LVal::Reg(r) => Operand::Reg(regs.reg(r)),
                 LVal::Imm(v) => Operand::Imm(v),
                 LVal::Frame(fr) => Operand::Imm(lf.resolve_frame(fr)),
             })
@@ -120,12 +118,9 @@ fn finalize_op(
     out.target = match op.target {
         LTarget::None => 0,
         LTarget::Block(b) => block_base[b as usize],
-        LTarget::Func(f) => {
-            // Calls carry the *function id*; the simulator looks the entry
-            // up in the function table (keeps symbolic call info for DBT).
-            let _ = func_entry;
-            f
-        }
+        // Calls carry the *function id*; the simulator looks the entry up
+        // in the function table (keeps symbolic call info for DBT).
+        LTarget::Func(f) => f,
     };
     out
 }

@@ -23,6 +23,10 @@
 //!    iteration ([`regalloc`]);
 //! 6. **Emission** of a linked [`asip_isa::VliwProgram`] ([`emit`]).
 //!
+//! Steps 3–5 repeat per function until allocation succeeds. Each round
+//! computes one liveness that the scheduler and the allocator share, and
+//! keeps its per-register tables as vectors indexed by virtual register.
+//!
 //! ## Example
 //!
 //! ```
@@ -53,7 +57,7 @@ pub use scalar::{compile_module_scalar, CompiledScalarProgram};
 
 use asip_ir::{FuncId, Module, Profile};
 use asip_isa::{MachineDescription, VliwProgram};
-use std::collections::BTreeSet;
+use regalloc::AllocOutcome;
 use std::fmt;
 
 /// Backend tuning knobs.
@@ -167,7 +171,10 @@ pub fn compile_module(
     opts: &BackendOptions,
 ) -> Result<CompiledProgram, BackendError> {
     let (lm, scheduled, traces_formed) = schedule_module(module, machine, profile, opts)?;
-    let program = emit::emit_program(module, &lm, &scheduled, machine);
+    let program = {
+        let _span = asip_obs::span("backend", "emit");
+        emit::emit_program(module, &lm, &scheduled, machine)
+    };
     let bundles = program.len();
     let ops = program.total_ops();
     let width = machine.issue_width().max(1);
@@ -187,12 +194,13 @@ pub fn compile_module(
 
 /// The target-independent middle of the backend: lower to LIR, form traces,
 /// then iterate schedule → allocate → spill to a fixpoint per function.
-/// Returns the lowered module, one [`sched::ScheduledFunc`] per function
-/// (physical registers already applied), and the trace count.
+/// Returns the lowered module, one [`sched::ScheduledFunc`] plus its
+/// [`regalloc::Assignment`] per function, and the trace count.
 ///
 /// Both the VLIW emitter ([`compile_module`]) and the scalar emitter
 /// ([`scalar::compile_module_scalar`], through its width-1 machine view)
-/// run on top of this.
+/// run on top of this. Each phase records an `asip_obs` span under the
+/// `backend` category.
 ///
 /// # Errors
 ///
@@ -202,53 +210,52 @@ pub(crate) fn schedule_module(
     machine: &MachineDescription,
     profile: Option<&Profile>,
     opts: &BackendOptions,
-) -> Result<(lir::LModule, Vec<sched::ScheduledFunc>, usize), BackendError> {
-    let mut lm = lir::lower_module(module, machine, "main")?;
+) -> Result<(lir::LModule, Vec<Allocated>, usize), BackendError> {
+    let mut lm = {
+        let _span = asip_obs::span("backend", "lower");
+        lir::lower_module(module, machine, "main")?
+    };
     let mut scheduled = Vec::with_capacity(lm.funcs.len());
     let mut traces_formed = 0;
+    let mut scheduler = sched::ListScheduler::new(machine);
 
     for fi in 0..lm.funcs.len() {
         let lf = &mut lm.funcs[fi];
-        if opts.superblocks {
-            let counts: Vec<u64> = match profile {
-                Some(p) => (0..lf.blocks.len())
-                    .map(|b| p.count(FuncId(fi as u32), asip_ir::BlockId(b as u32)))
-                    .collect(),
-                None => Vec::new(),
-            };
-            traces_formed += trace::form_superblocks(lf, &counts, &opts.trace);
-        } else {
-            trace::remove_unreachable(lf);
+        {
+            let _span = asip_obs::span("backend", "superblocks");
+            if opts.superblocks {
+                let counts: Vec<u64> = match profile {
+                    Some(p) => (0..lf.blocks.len())
+                        .map(|b| p.count(FuncId(fi as u32), asip_ir::BlockId(b as u32)))
+                        .collect(),
+                    None => Vec::new(),
+                };
+                traces_formed += trace::form_superblocks(lf, &counts, &opts.trace);
+            } else {
+                trace::remove_unreachable(lf);
+            }
         }
 
         // Schedule / allocate / spill loop. If the parallel schedule cannot
         // be register-allocated (tiny register files hoist too many spill
         // reloads), fall back to a sequential schedule where reloads sit
         // next to their uses — slower code, guaranteed allocatable.
-        let mut spill_temps = BTreeSet::new();
+        let mut spill_temps = Vec::new();
         let mut done = None;
         let mut sequential = false;
         let mut round = 0;
         while round < opts.max_spill_rounds {
             round += 1;
-            let homes = cluster::assign_clusters(lf, machine);
-            let s = if sequential {
-                sched::schedule_function_sequential(lf, machine, &homes)?
-            } else {
-                sched::schedule_function(lf, machine, &homes)?
-            };
-            let outcome = regalloc::try_allocate(&s, lf, machine, &homes, &spill_temps);
-            match outcome {
-                Ok(regalloc::AllocOutcome::Assigned(map)) => {
-                    let mut s = s;
-                    regalloc::apply_assignment(&mut s, &map);
-                    done = Some(s);
+            match schedule_round(lf, &mut scheduler, sequential, &spill_temps)? {
+                (s, Ok(AllocOutcome::Assigned(regs))) => {
+                    done = Some((s, regs));
                     break;
                 }
-                Ok(regalloc::AllocOutcome::Spill(vs)) => {
+                (_, Ok(AllocOutcome::Spill(vs))) => {
+                    let _span = asip_obs::span("backend", "spill");
                     regalloc::rewrite_spills(lf, &vs, &mut spill_temps);
                 }
-                Err(e) => {
+                (_, Err(e)) => {
                     if sequential {
                         return Err(e.into());
                     }
@@ -257,28 +264,60 @@ pub(crate) fn schedule_module(
                 }
             }
         }
-        let Some(s) = done else {
-            if !sequential {
-                // One last chance in degraded mode.
-                let homes = cluster::assign_clusters(lf, machine);
-                let s = sched::schedule_function_sequential(lf, machine, &homes)?;
-                if let regalloc::AllocOutcome::Assigned(map) =
-                    regalloc::try_allocate(&s, lf, machine, &homes, &spill_temps)?
-                {
-                    let mut s = s;
-                    regalloc::apply_assignment(&mut s, &map);
-                    scheduled.push(s);
-                    continue;
-                }
+        if done.is_none() && !sequential {
+            // One last chance in degraded mode.
+            match schedule_round(lf, &mut scheduler, true, &spill_temps)? {
+                (s, Ok(AllocOutcome::Assigned(regs))) => done = Some((s, regs)),
+                (_, Ok(AllocOutcome::Spill(_))) => {}
+                (_, Err(e)) => return Err(e.into()),
             }
+        }
+        let Some(a) = done else {
             return Err(BackendError::SpillDivergence {
                 func: lf.name.clone(),
             });
         };
-        scheduled.push(s);
+        scheduled.push(a);
     }
 
     Ok((lm, scheduled, traces_formed))
+}
+
+/// A function's final schedule and its register assignment.
+pub(crate) type Allocated = (sched::ScheduledFunc, regalloc::Assignment);
+
+/// One round on the function's current LIR: cluster assignment, one shared
+/// liveness, list (or `sequential`) scheduling, linear-scan allocation.
+fn schedule_round(
+    lf: &mut lir::LFunc,
+    scheduler: &mut sched::ListScheduler<'_>,
+    sequential: bool,
+    spill_temps: &[bool],
+) -> Result<
+    (
+        sched::ScheduledFunc,
+        Result<AllocOutcome, regalloc::AllocError>,
+    ),
+    sched::ScheduleError,
+> {
+    let machine = scheduler.machine();
+    let homes = {
+        let _span = asip_obs::span("backend", "cluster");
+        cluster::assign_clusters(lf, machine)
+    };
+    let (live, s) = {
+        let _span = asip_obs::span("backend", "schedule");
+        let live = sched::lir_liveness(lf);
+        let s = if sequential {
+            sched::schedule_function_sequential(lf, machine, &homes)?
+        } else {
+            scheduler.schedule_function(lf, &homes, &live)?
+        };
+        (live, s)
+    };
+    let _span = asip_obs::span("backend", "allocate");
+    let outcome = regalloc::try_allocate(&s, lf, machine, &homes, &live, spill_temps);
+    Ok((s, outcome))
 }
 
 #[cfg(test)]

@@ -133,8 +133,8 @@ impl LOp {
     }
 
     /// Registers read.
-    pub fn reads(&self) -> Vec<VReg> {
-        self.srcs.iter().filter_map(|s| s.reg()).collect()
+    pub fn reads(&self) -> impl Iterator<Item = VReg> + '_ {
+        self.srcs.iter().filter_map(|s| s.reg())
     }
 
     /// Whether this op is a scheduling "serial" op: it manipulates SP/LR or
@@ -265,16 +265,11 @@ pub struct LBlock {
 
 impl LBlock {
     /// Successor block ids referenced by branches in this block.
-    pub fn successors(&self) -> Vec<u32> {
-        let mut out = Vec::new();
-        for op in &self.ops {
-            if let LTarget::Block(b) = op.target {
-                if op.is_branch() {
-                    out.push(b);
-                }
-            }
-        }
-        out
+    pub fn successors(&self) -> impl Iterator<Item = u32> + '_ {
+        self.ops.iter().filter_map(|op| match op.target {
+            LTarget::Block(b) if op.is_branch() => Some(b),
+            _ => None,
+        })
     }
 }
 

@@ -10,18 +10,38 @@
 
 use crate::cluster::Homes;
 use crate::lir::{FrameRef, LFunc, LImm, LOp, LVal, RETV};
-use crate::sched::{effective_defs, effective_reads, LBundle, ScheduledFunc};
+use crate::sched::{effective_defs, effective_reads, for_each_bit, Liveness, ScheduledFunc, EMPTY};
 use asip_ir::inst::VReg;
 use asip_isa::{MachineDescription, Opcode, Reg};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+
+/// A function's register assignment: the physical register of each
+/// virtual one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Assignment {
+    /// Indexed by vreg number; [`Reg::ZERO`] where a number has no interval.
+    regs: Vec<Reg>,
+}
+
+impl Assignment {
+    /// The physical register holding `v` ([`RETV`] is pinned to
+    /// [`Reg::RETVAL`]).
+    pub fn reg(&self, v: VReg) -> Reg {
+        if v == RETV {
+            Reg::RETVAL
+        } else {
+            self.regs.get(v.0 as usize).copied().unwrap_or(Reg::ZERO)
+        }
+    }
+}
 
 /// Result of one allocation attempt.
 #[derive(Debug)]
 pub enum AllocOutcome {
     /// Every interval got a register.
-    Assigned(HashMap<VReg, Reg>),
-    /// These virtual registers must be spilled; rewrite and retry.
+    Assigned(Assignment),
+    /// These virtual registers (sorted, deduplicated) must be spilled;
+    /// rewrite and retry.
     Spill(Vec<VReg>),
 }
 
@@ -62,211 +82,144 @@ struct Interval {
     spillable: bool,
 }
 
-/// Block-level liveness over the *scheduled* function.
-fn scheduled_liveness(s: &ScheduledFunc, f: &LFunc) -> Vec<BTreeSet<VReg>> {
-    // Successors come from branch targets in the scheduled ops.
-    let n = s.blocks.len();
-    let mut uses = vec![BTreeSet::new(); n];
-    let mut defs = vec![BTreeSet::new(); n];
-    let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, block) in s.blocks.iter().enumerate() {
-        for bu in block {
-            for op in bu.slots.iter().flatten() {
-                for r in effective_reads(op) {
-                    if !defs[i].contains(&r) {
-                        uses[i].insert(r);
-                    }
-                }
-                for d in effective_defs(op) {
-                    defs[i].insert(d);
-                }
-                if op.is_branch() {
-                    if let crate::lir::LTarget::Block(t) = op.target {
-                        succ[i].push(t);
-                    }
-                }
-            }
-        }
-    }
-    let mut live_in = vec![BTreeSet::new(); n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in (0..n).rev() {
-            let mut out: BTreeSet<VReg> = BTreeSet::new();
-            for &sx in &succ[i] {
-                out.extend(live_in[sx as usize].iter().copied());
-            }
-            let mut inp = uses[i].clone();
-            for r in out {
-                if !defs[i].contains(&r) {
-                    inp.insert(r);
-                }
-            }
-            if inp != live_in[i] {
-                live_in[i] = inp;
-                changed = true;
-            }
-        }
-    }
-    let _ = f;
-    live_in
+/// Whether `v` is a spill temporary in the vreg-indexed `spill_temps`.
+fn is_spill_temp(spill_temps: &[bool], v: VReg) -> bool {
+    spill_temps.get(v.0 as usize).copied().unwrap_or(false)
 }
 
-/// Positions (in the interval numbering) of every `Call` bundle.
-fn call_positions(s: &ScheduledFunc) -> Vec<u32> {
-    let mut pos = 0u32;
-    let mut out = Vec::new();
-    for block in &s.blocks {
-        for bu in block {
-            if bu
-                .slots
-                .iter()
-                .flatten()
-                .any(|op| op.opcode == Opcode::Call)
-            {
-                out.push(pos);
-            }
-            pos += 1;
-        }
-        pos += 1; // separator, mirrors build_intervals
-    }
-    out
-}
-
-/// Build live intervals over bundle positions.
+/// Build live intervals over bundle positions, sorted by (start, vreg),
+/// plus the position of every `Call` bundle.
 fn build_intervals(
     s: &ScheduledFunc,
     f: &LFunc,
     homes: &Homes,
-    spill_temps: &BTreeSet<VReg>,
-) -> Vec<Interval> {
-    let live_in = scheduled_liveness(s, f);
-    // live_out per block = union of succ live_in.
-    let n = s.blocks.len();
-    let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, block) in s.blocks.iter().enumerate() {
-        for bu in block {
-            for op in bu.slots.iter().flatten() {
-                if op.is_branch() {
-                    if let crate::lir::LTarget::Block(t) = op.target {
-                        succ[i].push(t);
-                    }
-                }
-            }
-        }
-    }
-
-    #[derive(Default, Clone)]
+    live: &Liveness,
+    spill_temps: &[bool],
+) -> (Vec<Interval>, Vec<u32>) {
+    /// Extent of one vreg's occurrences; `min == u32::MAX` until touched.
+    #[derive(Clone)]
     struct Acc {
-        min: Option<u32>,
+        min: u32,
         max_use: Option<u32>,
         max_def: Option<u32>,
     }
-    let mut acc: BTreeMap<VReg, Acc> = BTreeMap::new();
+    let mut acc = vec![
+        Acc {
+            min: u32::MAX,
+            max_use: None,
+            max_def: None,
+        };
+        live.len()
+    ];
+    let mut live_out = vec![0u64; live.words()];
+    let mut calls = Vec::new();
 
-    // Position layout.
-    let mut block_start = vec![0u32; n];
+    // Position layout: each block's bundles, then a separator position that
+    // keeps blocks disjoint.
     let mut pos = 0u32;
-    for (i, block) in s.blocks.iter().enumerate() {
-        block_start[i] = pos;
-        pos += block.len() as u32 + 1; // +1 separator keeps blocks disjoint
-    }
-
-    let touch_min = |a: &mut Acc, p: u32| {
-        a.min = Some(a.min.map_or(p, |m| m.min(p)));
-    };
-
-    for (i, block) in s.blocks.iter().enumerate() {
-        let bstart = block_start[i];
-        let bend = bstart + block.len() as u32;
-        for r in &live_in[i] {
-            let a = acc.entry(*r).or_default();
-            touch_min(a, bstart);
-        }
-        // live_out: if r is live into any successor, extend to block end.
-        let mut live_out: BTreeSet<VReg> = BTreeSet::new();
-        for &sx in &succ[i] {
-            live_out.extend(live_in[sx as usize].iter().copied());
-        }
-        for r in &live_out {
-            let a = acc.entry(*r).or_default();
-            touch_min(a, bstart);
+    for (i, block) in f.blocks.iter().enumerate() {
+        let bundles = s.bundles(i);
+        let bstart = pos;
+        let bend = bstart + bundles.len() as u32;
+        pos = bend + 1;
+        for_each_bit(live.live_in(i), |r| {
+            let a = &mut acc[r];
+            a.min = a.min.min(bstart);
+        });
+        // Live-out values extend to the block end.
+        live.live_out_into(i, &mut live_out);
+        for_each_bit(&live_out, |r| {
+            let a = &mut acc[r];
+            a.min = a.min.min(bstart);
             a.max_use = Some(a.max_use.map_or(bend, |m| m.max(bend)));
-        }
-        for (k, bu) in block.iter().enumerate() {
+        });
+        for (k, bu) in bundles.enumerate() {
             let p = bstart + k as u32;
-            for op in bu.slots.iter().flatten() {
+            let mut has_call = false;
+            for op in bu
+                .iter()
+                .filter(|&&o| o != EMPTY)
+                .map(|&o| &block.ops[o as usize])
+            {
+                has_call |= op.opcode == Opcode::Call;
                 for r in effective_reads(op) {
-                    let a = acc.entry(r).or_default();
-                    touch_min(a, p);
+                    let a = &mut acc[live.index(r)];
+                    a.min = a.min.min(p);
                     a.max_use = Some(a.max_use.map_or(p, |m| m.max(p)));
                 }
                 for d in effective_defs(op) {
-                    let a = acc.entry(d).or_default();
-                    touch_min(a, p);
+                    let a = &mut acc[live.index(d)];
+                    a.min = a.min.min(p);
                     a.max_def = Some(a.max_def.map_or(p, |m| m.max(p)));
                 }
+            }
+            if has_call {
+                calls.push(p);
             }
         }
     }
 
-    let mut out = Vec::with_capacity(acc.len());
-    for (v, a) in acc {
-        if v == RETV {
-            continue; // pinned physical register
-        }
-        let start = a.min.unwrap_or(0);
-        let end = match (a.max_use, a.max_def) {
-            (Some(u), Some(d)) => u.max(d + 1),
-            (Some(u), None) => u,
-            (None, Some(d)) => d + 1,
-            (None, None) => start + 1,
-        };
-        out.push(Interval {
-            vreg: v,
-            cluster: homes.of(v),
-            start,
-            end,
-            spillable: v != f.vfp && !spill_temps.contains(&v),
-        });
-    }
+    // Index `live.index(RETV)`, the last, is the pinned physical register.
+    let mut out: Vec<Interval> = acc[..live.len() - 1]
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| a.min != u32::MAX)
+        .map(|(v, a)| {
+            let vreg = VReg(v as u32);
+            let start = a.min;
+            let end = match (a.max_use, a.max_def) {
+                (Some(u), Some(d)) => u.max(d + 1),
+                (Some(u), None) => u,
+                (None, Some(d)) => d + 1,
+                (None, None) => start + 1,
+            };
+            Interval {
+                vreg,
+                cluster: homes.of(vreg),
+                start,
+                end,
+                spillable: vreg != f.vfp && !is_spill_temp(spill_temps, vreg),
+            }
+        })
+        .collect();
     out.sort_by_key(|iv| (iv.start, iv.vreg));
-    out
+    (out, calls)
 }
 
-/// One linear-scan pass.
+/// One linear-scan pass. `live` is the round's liveness of `f`;
+/// `spill_temps` marks, by vreg number, the temporaries [`rewrite_spills`]
+/// created.
 ///
 /// # Errors
 ///
 /// [`AllocError::TooFewRegisters`] when an overflow has no spillable victim.
-pub fn try_allocate(
+pub(crate) fn try_allocate(
     s: &ScheduledFunc,
     f: &LFunc,
     machine: &MachineDescription,
     homes: &Homes,
-    spill_temps: &BTreeSet<VReg>,
+    live: &Liveness,
+    spill_temps: &[bool],
 ) -> Result<AllocOutcome, AllocError> {
-    let intervals = build_intervals(s, f, homes, spill_temps);
+    let (intervals, calls) = build_intervals(s, f, homes, live, spill_temps);
 
     // Caller-save discipline: no value may live in a register across a
     // call (the callee owns the whole file). Any interval spanning a call
     // is stack-homed up front. The frame pointer is exempt — it is
     // rematerialized from SP immediately after every call.
-    let calls = call_positions(s);
     if !calls.is_empty() {
         let mut crossing: Vec<VReg> = intervals
             .iter()
             .filter(|iv| {
-                iv.vreg != f.vfp
-                    && iv.spillable
-                    && calls.iter().any(|&c| iv.start < c && iv.end > c)
+                // `calls` is ascending: an interval spans some call iff it
+                // spans the first call after its start.
+                let c = calls.partition_point(|&c| c <= iv.start);
+                iv.vreg != f.vfp && iv.spillable && calls.get(c).is_some_and(|&c| iv.end > c)
             })
             .map(|iv| iv.vreg)
             .collect();
         if !crossing.is_empty() {
             crossing.sort();
-            crossing.dedup();
             return Ok(AllocOutcome::Spill(crossing));
         }
     }
@@ -291,18 +244,16 @@ pub fn try_allocate(
 
     for idx in 0..intervals.len() {
         let (start, cluster) = (intervals[idx].start, intervals[idx].cluster);
-        // Expire.
-        let mut still = Vec::with_capacity(active.len());
-        for &(end, ai) in &active {
-            if end <= start {
-                if let Some(r) = assignment[ai] {
-                    free[intervals[ai].cluster as usize].push(r);
-                }
-            } else {
-                still.push((end, ai));
+        // Expire, returning registers to the free lists in `active` order.
+        active.retain(|&(end, ai)| {
+            if end > start {
+                return true;
             }
-        }
-        active = still;
+            if let Some(r) = assignment[ai] {
+                free[intervals[ai].cluster as usize].push(r);
+            }
+            false
+        });
 
         if let Some(r) = free[cluster as usize].pop() {
             assignment[idx] = Some(r);
@@ -366,107 +317,72 @@ pub fn try_allocate(
         spills.dedup();
         return Ok(AllocOutcome::Spill(spills));
     }
-    let map: HashMap<VReg, Reg> = intervals
-        .iter()
-        .zip(&assignment)
-        .map(|(iv, a)| {
-            (
-                iv.vreg,
-                Reg::new(iv.cluster, a.expect("no spills means all assigned")),
-            )
-        })
-        .collect();
-    Ok(AllocOutcome::Assigned(map))
+    let mut regs = vec![Reg::ZERO; f.num_vregs as usize];
+    for (iv, a) in intervals.iter().zip(&assignment) {
+        regs[iv.vreg.0 as usize] = Reg::new(iv.cluster, a.expect("no spills means all assigned"));
+    }
+    Ok(AllocOutcome::Assigned(Assignment { regs }))
 }
 
-/// Rewrite the unscheduled LIR, homing `spilled` registers on the stack.
-/// Newly created reload/store temporaries are recorded in `spill_temps`
-/// (they must never themselves be spilled). The caller re-runs cluster
-/// assignment and scheduling on the rewritten function.
-pub fn rewrite_spills(f: &mut LFunc, spilled: &[VReg], spill_temps: &mut BTreeSet<VReg>) {
-    let slots: HashMap<VReg, u32> = spilled.iter().map(|&v| (v, f.new_spill_slot())).collect();
+/// Rewrite the unscheduled LIR, homing `spilled` registers (sorted,
+/// deduplicated, as [`AllocOutcome::Spill`] lists them) on the stack.
+/// Newly created reload/store temporaries are marked in the vreg-indexed
+/// `spill_temps` (they must never themselves be spilled). The caller
+/// re-runs cluster assignment and scheduling on the rewritten function.
+pub fn rewrite_spills(f: &mut LFunc, spilled: &[VReg], spill_temps: &mut Vec<bool>) {
+    debug_assert!(spilled.windows(2).all(|w| w[0] < w[1]));
+    // `spilled[k]` gets slot `first + k`.
+    let first = f.spill_slots;
+    f.spill_slots += spilled.len() as u32;
+    let slot_of = |r: VReg| spilled.binary_search(&r).ok().map(|k| first + k as u32);
+    let mut new_temp = |f: &mut LFunc| {
+        let t = f.new_vreg();
+        spill_temps.resize(f.num_vregs as usize, false);
+        spill_temps[t.0 as usize] = true;
+        t
+    };
+    // Per op: (spilled register, its reload temporary), and the stores
+    // that follow it.
+    let mut reloads: Vec<(VReg, VReg)> = Vec::new();
+    let mut stores: Vec<LOp> = Vec::new();
     for bi in 0..f.blocks.len() {
         let ops = std::mem::take(&mut f.blocks[bi].ops);
         let mut out = Vec::with_capacity(ops.len() * 2);
         for mut op in ops {
-            // Reloads for spilled sources.
-            let mut reload_map: HashMap<VReg, VReg> = HashMap::new();
+            // Reloads for spilled sources, one per distinct register.
+            reloads.clear();
             for s in op.srcs.iter_mut() {
-                if let LVal::Reg(r) = *s {
-                    if let Some(&slot) = slots.get(&r) {
-                        let t = *reload_map.entry(r).or_insert_with(|| {
-                            let t = f.num_vregs;
-                            f.num_vregs += 1;
-                            let t = VReg(t);
-                            spill_temps.insert(t);
-                            let mut ld = LOp::new(Opcode::Ldw, vec![t], vec![LVal::Reg(f.vfp)]);
-                            ld.imm = LImm::Frame(FrameRef::Spill(slot));
-                            ld.spill = true;
-                            out.push(ld);
-                            t
-                        });
-                        *s = LVal::Reg(t);
+                let LVal::Reg(r) = *s else { continue };
+                let Some(slot) = slot_of(r) else { continue };
+                let t = match reloads.iter().find(|&&(v, _)| v == r) {
+                    Some(&(_, t)) => t,
+                    None => {
+                        let t = new_temp(f);
+                        let mut ld = LOp::new(Opcode::Ldw, vec![t], vec![LVal::Reg(f.vfp)]);
+                        ld.imm = LImm::Frame(FrameRef::Spill(slot));
+                        ld.spill = true;
+                        out.push(ld);
+                        reloads.push((r, t));
+                        t
                     }
-                }
+                };
+                *s = LVal::Reg(t);
             }
             // Stores for spilled destinations.
-            let mut post: Vec<LOp> = Vec::new();
             for d in op.dsts.iter_mut() {
-                if let Some(&slot) = slots.get(d) {
-                    let t = VReg(f.num_vregs);
-                    f.num_vregs += 1;
-                    spill_temps.insert(t);
-                    let mut st =
-                        LOp::new(Opcode::Stw, vec![], vec![LVal::Reg(t), LVal::Reg(f.vfp)]);
-                    st.imm = LImm::Frame(FrameRef::Spill(slot));
-                    st.spill = true;
-                    post.push(st);
-                    *d = t;
-                }
+                let Some(slot) = slot_of(*d) else { continue };
+                let t = new_temp(f);
+                let mut st = LOp::new(Opcode::Stw, vec![], vec![LVal::Reg(t), LVal::Reg(f.vfp)]);
+                st.imm = LImm::Frame(FrameRef::Spill(slot));
+                st.spill = true;
+                stores.push(st);
+                *d = t;
             }
             out.push(op);
-            out.extend(post);
+            out.append(&mut stores);
         }
         f.blocks[bi].ops = out;
     }
-}
-
-/// Substitute physical registers into a scheduled function.
-pub fn apply_assignment(s: &mut ScheduledFunc, map: &HashMap<VReg, Reg>) {
-    let lookup = |v: VReg| -> Reg {
-        if v == RETV {
-            Reg::RETVAL
-        } else {
-            *map.get(&v).unwrap_or(&Reg::ZERO)
-        }
-    };
-    for block in &mut s.blocks {
-        for bu in block {
-            for op in bu.slots.iter_mut().flatten() {
-                for d in op.dsts.iter_mut() {
-                    // dsts become physical via the parallel array in emit;
-                    // here we only canonicalize the vreg numbering into the
-                    // physical space by reusing VReg to carry (cluster<<16|idx).
-                    let phys = lookup(*d);
-                    *d = VReg((u32::from(phys.cluster) << 16) | u32::from(phys.index));
-                }
-                for sv in op.srcs.iter_mut() {
-                    if let LVal::Reg(r) = *sv {
-                        let phys = lookup(r);
-                        *sv = LVal::Reg(VReg(
-                            (u32::from(phys.cluster) << 16) | u32::from(phys.index),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-    let _ = LBundle::default();
-}
-
-/// Decode the packed physical register produced by [`apply_assignment`].
-pub fn packed_to_reg(v: VReg) -> Reg {
-    Reg::new((v.0 >> 16) as u8, (v.0 & 0xFFFF) as u16)
 }
 
 #[cfg(test)]
@@ -474,22 +390,25 @@ mod tests {
     use super::*;
     use crate::cluster::assign_clusters;
     use crate::lir::lower_module;
-    use crate::sched::schedule_function;
+    use crate::sched::{lir_liveness, ListScheduler};
 
-    fn pipeline(src: &str, m: &MachineDescription) -> (LFunc, ScheduledFunc, HashMap<VReg, Reg>) {
+    fn pipeline(src: &str, m: &MachineDescription) -> (LFunc, ScheduledFunc, Assignment) {
         let mut module = asip_tinyc::compile(src).unwrap();
         asip_ir::passes::optimize(&mut module, &asip_ir::passes::OptConfig::default());
         let mut lf = lower_module(&module, m, "main").unwrap().funcs.remove(0);
-        let mut spill_temps = BTreeSet::new();
+        let mut spill_temps = Vec::new();
         let mut sequential = false;
         for round in 0..24 {
             let homes = assign_clusters(&mut lf, m);
+            let live = lir_liveness(&lf);
             let s = if sequential {
                 crate::sched::schedule_function_sequential(&lf, m, &homes).unwrap()
             } else {
-                schedule_function(&lf, m, &homes).unwrap()
+                ListScheduler::new(m)
+                    .schedule_function(&lf, &homes, &live)
+                    .unwrap()
             };
-            match try_allocate(&s, &lf, m, &homes, &spill_temps) {
+            match try_allocate(&s, &lf, m, &homes, &live, &spill_temps) {
                 Ok(AllocOutcome::Assigned(map)) => return (lf, s, map),
                 Ok(AllocOutcome::Spill(vs)) => {
                     assert!(round < 23, "spilling did not converge");
@@ -509,7 +428,7 @@ mod tests {
         let m = MachineDescription::ember4();
         let (lf, _s, map) = pipeline("void main(int a, int b) { emit(a + b); }", &m);
         assert!(lf.spill_slots == 0);
-        for r in map.values() {
+        for r in map.regs.iter().filter(|&&r| r != Reg::ZERO) {
             assert!(r.cluster < m.clusters);
             assert!(r.index < m.regs_per_cluster);
             assert!(
@@ -537,18 +456,17 @@ mod tests {
         // Re-derive intervals and check assigned registers don't collide.
         // (ember4 has a single cluster, so re-running cluster assignment on a
         // clone is a no-op and homes are all zero.)
-        let ivs = build_intervals(
+        let (ivs, _) = build_intervals(
             &s,
             &lf,
             &assign_clusters(&mut lf.clone(), &m),
-            &BTreeSet::new(),
+            &lir_liveness(&lf),
+            &[],
         );
         for i in 0..ivs.len() {
             for j in (i + 1)..ivs.len() {
                 let (a, b) = (&ivs[i], &ivs[j]);
-                let (Some(ra), Some(rb)) = (map.get(&a.vreg), map.get(&b.vreg)) else {
-                    continue;
-                };
+                let (ra, rb) = (map.reg(a.vreg), map.reg(b.vreg));
                 if ra == rb {
                     let disjoint = a.end <= b.start || b.end <= a.start;
                     assert!(
@@ -605,12 +523,15 @@ mod tests {
         .unwrap();
         asip_ir::passes::optimize(&mut module, &asip_ir::passes::OptConfig::default());
         let mut lf = lower_module(&module, &m, "main").unwrap().funcs.remove(0);
-        let mut spill_temps = BTreeSet::new();
+        let mut spill_temps = Vec::new();
         let mut done = false;
         for _ in 0..12 {
             let homes = assign_clusters(&mut lf, &m);
-            let s = schedule_function(&lf, &m, &homes).unwrap();
-            match try_allocate(&s, &lf, &m, &homes, &spill_temps) {
+            let live = lir_liveness(&lf);
+            let s = ListScheduler::new(&m)
+                .schedule_function(&lf, &homes, &live)
+                .unwrap();
+            match try_allocate(&s, &lf, &m, &homes, &live, &spill_temps) {
                 Ok(AllocOutcome::Assigned(_)) => {
                     done = true;
                     break;
@@ -625,12 +546,5 @@ mod tests {
             }
         }
         assert!(done, "allocation loop did not terminate");
-    }
-
-    #[test]
-    fn packed_register_roundtrip() {
-        let r = Reg::new(2, 13);
-        let packed = VReg((u32::from(r.cluster) << 16) | u32::from(r.index));
-        assert_eq!(packed_to_reg(packed), r);
     }
 }

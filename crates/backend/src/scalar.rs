@@ -62,8 +62,11 @@ pub fn compile_module_scalar(
 ) -> Result<CompiledScalarProgram, BackendError> {
     let view = width1_view(machine);
     let (lm, scheduled, traces_formed) = schedule_module(module, &view, profile, opts)?;
-    let wide = crate::emit::emit_program(module, &lm, &scheduled, &view);
-    let program = asip_isa::scalar::from_width1(&wide, machine);
+    let program = {
+        let _span = asip_obs::span("backend", "emit");
+        let wide = crate::emit::emit_program(module, &lm, &scheduled, &view);
+        asip_isa::scalar::from_width1(&wide, machine)
+    };
     let insts = program.len();
     let ops = program.total_ops();
     let stats = BackendStats {

@@ -490,8 +490,9 @@ impl BlockVliw {
                 got: args.len() as u32,
             });
         }
-        let mut memory = crate::exec::initial_memory(d.machine.dmem_words, &d.program.globals);
-        crate::exec::write_inputs(&mut memory, &d.program.globals, inputs);
+        let mut image = crate::exec::initial_memory(d.machine.dmem_words, &d.program.globals);
+        let memory: &mut [i32] = &mut image;
+        crate::exec::write_inputs(memory, &d.program.globals, inputs);
         // Stack setup: arguments at the very top; SP points at the first.
         let top = memory.len() as u32;
         let mut sp = top - args.len() as u32;
@@ -1170,9 +1171,7 @@ impl BlockVliw {
         // the watermark is scratch, and dropping it keeps cached
         // `SimResult`s (and their codec) at kilobytes instead of the
         // machine's whole dmem.
-        memory.truncate(d.program.data_words as usize);
-        memory.shrink_to_fit();
-        out.memory = memory;
+        out.memory = crate::exec::static_data(memory, d.program.data_words);
         Ok(out)
     }
 }

@@ -27,6 +27,7 @@ pub(crate) mod vliw;
 pub(crate) use scalar::DecodedScalar;
 pub(crate) use vliw::DecodedVliw;
 
+use crate::image::Image;
 use asip_isa::{CustomOpDef, LatClass, MachineDescription, MachineOp, Opcode, Operand, Reg};
 
 /// Sentinel LR value meaning "return ends the program".
@@ -147,9 +148,10 @@ pub(crate) struct CustomPools {
 /// A fresh data-memory image: zeroed to `dmem_words`, with `globals`'
 /// initializers applied — the one definition shared by the block engines
 /// and the reference loops, so the image semantics can never drift
-/// between the differential pair.
-pub(crate) fn initial_memory(dmem_words: u32, globals: &[asip_isa::GlobalSym]) -> Vec<i32> {
-    let mut memory = vec![0i32; dmem_words as usize];
+/// between the differential pair. Zero words cost nothing until a run
+/// touches their page (see [`Image`]).
+pub(crate) fn initial_memory(dmem_words: u32, globals: &[asip_isa::GlobalSym]) -> Image {
+    let mut memory = Image::zeroed(dmem_words as usize);
     for g in globals {
         for (i, &v) in g.init.iter().enumerate() {
             let a = g.addr as usize + i;
@@ -159,6 +161,13 @@ pub(crate) fn initial_memory(dmem_words: u32, globals: &[asip_isa::GlobalSym]) -
         }
     }
     memory
+}
+
+/// The static-data region of a finished run's image: its first
+/// `data_words` words, where every global lives — what
+/// [`crate::SimResult::memory`] holds. The stack above is per-run scratch.
+pub(crate) fn static_data(memory: &[i32], data_words: u32) -> Vec<i32> {
+    memory[..memory.len().min(data_words as usize)].to_vec()
 }
 
 /// Write named workload inputs into a memory image through the program's

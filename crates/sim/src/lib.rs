@@ -52,8 +52,9 @@
 //!   exact partial aggregates; entry-guard failures fall back to plain
 //!   block dispatch.
 //!
-//! Each run starts from a fresh, zero-initialized data-memory image. The
-//! original interpretive loops are preserved in [`mod@reference`]
+//! Each run starts from a fresh, zero-initialized data-memory image whose
+//! pages cost nothing until the run touches them. The original
+//! interpretive loops are preserved in [`mod@reference`]
 //! ([`SimEngine::Reference`]) as the differential-testing oracle: the
 //! workspace test suite pins bit-identical [`SimResult`]s between the two
 //! on every preset × kernel and under fuzzed machine configurations,
@@ -82,6 +83,7 @@
 pub mod block;
 mod exec;
 pub mod icache;
+mod image;
 pub mod reference;
 pub mod run;
 pub mod scalar;

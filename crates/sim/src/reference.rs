@@ -37,7 +37,7 @@ fn count_activity(act: &mut ActivityCounts, op: Opcode) {
     }
 }
 
-fn load_memory(dmem_words: u32, globals: &[asip_isa::GlobalSym]) -> Vec<i32> {
+fn load_memory(dmem_words: u32, globals: &[asip_isa::GlobalSym]) -> crate::image::Image {
     crate::exec::initial_memory(dmem_words, globals)
 }
 
@@ -325,9 +325,7 @@ pub fn run_vliw_reference(
 
     out.cycles = cycle;
     out.activity.cycles = cycle;
-    memory.truncate(program.data_words as usize);
-    memory.shrink_to_fit();
-    out.memory = memory;
+    out.memory = crate::exec::static_data(&memory, program.data_words);
     Ok(out)
 }
 
@@ -617,8 +615,6 @@ pub fn run_scalar_reference(
     out.activity.cycles = cycle;
     out.activity.idle_slots =
         (out.activity.bundles * width as u64).saturating_sub(out.ops_executed);
-    memory.truncate(program.data_words as usize);
-    memory.shrink_to_fit();
-    out.memory = memory;
+    out.memory = crate::exec::static_data(&memory, program.data_words);
     Ok(out)
 }

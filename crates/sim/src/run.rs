@@ -373,9 +373,11 @@ enum VliwBackend {
 pub struct Simulator {
     backend: VliwBackend,
     /// Named global overrides recorded by [`Simulator::write_global`],
-    /// replayed in order onto a fresh memory image at every run (rebuilding
-    /// from lazily-zeroed pages is cheaper than copying a multi-megabyte
-    /// image for the short kernels DSE sweeps measure).
+    /// replayed in order onto a fresh memory image at every run. A fresh
+    /// image is an anonymous mapping whose zero pages the kernel supplies
+    /// on first touch, so rebuilding it costs the pages a run touches —
+    /// less than copying a multi-megabyte image for the short kernels DSE
+    /// sweeps measure.
     overrides: Vec<(String, Vec<i32>)>,
     opts: SimOptions,
 }

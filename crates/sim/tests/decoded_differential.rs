@@ -618,3 +618,77 @@ fn block_cycle_limit_matches_reference() {
         }
     }
 }
+
+/// The memory image at its edges, on both target kinds: a word between
+/// the globals and the stack reads 0 before the run writes it and reads
+/// back after, the first word past `dmem_words` faults, and the result
+/// holds exactly the `data_words` static prefix — identically on the
+/// block engine and the reference.
+#[test]
+fn memory_image_edges_match_reference() {
+    let src = r#"
+        int g[4] = {1, 2, 3, 4};
+        void main(int k, int v, int k2) {
+            emit(g[k]);
+            g[k] = v;
+            g[1] = v + 1;
+            emit(g[k2]);
+        }
+    "#;
+    let mut module = asip_tinyc::compile(src).unwrap();
+    optimize(&mut module, &OptConfig::default());
+    for m in &[MachineDescription::ember4(), MachineDescription::scalar1()] {
+        type Run<'a> = Box<dyn Fn(SimOptions, &[i32]) -> Result<SimResult, SimError> + 'a>;
+        let run: Run = match m.target {
+            TargetKind::Vliw => {
+                let p = compile_module(&module, m, None, &BackendOptions::default())
+                    .unwrap()
+                    .program;
+                assert_eq!(p.data_words, 4);
+                Box::new(move |o, args| Simulator::new(m, &p, o)?.run(args))
+            }
+            TargetKind::Scalar => {
+                let p = compile_module_scalar(&module, m, None, &BackendOptions::default())
+                    .unwrap()
+                    .program;
+                assert_eq!(p.data_words, 4);
+                Box::new(move |o, args| ScalarSimulator::new(m, &p, o)?.run(args))
+            }
+        };
+        let mid = (m.dmem_words / 2) as i32;
+        let r = run(reference_opts(), &[mid, -7, mid]).expect("in-bounds run completes");
+        assert_eq!(
+            r.output,
+            vec![0, -7],
+            "{}: unwritten word, then read-back",
+            m.name
+        );
+        assert_eq!(
+            r.memory,
+            vec![1, -6, 3, 4],
+            "{}: the data_words prefix",
+            m.name
+        );
+        let end = m.dmem_words as i32;
+        let fault = run(reference_opts(), &[end, 5, 0]).unwrap_err();
+        assert!(
+            matches!(fault, SimError::MemFault { addr, .. } if addr == i64::from(end)),
+            "{}: {fault:?}",
+            m.name
+        );
+        for t in THRESHOLDS {
+            let o = opts(SimEngine::Block, t);
+            assert_fields(
+                &run(o, &[mid, -7, mid]).unwrap(),
+                &r,
+                &format!("block@{t} on {}", m.name),
+            );
+            assert_eq!(
+                run(o, &[end, 5, 0]).unwrap_err(),
+                fault,
+                "block@{t} on {}",
+                m.name
+            );
+        }
+    }
+}
