@@ -217,7 +217,6 @@ pub(crate) fn schedule_module(
     };
     let mut scheduled = Vec::with_capacity(lm.funcs.len());
     let mut traces_formed = 0;
-    let mut scheduler = sched::ListScheduler::new(machine);
 
     for fi in 0..lm.funcs.len() {
         let lf = &mut lm.funcs[fi];
@@ -246,7 +245,7 @@ pub(crate) fn schedule_module(
         let mut round = 0;
         while round < opts.max_spill_rounds {
             round += 1;
-            match schedule_round(lf, &mut scheduler, sequential, &spill_temps)? {
+            match schedule_round(lf, machine, sequential, &spill_temps)? {
                 (s, Ok(AllocOutcome::Assigned(regs))) => {
                     done = Some((s, regs));
                     break;
@@ -266,7 +265,7 @@ pub(crate) fn schedule_module(
         }
         if done.is_none() && !sequential {
             // One last chance in degraded mode.
-            match schedule_round(lf, &mut scheduler, true, &spill_temps)? {
+            match schedule_round(lf, machine, true, &spill_temps)? {
                 (s, Ok(AllocOutcome::Assigned(regs))) => done = Some((s, regs)),
                 (_, Ok(AllocOutcome::Spill(_))) => {}
                 (_, Err(e)) => return Err(e.into()),
@@ -290,7 +289,7 @@ pub(crate) type Allocated = (sched::ScheduledFunc, regalloc::Assignment);
 /// liveness, list (or `sequential`) scheduling, linear-scan allocation.
 fn schedule_round(
     lf: &mut lir::LFunc,
-    scheduler: &mut sched::ListScheduler<'_>,
+    machine: &MachineDescription,
     sequential: bool,
     spill_temps: &[bool],
 ) -> Result<
@@ -300,7 +299,6 @@ fn schedule_round(
     ),
     sched::ScheduleError,
 > {
-    let machine = scheduler.machine();
     let homes = {
         let _span = asip_obs::span("backend", "cluster");
         cluster::assign_clusters(lf, machine)
@@ -311,7 +309,7 @@ fn schedule_round(
         let s = if sequential {
             sched::schedule_function_sequential(lf, machine, &homes)?
         } else {
-            scheduler.schedule_function(lf, &homes, &live)?
+            sched::schedule_function(lf, machine, &homes, &live)?
         };
         (live, s)
     };

@@ -302,13 +302,6 @@ impl LFunc {
         v
     }
 
-    /// Allocate a fresh spill slot.
-    pub fn new_spill_slot(&mut self) -> u32 {
-        let s = self.spill_slots;
-        self.spill_slots += 1;
-        s
-    }
-
     /// Frame size in words (locals + spills + LR slot).
     pub fn frame_words(&self) -> u32 {
         let locals: u32 = self.local_words.iter().sum();

@@ -19,18 +19,22 @@ use std::fmt;
 /// virtual one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Assignment {
-    /// Indexed by vreg number; [`Reg::ZERO`] where a number has no interval.
-    regs: Vec<Reg>,
+    /// Indexed by vreg number; `None` where a number has no interval.
+    regs: Vec<Option<Reg>>,
 }
 
 impl Assignment {
     /// The physical register holding `v` ([`RETV`] is pinned to
-    /// [`Reg::RETVAL`]).
+    /// [`Reg::RETVAL`]; a vreg without an interval reads as [`Reg::ZERO`]).
     pub fn reg(&self, v: VReg) -> Reg {
         if v == RETV {
             Reg::RETVAL
         } else {
-            self.regs.get(v.0 as usize).copied().unwrap_or(Reg::ZERO)
+            self.regs
+                .get(v.0 as usize)
+                .copied()
+                .flatten()
+                .unwrap_or(Reg::ZERO)
         }
     }
 }
@@ -317,9 +321,10 @@ pub(crate) fn try_allocate(
         spills.dedup();
         return Ok(AllocOutcome::Spill(spills));
     }
-    let mut regs = vec![Reg::ZERO; f.num_vregs as usize];
+    let mut regs = vec![None; f.num_vregs as usize];
     for (iv, a) in intervals.iter().zip(&assignment) {
-        regs[iv.vreg.0 as usize] = Reg::new(iv.cluster, a.expect("no spills means all assigned"));
+        let r = a.expect("no spills means all assigned");
+        regs[iv.vreg.0 as usize] = Some(Reg::new(iv.cluster, r));
     }
     Ok(AllocOutcome::Assigned(Assignment { regs }))
 }
@@ -329,7 +334,7 @@ pub(crate) fn try_allocate(
 /// Newly created reload/store temporaries are marked in the vreg-indexed
 /// `spill_temps` (they must never themselves be spilled). The caller
 /// re-runs cluster assignment and scheduling on the rewritten function.
-pub fn rewrite_spills(f: &mut LFunc, spilled: &[VReg], spill_temps: &mut Vec<bool>) {
+pub(crate) fn rewrite_spills(f: &mut LFunc, spilled: &[VReg], spill_temps: &mut Vec<bool>) {
     debug_assert!(spilled.windows(2).all(|w| w[0] < w[1]));
     // `spilled[k]` gets slot `first + k`.
     let first = f.spill_slots;
@@ -390,7 +395,7 @@ mod tests {
     use super::*;
     use crate::cluster::assign_clusters;
     use crate::lir::lower_module;
-    use crate::sched::{lir_liveness, ListScheduler};
+    use crate::sched::{lir_liveness, schedule_function};
 
     fn pipeline(src: &str, m: &MachineDescription) -> (LFunc, ScheduledFunc, Assignment) {
         let mut module = asip_tinyc::compile(src).unwrap();
@@ -404,9 +409,7 @@ mod tests {
             let s = if sequential {
                 crate::sched::schedule_function_sequential(&lf, m, &homes).unwrap()
             } else {
-                ListScheduler::new(m)
-                    .schedule_function(&lf, &homes, &live)
-                    .unwrap()
+                schedule_function(&lf, m, &homes, &live).unwrap()
             };
             match try_allocate(&s, &lf, m, &homes, &live, &spill_temps) {
                 Ok(AllocOutcome::Assigned(map)) => return (lf, s, map),
@@ -428,7 +431,7 @@ mod tests {
         let m = MachineDescription::ember4();
         let (lf, _s, map) = pipeline("void main(int a, int b) { emit(a + b); }", &m);
         assert!(lf.spill_slots == 0);
-        for r in map.regs.iter().filter(|&&r| r != Reg::ZERO) {
+        for r in map.regs.iter().flatten() {
             assert!(r.cluster < m.clusters);
             assert!(r.index < m.regs_per_cluster);
             assert!(
@@ -528,9 +531,7 @@ mod tests {
         for _ in 0..12 {
             let homes = assign_clusters(&mut lf, &m);
             let live = lir_liveness(&lf);
-            let s = ListScheduler::new(&m)
-                .schedule_function(&lf, &homes, &live)
-                .unwrap();
+            let s = schedule_function(&lf, &m, &homes, &live).unwrap();
             match try_allocate(&s, &lf, &m, &homes, &live, &spill_temps) {
                 Ok(AllocOutcome::Assigned(_)) => {
                     done = true;
