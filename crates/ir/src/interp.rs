@@ -12,6 +12,7 @@
 
 use crate::func::{Function, Module};
 use crate::inst::{Addr, AddrBase, BlockId, FuncId, Inst, Terminator, VReg, Val};
+use asip_isa::image::Image;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -114,7 +115,9 @@ pub struct InterpResult {
     pub steps: u64,
     /// Block-level execution profile.
     pub profile: Profile,
-    /// Final data memory (globals live at [`Interp::global_addr`]).
+    /// Final static data: the words from address 0 to the end of the last
+    /// global, where every global lives (see [`Interp::global_addr`]). The
+    /// stack above is per-run scratch.
     pub memory: Vec<i32>,
 }
 
@@ -124,7 +127,7 @@ pub struct Interp<'m> {
     module: &'m Module,
     opts: InterpOptions,
     global_addr: Vec<u32>,
-    memory: Vec<i32>,
+    memory: Image,
     output: Vec<i32>,
     steps: u64,
     profile: Profile,
@@ -140,7 +143,7 @@ impl<'m> Interp<'m> {
             global_addr.push(addr);
             addr += g.words;
         }
-        let mut memory = vec![0i32; opts.memory_words as usize];
+        let mut memory = Image::zeroed(opts.memory_words as usize);
         for (g, &base) in module.globals.iter().zip(&global_addr) {
             for (i, &v) in g.init.iter().enumerate() {
                 if (base as usize + i) < memory.len() {
@@ -206,7 +209,7 @@ impl<'m> Interp<'m> {
             ret,
             steps: self.steps,
             profile: self.profile,
-            memory: self.memory,
+            memory: self.memory[..self.memory.len().min(self.data_top as usize)].to_vec(),
         })
     }
 
@@ -535,7 +538,7 @@ mod tests {
         let interp = Interp::new(&m, InterpOptions::default());
         let r = interp.run("main", &[]).unwrap();
         assert_eq!(r.output, vec![107]);
-        assert_eq!(&r.memory[0..4], &[5, 7, 107, 0]);
+        assert_eq!(r.memory, vec![5, 7, 107, 0]);
     }
 
     #[test]

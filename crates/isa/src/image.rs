@@ -1,16 +1,18 @@
-//! The data-memory image a run starts from: `dmem_words` zeroed words
-//! whose cost is the pages the run touches, not the machine's whole dmem.
+//! The data-memory image a run starts from: zeroed words whose cost is
+//! the pages the run touches, not the whole memory. The IR interpreter
+//! (`asip_ir::interp`) and the machine simulators (`asip_sim`) both take
+//! their image from here.
 //!
 //! A `vec![0; n]` is a `calloc`, and whether `calloc` gets fresh zero pages
 //! depends on the allocator's state. glibc serves a request of at least its
 //! mmap threshold (128 KiB at start) with an `mmap` of its own, but freeing
 //! such a chunk raises the threshold to the chunk's size: one dropped 4 MiB
-//! image (the Profile stage's interpreter image, or the first simulator
-//! image) is enough. From then on every 4 MiB image is an ordinary heap
+//! image is enough. From then on every 4 MiB image is an ordinary heap
 //! chunk that `calloc` must memset and that stays resident after the run
-//! frees it: ≈190 µs per image, against ≈10 µs to map one and fault in the
-//! two pages a short kernel touches (2-vCPU Xeon, glibc 2.36, transparent
-//! huge pages on `madvise`).
+//! frees it, in whichever of glibc's per-thread arenas served it: ≈190 µs
+//! per image, against ≈10 µs to map one and fault in the two pages a short
+//! kernel touches (2-vCPU Xeon, glibc 2.36, transparent huge pages on
+//! `madvise`).
 //!
 //! On 64-bit Linux, [`Image`] is therefore an anonymous private mapping:
 //! the kernel supplies zero pages on first touch. Dropping an image
@@ -26,17 +28,23 @@
 //! advised `MADV_NOHUGEPAGE`, so a touch faults in a 4 KiB page even
 //! where transparent huge pages are `always`. Elsewhere an image is a
 //! plain `Vec`. Either way it dereferences to `[i32]`, so the engines
-//! index it like the `Vec` it replaces.
+//! index it like a `Vec`.
 
 use std::ops::{Deref, DerefMut};
 
 /// A zero-initialized data-memory image.
-pub(crate) struct Image(imp::Words);
+pub struct Image(imp::Words);
 
 impl Image {
     /// `words` zeroed words.
-    pub(crate) fn zeroed(words: usize) -> Image {
+    pub fn zeroed(words: usize) -> Image {
         Image(imp::Words::zeroed(words))
+    }
+}
+
+impl std::fmt::Debug for Image {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Image").field("words", &self.len()).finish()
     }
 }
 

@@ -16,7 +16,9 @@
 //! * **machine code** containers with static validation ([`code`]);
 //! * **encoding** models and a lossless bitstream codec ([`encoding`]);
 //! * first-order **hardware models** for area, cycle time and energy
-//!   ([`hwmodel`]).
+//!   ([`hwmodel`]);
+//! * the lazily-zeroed **data-memory image** that the IR interpreter and
+//!   the simulators run against ([`image`]).
 //!
 //! Everything downstream — compiler backend, simulator, custom-instruction
 //! selection, design-space exploration, binary translation — is written
@@ -56,6 +58,7 @@ pub mod custom;
 pub mod desc;
 pub mod encoding;
 pub mod hwmodel;
+pub mod image;
 pub mod machine;
 pub mod op;
 pub mod reg;

@@ -27,7 +27,7 @@ pub(crate) mod vliw;
 pub(crate) use scalar::DecodedScalar;
 pub(crate) use vliw::DecodedVliw;
 
-use crate::image::Image;
+use asip_isa::image::Image;
 use asip_isa::{CustomOpDef, LatClass, MachineDescription, MachineOp, Opcode, Operand, Reg};
 
 /// Sentinel LR value meaning "return ends the program".

@@ -83,7 +83,6 @@
 pub mod block;
 mod exec;
 pub mod icache;
-mod image;
 pub mod reference;
 pub mod run;
 pub mod scalar;

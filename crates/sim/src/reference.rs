@@ -37,7 +37,7 @@ fn count_activity(act: &mut ActivityCounts, op: Opcode) {
     }
 }
 
-fn load_memory(dmem_words: u32, globals: &[asip_isa::GlobalSym]) -> crate::image::Image {
+fn load_memory(dmem_words: u32, globals: &[asip_isa::GlobalSym]) -> asip_isa::image::Image {
     crate::exec::initial_memory(dmem_words, globals)
 }
 
