@@ -100,15 +100,23 @@ mod imp {
         static SPARE: Cell<Option<Mapping>> = const { Cell::new(None) };
     }
 
-    /// An anonymous private mapping of `len > 0` words that this value
-    /// owns alone.
+    /// An anonymous private mapping of `len` words that this value owns
+    /// alone (`len == 0`: no mapping, a dangling pointer).
     struct Mapping {
         ptr: NonNull<i32>,
         len: usize,
     }
 
     impl Mapping {
+        const NONE: Mapping = Mapping {
+            ptr: NonNull::dangling(),
+            len: 0,
+        };
+
         fn new(len: usize) -> Mapping {
+            if len == 0 {
+                return Mapping::NONE;
+            }
             let layout = std::alloc::Layout::array::<i32>(len).expect("image size fits a Layout");
             // SAFETY: a fresh anonymous private mapping at a kernel-chosen
             // address aliases no existing memory; the arguments are plain
@@ -160,6 +168,9 @@ mod imp {
 
     impl Drop for Mapping {
         fn drop(&mut self) {
+            if self.len == 0 {
+                return;
+            }
             // SAFETY: `ptr` and the byte length are exactly what `mmap`
             // returned and was asked for; no slice borrowed from the
             // mapping outlives it. A failing `munmap` only leaks it.
@@ -170,41 +181,36 @@ mod imp {
     }
 
     /// `len` zeroed words: this thread's spare mapping when it has one of
-    /// that length, else a new one (`len == 0`: no mapping at all).
-    pub(super) struct Words(Option<Mapping>);
+    /// that length, else a new one.
+    pub(super) struct Words(Mapping);
 
     impl Words {
         pub(super) fn zeroed(len: usize) -> Words {
-            if len == 0 {
-                return Words(None);
-            }
-            let spare = SPARE.try_with(Cell::take).ok().flatten();
-            Words(Some(match spare {
+            let spare = if len == 0 {
+                None
+            } else {
+                SPARE.try_with(Cell::take).ok().flatten()
+            };
+            Words(match spare {
                 Some(m) if m.len == len => m,
                 _ => Mapping::new(len),
-            }))
+            })
         }
 
         #[inline]
         pub(super) fn as_slice(&self) -> &[i32] {
-            match &self.0 {
-                // SAFETY: `ptr` is page-aligned and covers `len` readable
-                // words, each zero-filled by the kernel or since written
-                // through this value, so valid as `i32`s; the mapping
-                // lives as long as `self`, and `&self` excludes writers.
-                Some(m) => unsafe { std::slice::from_raw_parts(m.ptr.as_ptr(), m.len) },
-                None => &[],
-            }
+            // SAFETY: `ptr` is page-aligned (or dangling for `len == 0`) and
+            // covers `len` readable words, each zero-filled by the kernel
+            // or since written through this value, so valid as `i32`s; the
+            // mapping lives as long as `self`, and `&self` excludes writers.
+            unsafe { std::slice::from_raw_parts(self.0.ptr.as_ptr(), self.0.len) }
         }
 
         #[inline]
         pub(super) fn as_mut_slice(&mut self) -> &mut [i32] {
-            match &mut self.0 {
-                // SAFETY: as in `as_slice`, and `&mut self` makes this the
-                // only reference into the mapping.
-                Some(m) => unsafe { std::slice::from_raw_parts_mut(m.ptr.as_ptr(), m.len) },
-                None => &mut [],
-            }
+            // SAFETY: as in `as_slice`, and `&mut self` makes this the only
+            // reference into the mapping.
+            unsafe { std::slice::from_raw_parts_mut(self.0.ptr.as_ptr(), self.0.len) }
         }
     }
 
@@ -212,10 +218,9 @@ mod imp {
         /// Empty the mapping and keep it as the thread's spare; unmap it
         /// if emptying fails or the thread is exiting.
         fn drop(&mut self) {
-            if let Some(mut m) = self.0.take() {
-                if m.empty() {
-                    let _ = SPARE.try_with(|s| s.set(Some(m)));
-                }
+            let mut m = std::mem::replace(&mut self.0, Mapping::NONE);
+            if m.len > 0 && m.empty() {
+                let _ = SPARE.try_with(|s| s.set(Some(m)));
             }
         }
     }
