@@ -17,7 +17,7 @@ use asip_backend::{compile_module, compile_module_scalar, BackendOptions};
 use asip_ir::interp::{Interp, InterpOptions, Profile};
 use asip_ir::passes::{optimize, OptConfig};
 use asip_ir::Module;
-use asip_isa::{FuKind, ICacheConfig, MachineDescription, TargetKind, VliwProgram};
+use asip_isa::{FuKind, ICacheConfig, MachineDescription, TargetKind};
 use asip_sim::{
     reference, BlockScalar, BlockVliw, ScalarSimulator, SimEngine, SimError, SimOptions, SimResult,
     Simulator,
@@ -66,40 +66,56 @@ fn opts(engine: SimEngine, sb_threshold: u32) -> SimOptions {
     }
 }
 
+/// A simulation of one compiled program under the given options and
+/// entry arguments.
+type Run<'a> = Box<dyn Fn(SimOptions, &[i32]) -> Result<SimResult, SimError> + 'a>;
+
+/// `module` compiled for `machine` (dispatching on its target kind, with
+/// an optional profile), as a [`Run`] that writes `inputs` into every
+/// fresh simulator.
+fn runner<'a>(
+    machine: &'a MachineDescription,
+    module: &Module,
+    prof: Option<&Profile>,
+    inputs: &'a [(String, Vec<i32>)],
+) -> Run<'a> {
+    match machine.target {
+        TargetKind::Vliw => {
+            let program = compile_module(module, machine, prof, &BackendOptions::default())
+                .unwrap_or_else(|e| panic!("compile for {}: {e}", machine.name))
+                .program;
+            Box::new(move |o, args| {
+                let mut sim = Simulator::new(machine, &program, o)?;
+                for (name, data) in inputs {
+                    sim.write_global(name, data);
+                }
+                sim.run(args)
+            })
+        }
+        TargetKind::Scalar => {
+            let program = compile_module_scalar(module, machine, prof, &BackendOptions::default())
+                .unwrap_or_else(|e| panic!("compile for {}: {e}", machine.name))
+                .program;
+            Box::new(move |o, args| {
+                let mut sim = ScalarSimulator::new(machine, &program, o)?;
+                for (name, data) in inputs {
+                    sim.write_global(name, data);
+                }
+                sim.run(args)
+            })
+        }
+    }
+}
+
 /// The reference run of one workload on `machine` (dispatching on its
 /// target kind), then one block-engine run per threshold, each labelled.
 fn all_runs(machine: &MachineDescription, w: &Workload) -> (SimResult, Vec<(String, SimResult)>) {
     let module = frontend(w);
     let prof = profile(&module, w);
-    let prof = Some(&prof);
-    let run: Box<dyn Fn(SimOptions) -> Result<SimResult, SimError>> = match machine.target {
-        TargetKind::Vliw => {
-            let program = compile_module(&module, machine, prof, &BackendOptions::default())
-                .unwrap_or_else(|e| panic!("compile {} on {}: {e}", w.name, machine.name))
-                .program;
-            Box::new(move |o| {
-                let mut sim = Simulator::new(machine, &program, o)?;
-                for (name, data) in &w.inputs {
-                    sim.write_global(name, data);
-                }
-                sim.run(&w.args)
-            })
-        }
-        TargetKind::Scalar => {
-            let program = compile_module_scalar(&module, machine, prof, &BackendOptions::default())
-                .unwrap_or_else(|e| panic!("compile {} on {}: {e}", w.name, machine.name))
-                .program;
-            Box::new(move |o| {
-                let mut sim = ScalarSimulator::new(machine, &program, o)?;
-                for (name, data) in &w.inputs {
-                    sim.write_global(name, data);
-                }
-                sim.run(&w.args)
-            })
-        }
-    };
+    let run = runner(machine, &module, Some(&prof), &w.inputs);
     let ok = |o: SimOptions| {
-        run(o).unwrap_or_else(|e| panic!("{} {} on {}: {e}", o.engine, w.name, machine.name))
+        run(o, &w.args)
+            .unwrap_or_else(|e| panic!("{} {} on {}: {e}", o.engine, w.name, machine.name))
     };
     let r = ok(reference_opts());
     let blocks = THRESHOLDS
@@ -186,25 +202,25 @@ fn icache_accounting_unchanged_on_all_presets() {
     }
 }
 
-/// Errors must shape-match too: the block engine reports the same
-/// divide-by-zero / bad-args errors the reference engine does.
+/// Errors must shape-match too: on both target kinds the block engine
+/// reports the same divide-by-zero / bad-args errors the reference
+/// engine does.
 #[test]
 fn error_paths_match_reference() {
-    let src = "void main(int x) { emit(100 / x); }";
-    let mut module = asip_tinyc::compile(src).unwrap();
+    let mut module = asip_tinyc::compile("void main(int x) { emit(100 / x); }").unwrap();
     optimize(&mut module, &OptConfig::default());
-    let m = MachineDescription::ember4();
-    let compiled = compile_module(&module, &m, None, &BackendOptions::default()).unwrap();
-    for args in [&[0i32][..], &[]] {
-        let reference =
-            reference::run_vliw_reference(&m, &compiled.program, &[], args, SimOptions::default())
-                .unwrap_err();
-        for t in THRESHOLDS {
-            let err = Simulator::new(&m, &compiled.program, opts(SimEngine::Block, t))
-                .unwrap()
-                .run(args)
-                .unwrap_err();
-            assert_eq!(err, reference, "block@{t} error for args {args:?}");
+    for m in &pinned_machines() {
+        let run = runner(m, &module, None, &[]);
+        for args in [&[0i32][..], &[]] {
+            let reference = run(reference_opts(), args).unwrap_err();
+            for t in THRESHOLDS {
+                let err = run(opts(SimEngine::Block, t), args).unwrap_err();
+                assert_eq!(
+                    err, reference,
+                    "block@{t} error for args {args:?} on {}",
+                    m.name
+                );
+            }
         }
     }
 }
@@ -314,7 +330,7 @@ proptest! {
     /// and reference engines produce identical `SimResult`s.
     #[test]
     fn random_vliw_machines_identical(
-        kernel in 0usize..17,
+        kernel in 0..asip_workloads::all().len(),
         extra_slots in 0usize..4,
         lat_mul in 1u32..5,
         lat_mem in 1u32..5,
@@ -324,8 +340,7 @@ proptest! {
         with_icache in any::<bool>(),
         regs in 12u16..48,
     ) {
-        let workloads = asip_workloads::all();
-        let w = &workloads[kernel % workloads.len()];
+        let w = &asip_workloads::all()[kernel];
         let m = fuzzed_vliw(
             extra_slots,
             lat_mul,
@@ -343,7 +358,7 @@ proptest! {
     /// and reference engines produce identical `SimResult`s.
     #[test]
     fn random_scalar_machines_identical(
-        kernel in 0usize..17,
+        kernel in 0..asip_workloads::all().len(),
         dual_issue in any::<bool>(),
         lat_mul in 1u32..5,
         lat_mem in 1u32..5,
@@ -353,8 +368,7 @@ proptest! {
         with_icache in any::<bool>(),
         regs in 12u16..48,
     ) {
-        let workloads = asip_workloads::all();
-        let w = &workloads[kernel % workloads.len()];
+        let w = &asip_workloads::all()[kernel];
         let m = fuzzed_scalar(
             dual_issue,
             lat_mul,
@@ -369,252 +383,219 @@ proptest! {
     }
 }
 
-/// `w` compiled for the VLIW machine `m`, without a profile.
-fn vliw_program(m: &MachineDescription, w: &Workload) -> VliwProgram {
-    compile_module(&frontend(w), m, None, &BackendOptions::default())
-        .unwrap()
-        .program
+/// The machines the engine-tier pins run on: the VLIW preset the pins
+/// were written for, and both scalar presets.
+fn pinned_machines() -> [MachineDescription; 3] {
+    [
+        MachineDescription::ember4(),
+        MachineDescription::scalar1(),
+        MachineDescription::scalar2(),
+    ]
 }
 
-/// The block engines' guard-failure fallback must actually be exercised
-/// and stay exact: on an I-cached machine, every *first* visit to a block
-/// finds cold lines, fails the residency probe and takes the slow path
-/// (one pc at a time), while hot revisits run as superops — and the
-/// result is still bit-identical to the reference.
-#[test]
-fn block_vliw_fallback_slow_path_exercised() {
-    let m = MachineDescription::ember4().derive("ember4-tinyic", |m| {
+/// `base` with a small direct-mapped I-cache of `size_bytes`, 16-byte
+/// lines and a 9-cycle miss penalty.
+fn tiny_icache(base: &MachineDescription, size_bytes: u32) -> MachineDescription {
+    base.derive(&format!("{}-tinyic", base.name), |m| {
         m.icache = Some(ICacheConfig {
-            size_bytes: 512,
+            size_bytes,
             line_bytes: 16,
             ways: 1,
             miss_penalty: 9,
         });
-    });
-    let w = asip_workloads::by_name("fir").unwrap();
-    let program = vliw_program(&m, &w);
-    let r = reference::run_vliw_reference(&m, &program, &w.inputs, &w.args, SimOptions::default())
-        .unwrap();
-    for t in THRESHOLDS {
-        let block = BlockVliw::new(&m, &program).unwrap();
-        let o = opts(SimEngine::Block, t);
-        let got = block.run_with_inputs(&w.inputs, &w.args, o).unwrap();
-        assert!(
-            block.slow_bundles() > 0,
-            "block@{t}: cold I-cache lines must exercise the slow path"
-        );
-        assert!(
-            block.fast_blocks() > 0,
-            "block@{t}: hot blocks must still dispatch as superops"
-        );
-        assert_fields(
-            &got,
-            &r,
-            &format!("block@{t} fallback, fir on ember4-tinyic"),
-        );
+    })
+}
+
+/// The tier counters one block-engine run leaves behind.
+#[derive(Debug)]
+struct Tiers {
+    /// Blocks dispatched as superops.
+    fast_blocks: u64,
+    /// Bundles or instructions run by the per-pc slow path.
+    slow_pcs: u64,
+    traces_formed: u64,
+    trace_entries: u64,
+    trace_side_exits: u64,
+    trace_fallbacks: u64,
+}
+
+/// `w` compiled without a profile for `m` (either target kind), run once
+/// on a fresh block engine under `o` and once on the reference loop:
+/// (block result, the block engine's tier counters, reference result).
+fn block_and_reference(
+    m: &MachineDescription,
+    w: &Workload,
+    o: SimOptions,
+) -> (SimResult, Tiers, SimResult) {
+    macro_rules! tiers {
+        ($engine:expr, $slow_pcs:expr) => {
+            Tiers {
+                fast_blocks: $engine.fast_blocks(),
+                slow_pcs: $slow_pcs,
+                traces_formed: $engine.traces_formed(),
+                trace_entries: $engine.trace_entries(),
+                trace_side_exits: $engine.trace_side_exits(),
+                trace_fallbacks: $engine.trace_fallbacks(),
+            }
+        };
+    }
+    let module = frontend(w);
+    let fail = |e: SimError| panic!("{} on {}: {e}", w.name, m.name);
+    match m.target {
+        TargetKind::Vliw => {
+            let p = compile_module(&module, m, None, &BackendOptions::default())
+                .unwrap()
+                .program;
+            let engine = BlockVliw::new(m, &p).unwrap();
+            let got = engine
+                .run_with_inputs(&w.inputs, &w.args, o)
+                .unwrap_or_else(fail);
+            let r =
+                reference::run_vliw_reference(m, &p, &w.inputs, &w.args, o).unwrap_or_else(fail);
+            (got, tiers!(engine, engine.slow_bundles()), r)
+        }
+        TargetKind::Scalar => {
+            let p = compile_module_scalar(&module, m, None, &BackendOptions::default())
+                .unwrap()
+                .program;
+            let engine = BlockScalar::new(m, &p).unwrap();
+            let got = engine
+                .run_with_inputs(&w.inputs, &w.args, o)
+                .unwrap_or_else(fail);
+            let r =
+                reference::run_scalar_reference(m, &p, &w.inputs, &w.args, o).unwrap_or_else(fail);
+            (got, tiers!(engine, engine.slow_insts()), r)
+        }
     }
 }
 
-/// Same fallback pin for the scalar block engine, via its `slow_insts`
-/// counter.
+/// The block engine's guard-failure fallback must actually be exercised
+/// and stay exact, on both target kinds: on an I-cached machine, every
+/// *first* visit to a block finds cold lines, fails the residency probe
+/// and takes the slow path (one pc at a time), while hot revisits run as
+/// superops — and the result is still bit-identical to the reference.
 #[test]
-fn block_scalar_fallback_slow_path_exercised() {
-    let base = MachineDescription::all_presets()
-        .into_iter()
-        .find(|m| m.target == TargetKind::Scalar)
-        .expect("at least one scalar preset");
-    let m = base.derive(&format!("{}-tinyic", base.name), |m| {
-        m.icache = Some(ICacheConfig {
-            size_bytes: 512,
-            line_bytes: 16,
-            ways: 1,
-            miss_penalty: 9,
-        });
-    });
+fn block_fallback_slow_path_exercised() {
     let w = asip_workloads::by_name("fir").unwrap();
-    let module = frontend(&w);
-    let compiled = compile_module_scalar(&module, &m, None, &BackendOptions::default()).unwrap();
-    let r = reference::run_scalar_reference(
-        &m,
-        &compiled.program,
-        &w.inputs,
-        &w.args,
-        SimOptions::default(),
-    )
-    .unwrap();
-    for t in THRESHOLDS {
-        let block = BlockScalar::new(&m, &compiled.program).unwrap();
-        let o = opts(SimEngine::Block, t);
-        let got = block.run_with_inputs(&w.inputs, &w.args, o).unwrap();
-        assert!(
-            block.slow_insts() > 0,
-            "block@{t}: cold I-cache lines must exercise the slow path"
-        );
-        assert!(
-            block.fast_blocks() > 0,
-            "block@{t}: hot blocks must still dispatch as superops"
-        );
-        assert_fields(
-            &got,
-            &r,
-            &format!("block@{t} fallback, fir on scalar tinyic"),
-        );
+    for base in [MachineDescription::ember4(), MachineDescription::scalar1()] {
+        let m = tiny_icache(&base, 512);
+        for t in THRESHOLDS {
+            let (got, tiers, r) = block_and_reference(&m, &w, opts(SimEngine::Block, t));
+            assert!(
+                tiers.slow_pcs > 0,
+                "block@{t} on {}: cold I-cache lines must exercise the slow path",
+                m.name
+            );
+            assert!(
+                tiers.fast_blocks > 0,
+                "block@{t} on {}: hot blocks must still dispatch as superops",
+                m.name
+            );
+            assert_fields(&got, &r, &format!("block@{t} fallback, fir on {}", m.name));
+        }
     }
 }
 
 /// The trace tier is always armed: at the default promotion threshold a
 /// hot loop forms traces and dispatches them, bit-identical to the
-/// reference.
+/// reference, on both target kinds.
 #[test]
 fn default_options_form_traces_on_a_hot_loop() {
-    let m = MachineDescription::ember4();
     let w = asip_workloads::by_name("sort").unwrap();
-    let program = vliw_program(&m, &w);
-    let engine = BlockVliw::new(&m, &program).unwrap();
-    let o = SimOptions::default();
-    let got = engine.run_with_inputs(&w.inputs, &w.args, o).unwrap();
-    assert!(
-        engine.traces_formed() > 0,
-        "default options must form traces"
-    );
-    assert!(
-        engine.trace_entries() > 0,
-        "formed traces must be dispatched"
-    );
-    let r = reference::run_vliw_reference(&m, &program, &w.inputs, &w.args, o).unwrap();
-    assert_fields(&got, &r, "default options, sort on ember4");
-}
-
-/// The superblock tier must actually fire on a hot loop at a low
-/// threshold: traces are formed, dispatched repeatedly, and side exits
-/// (the dominant successor prediction missing on a data-dependent branch)
-/// are exercised; with the threshold out of reach no trace forms. Either
-/// way the result is bit-identical to the reference loop.
-#[test]
-fn superblock_vliw_traces_and_side_exits_exercised() {
-    let m = MachineDescription::ember4();
-    let w = asip_workloads::by_name("sort").unwrap();
-    let program = vliw_program(&m, &w);
-    let r = reference::run_vliw_reference(&m, &program, &w.inputs, &w.args, SimOptions::default())
-        .unwrap();
-    for t in THRESHOLDS {
-        let engine = BlockVliw::new(&m, &program).unwrap();
-        let got = engine
-            .run_with_inputs(&w.inputs, &w.args, opts(SimEngine::Block, t))
-            .unwrap();
-        let tier = (
-            engine.traces_formed() > 0,
-            engine.trace_entries() > 0,
-            engine.trace_side_exits() > 0,
+    for m in &pinned_machines() {
+        let (got, tiers, r) = block_and_reference(m, &w, SimOptions::default());
+        assert!(
+            tiers.traces_formed > 0,
+            "{}: default options must form traces",
+            m.name
         );
-        let fires = t != u32::MAX;
-        assert_eq!(
-            tier,
-            (fires, fires, fires),
-            "block@{t}: (formed, entered, side-exited)"
+        assert!(
+            tiers.trace_entries > 0,
+            "{}: formed traces must be dispatched",
+            m.name
         );
-        assert_fields(&got, &r, &format!("block@{t}, sort on ember4"));
+        assert_fields(&got, &r, &format!("default options, sort on {}", m.name));
     }
 }
 
-/// Scalar mirror of the trace-formation pin.
+/// The superblock tier must actually fire on a hot loop at a low
+/// threshold, on both target kinds: traces are formed, dispatched
+/// repeatedly, and side exits (the dominant successor prediction missing
+/// on a data-dependent branch) are exercised; with the threshold out of
+/// reach no trace forms. Either way the result is bit-identical to the
+/// reference loop.
 #[test]
-fn superblock_scalar_traces_and_side_exits_exercised() {
-    let m = MachineDescription::all_presets()
-        .into_iter()
-        .find(|m| m.target == TargetKind::Scalar)
-        .expect("at least one scalar preset");
+fn superblock_traces_and_side_exits_exercised() {
     let w = asip_workloads::by_name("sort").unwrap();
-    let module = frontend(&w);
-    let compiled = compile_module_scalar(&module, &m, None, &BackendOptions::default()).unwrap();
-    let r = reference::run_scalar_reference(
-        &m,
-        &compiled.program,
-        &w.inputs,
-        &w.args,
-        SimOptions::default(),
-    )
-    .unwrap();
-    for t in THRESHOLDS {
-        let engine = BlockScalar::new(&m, &compiled.program).unwrap();
-        let got = engine
-            .run_with_inputs(&w.inputs, &w.args, opts(SimEngine::Block, t))
-            .unwrap();
-        let tier = (
-            engine.traces_formed() > 0,
-            engine.trace_entries() > 0,
-            engine.trace_side_exits() > 0,
-        );
-        let fires = t != u32::MAX;
-        assert_eq!(
-            tier,
-            (fires, fires, fires),
-            "block@{t}: (formed, entered, side-exited)"
-        );
-        assert_fields(&got, &r, &format!("block@{t}, sort on scalar preset"));
+    for m in [MachineDescription::ember4(), MachineDescription::scalar1()] {
+        for t in THRESHOLDS {
+            let (got, tiers, r) = block_and_reference(&m, &w, opts(SimEngine::Block, t));
+            let tier = (
+                tiers.traces_formed > 0,
+                tiers.trace_entries > 0,
+                tiers.trace_side_exits > 0,
+            );
+            let fires = t != u32::MAX;
+            assert_eq!(
+                tier,
+                (fires, fires, fires),
+                "block@{t} on {}: (formed, entered, side-exited)",
+                m.name
+            );
+            assert_fields(&got, &r, &format!("block@{t}, sort on {}", m.name));
+        }
     }
 }
 
 /// With a tiny I-cache the trace-entry residency probe must sometimes
 /// fail (evicted lines inside the chained path), falling back to the
 /// plain block dispatcher — exactly, with the fallback counter moving
-/// only when traces can form.
+/// only when traces can form — on both target kinds.
 #[test]
 fn superblock_guard_failure_fallback_exercised() {
-    let m = MachineDescription::ember4().derive("ember4-tinyic", |m| {
-        m.icache = Some(ICacheConfig {
-            size_bytes: 256,
-            line_bytes: 16,
-            ways: 1,
-            miss_penalty: 9,
-        });
-        m.encoding = asip_isa::Encoding::Uncompressed;
-    });
     let w = asip_workloads::by_name("sort").unwrap();
-    let program = vliw_program(&m, &w);
-    let r = reference::run_vliw_reference(&m, &program, &w.inputs, &w.args, SimOptions::default())
-        .unwrap();
-    for t in THRESHOLDS {
-        let engine = BlockVliw::new(&m, &program).unwrap();
-        let got = engine
-            .run_with_inputs(&w.inputs, &w.args, opts(SimEngine::Block, t))
-            .unwrap();
-        assert_eq!(
-            engine.trace_fallbacks() > 0,
-            t != u32::MAX,
-            "block@{t}: cold chained lines must fall back to the block dispatcher"
-        );
-        assert_fields(&got, &r, &format!("block@{t}, sort on ember4-tinyic"));
+    for base in &pinned_machines() {
+        let mut m = tiny_icache(base, 256);
+        m.encoding = asip_isa::Encoding::Uncompressed;
+        for t in THRESHOLDS {
+            let (got, tiers, r) = block_and_reference(&m, &w, opts(SimEngine::Block, t));
+            assert_eq!(
+                tiers.trace_fallbacks > 0,
+                t != u32::MAX,
+                "block@{t} on {}: cold chained lines must fall back to the block dispatcher",
+                m.name
+            );
+            assert_fields(&got, &r, &format!("block@{t}, sort on {}", m.name));
+        }
     }
 }
 
 /// Near the cycle limit the block engine's conservative `last_issue`
 /// entry guards must hand over to the slow path, and both engines must
-/// agree on exactly where `CycleLimit` trips.
+/// agree on exactly where `CycleLimit` trips, on both target kinds.
 #[test]
 fn block_cycle_limit_matches_reference() {
     let w = asip_workloads::by_name("fir").unwrap();
-    let m = MachineDescription::ember4();
-    let program = vliw_program(&m, &w);
-    let run = |o: SimOptions| {
-        let mut sim = Simulator::new(&m, &program, o).unwrap();
-        for (name, data) in &w.inputs {
-            sim.write_global(name, data);
-        }
-        sim.run(&w.args)
-    };
-    let full = run(reference_opts()).expect("fir completes under the default limit");
-    for max_cycles in [
-        full.cycles / 2,
-        full.cycles - 1,
-        full.cycles,
-        full.cycles + 1,
-    ] {
-        let limit = |o: SimOptions| SimOptions { max_cycles, ..o };
-        let r = run(limit(reference_opts()));
-        for t in THRESHOLDS {
-            let b = run(limit(opts(SimEngine::Block, t)));
-            assert_eq!(b, r, "block@{t} vs reference at max_cycles={max_cycles}");
+    let module = frontend(&w);
+    for m in &pinned_machines() {
+        let run = runner(m, &module, None, &w.inputs);
+        let full = run(reference_opts(), &w.args).expect("fir completes under the default limit");
+        for max_cycles in [
+            full.cycles / 2,
+            full.cycles - 1,
+            full.cycles,
+            full.cycles + 1,
+        ] {
+            let limit = |o: SimOptions| SimOptions { max_cycles, ..o };
+            let r = run(limit(reference_opts()), &w.args);
+            for t in THRESHOLDS {
+                let b = run(limit(opts(SimEngine::Block, t)), &w.args);
+                assert_eq!(
+                    b, r,
+                    "block@{t} vs reference on {} at max_cycles={max_cycles}",
+                    m.name
+                );
+            }
         }
     }
 }
@@ -638,7 +619,6 @@ fn memory_image_edges_match_reference() {
     let mut module = asip_tinyc::compile(src).unwrap();
     optimize(&mut module, &OptConfig::default());
     for m in &[MachineDescription::ember4(), MachineDescription::scalar1()] {
-        type Run<'a> = Box<dyn Fn(SimOptions, &[i32]) -> Result<SimResult, SimError> + 'a>;
         let run: Run = match m.target {
             TargetKind::Vliw => {
                 let p = compile_module(&module, m, None, &BackendOptions::default())

@@ -145,7 +145,7 @@ proptest! {
     /// pipeline simulator and the interpreter agree on output and globals.
     #[test]
     fn random_scalar_machines_preserve_observables(
-        kernel in 0usize..17,
+        kernel in 0..asip_workloads::all().len(),
         dual_issue in any::<bool>(),
         lat_mul in 1u32..5,
         lat_mem in 1u32..5,
@@ -155,8 +155,7 @@ proptest! {
         with_icache in any::<bool>(),
         regs in 12u16..48,
     ) {
-        let workloads = asip_workloads::all();
-        let w = &workloads[kernel % workloads.len()];
+        let w = &asip_workloads::all()[kernel];
         let m = fuzzed_machine(
             dual_issue,
             lat_mul,
