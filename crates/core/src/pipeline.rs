@@ -653,8 +653,10 @@ impl Toolchain {
     }
 
     /// **Simulate stage** for either artifact kind: dispatches to the VLIW
-    /// or the scalar pipeline model. Never cached — this is the
-    /// measurement.
+    /// or the scalar pipeline model through [`Toolchain::run_compiled`] or
+    /// [`Toolchain::run_compiled_scalar`], so the result is memoized like
+    /// theirs: a repeated identical cell returns the cached [`SimResult`]
+    /// without simulating, and only errors are never cached.
     ///
     /// # Errors
     ///

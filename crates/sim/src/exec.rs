@@ -1,7 +1,8 @@
 //! The decoded tables: a program + machine description compiled **once**
-//! into a dense, flat representation that the block engines
-//! ([`crate::block`]) translate into superops and run their per-pc slow
-//! path over, with no per-cycle table lookups.
+//! into a dense, flat representation that the block engine
+//! ([`crate::block`]) translates into superops and runs its per-pc slow
+//! path over, with no per-cycle table lookups — plus the issue-model
+//! interface through which the one engine serves both target kinds.
 //!
 //! The interpretive loops of [`crate::reference`] re-resolve operands,
 //! re-look-up latencies in the [`MachineDescription`] tables and recompute
@@ -18,17 +19,25 @@
 //! * **Fetch geometry** — encoded byte size and the I-cache line span of
 //!   every pc — is a flat per-pc table, so the I-cache is probed with
 //!   [`crate::ICache::access_lines`] on precomputed line numbers.
-//! * The scalar **dual-issue pairing rule** is precomputed per adjacent
-//!   instruction pair (see `scalar::DecodedScalar`).
+//! * **Same-pc ordering.** A VLIW bundle reads every register before any
+//!   of its writes land and applies its stores at its end; decoding marks
+//!   the few bundles where op order could observe the difference, so
+//!   every other pc writes straight through.
+//!
+//! A pc is a VLIW bundle or a scalar instruction; everything above is
+//! shared. What differs between the two pipelines is the [`IssueModel`],
+//! implemented in `vliw` and `scalar` by the program types themselves —
+//! the issue model follows the program a simulator is built for.
 
-pub(crate) mod scalar;
-pub(crate) mod vliw;
+mod scalar;
+mod vliw;
 
-pub(crate) use scalar::DecodedScalar;
-pub(crate) use vliw::DecodedVliw;
-
+use crate::run::{SimError, SimOptions, SimResult};
 use asip_isa::image::Image;
-use asip_isa::{CustomOpDef, LatClass, MachineDescription, MachineOp, Opcode, Operand, Reg};
+use asip_isa::{
+    CustomOpDef, FuncSym, GlobalSym, LatClass, MachineDescription, MachineOp, Opcode, Operand, Reg,
+};
+use std::fmt;
 
 /// Sentinel LR value meaning "return ends the program".
 pub(crate) const LR_HALT: u32 = u32::MAX;
@@ -44,14 +53,28 @@ pub(crate) enum Src {
 }
 
 /// One machine operation with everything the cycle loop needs pre-baked.
+/// A pc's ops are consecutive in the decoded op pool, so the executor can
+/// run a whole block's ops as one slice.
 #[derive(Debug, Clone)]
 pub(crate) struct DecodedOp {
     /// What to execute.
     pub kind: ExecKind,
-    /// Result latency in cycles (for the scalar engine this already
+    /// Result latency in cycles (for a scalar pipeline this already
     /// includes the no-forwarding register-file penalty).
-    pub lat: u64,
+    pub lat: u32,
+    /// The op's register, SP or LR result, or its store, waits for the
+    /// end of its pc: a VLIW bundle where a later op reads what an earlier
+    /// op writes, or a load follows a store, keeps read-before-write this
+    /// way.
+    pub defer: bool,
+    /// The last op of a pc with deferred results, which it applies.
+    pub flush: bool,
 }
+
+/// Deferred-write index of the stack pointer (beside the flat registers).
+pub(crate) const SP: u32 = u32::MAX;
+/// Deferred-write index of the link register.
+pub(crate) const LR: u32 = u32::MAX - 1;
 
 /// The pre-decoded form of every executable operation shape.
 #[derive(Debug, Clone)]
@@ -75,8 +98,9 @@ pub(crate) enum ExecKind {
     BrT { cond: Src, target: u32 },
     /// Branch when the condition is zero.
     BrF { cond: Src, target: u32 },
-    /// Call: `LR <- pc + 1`, jump to the callee's resolved entry index.
-    Call { entry: u32 },
+    /// Call: `LR <- ret` (the pc after the call's), jump to the callee's
+    /// resolved entry index.
+    Call { entry: u32, ret: u32 },
     /// Return through LR.
     Ret,
     /// Stop the machine.
@@ -146,7 +170,7 @@ pub(crate) struct CustomPools {
 }
 
 /// A fresh data-memory image: zeroed to `dmem_words`, with `globals`'
-/// initializers applied — the one definition shared by the block engines
+/// initializers applied — the one definition shared by the block engine
 /// and the reference loops, so the image semantics can never drift
 /// between the differential pair. Zero words cost nothing until a run
 /// touches their page (see [`Image`]).
@@ -173,7 +197,7 @@ pub(crate) fn static_data(memory: &[i32], data_words: u32) -> Vec<i32> {
 /// Write named workload inputs into a memory image through the program's
 /// global symbols, truncating to each global's extent and ignoring unknown
 /// names — the same rules [`crate::reference`] applies, shared so the
-/// engines can never drift on input handling.
+/// block engine and the oracle can never drift on input handling.
 pub(crate) fn write_inputs(
     memory: &mut [i32],
     globals: &[asip_isa::GlobalSym],
@@ -186,20 +210,6 @@ pub(crate) fn write_inputs(
             }
         }
     }
-}
-
-/// First-touch entry admission, shared by the block engines' superop
-/// guards and the superblock trace guards: an in-flight write to register
-/// `r` landing at or before `base + touch[r]` — the entry cycle plus the
-/// consumer's first-touch issue offset for `r` — provably cannot change
-/// the consumer's statically-replayed timing, so the fast path stays
-/// valid. `touch` holds `u64::MAX` for registers the consumer never
-/// observes (the saturating add can then never be exceeded).
-#[inline]
-pub(crate) fn admit_ok(carried: &[u32], ready: &[u64], touch: &[u64], base: u64) -> bool {
-    carried
-        .iter()
-        .all(|&r| ready[r as usize] <= base.saturating_add(touch[r as usize]))
 }
 
 /// Flatten a register name against `regs_per_cluster`. Index 0 is the
@@ -225,10 +235,10 @@ pub(crate) fn decode_op(
     m: &MachineDescription,
     fn_entry: &[u32],
     regs_per: u32,
-    lat_extra: u64,
+    lat_extra: u32,
     pools: &mut CustomPools,
 ) -> DecodedOp {
-    let lat = u64::from(m.latency(op.opcode)) + lat_extra;
+    let lat = m.latency(op.opcode) + lat_extra;
     let dst0 = || flat_reg(op.dsts[0], regs_per);
     let src = |i: usize| flat_src(&op.srcs[i], regs_per);
     let kind = match op.opcode {
@@ -253,6 +263,7 @@ pub(crate) fn decode_op(
         },
         Opcode::Call => ExecKind::Call {
             entry: fn_entry[op.target as usize],
+            ret: 0,
         },
         Opcode::Ret => ExecKind::Ret,
         Opcode::Halt => ExecKind::Halt,
@@ -301,7 +312,12 @@ pub(crate) fn decode_op(
             b: src(1),
         },
     };
-    DecodedOp { kind, lat }
+    DecodedOp {
+        kind,
+        lat,
+        defer: false,
+        flush: false,
+    }
 }
 
 /// Dynamic activity deltas one bundle (or instruction) contributes per
@@ -365,4 +381,369 @@ impl ActivityDelta {
         act.custom_ops += self.custom;
         act.custom_area_executed += self.custom_area;
     }
+}
+
+/// One decoded pc — a VLIW bundle or a scalar instruction: its op and
+/// interlock ranges into the flat pools (every pc has at least one op),
+/// its statistics delta and fetch geometry, and the scalar issue flags.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PcMeta {
+    pub(crate) ops: (u32, u32),
+    pub(crate) interlock: (u32, u32),
+    pub(crate) act: ActivityDelta,
+    pub(crate) fetch: FetchInfo,
+    /// Scalar: the instruction can dual-issue with its predecessor under
+    /// the slot table (false for instruction 0).
+    pub(crate) pair_with_prev: bool,
+    /// Scalar: a control op, which seals its issue group.
+    pub(crate) seals: bool,
+}
+
+/// The directories every program kind carries, borrowed.
+#[derive(Debug, Clone, Copy)]
+pub struct Directory<'a> {
+    pub(crate) functions: &'a [FuncSym],
+    pub(crate) globals: &'a [GlobalSym],
+    pub(crate) custom_ops: &'a [CustomOpDef],
+    pub(crate) entry_func: u32,
+    pub(crate) data_words: u32,
+}
+
+/// A program compiled once against a [`MachineDescription`] into the
+/// dense form the block engine executes: per-pc metadata over flat op,
+/// interlock and custom-operand pools. Owns clones of everything it reads
+/// of the machine and program, so a decoding can outlive its inputs.
+#[derive(Debug)]
+pub struct Decoded {
+    pub(crate) machine: MachineDescription,
+    pub(crate) globals: Vec<GlobalSym>,
+    pub(crate) custom_ops: Vec<CustomOpDef>,
+    pub(crate) data_words: u32,
+    /// Every function's entry pc.
+    pub(crate) entries: Vec<u32>,
+    pub(crate) entry_pc: u32,
+    pub(crate) num_args: u32,
+    pub(crate) pcs: Vec<PcMeta>,
+    pub(crate) ops: Vec<DecodedOp>,
+    /// Flat registers each pc reads or writes (its interlock set; the
+    /// hardwired zero register is left out).
+    pub(crate) interlock: Vec<u32>,
+    pub(crate) pools: CustomPools,
+    pub(crate) nregs: usize,
+    /// Issue slots per cycle.
+    pub(crate) width: u64,
+    pub(crate) branch_penalty: u64,
+}
+
+impl Decoded {
+    /// Empty tables for `dir`'s program on `machine`, with `nregs` flat
+    /// registers and `width` issue slots; the issue model's decoder then
+    /// [`push`](Decoded::push)es every pc in order.
+    pub(crate) fn new(
+        machine: &MachineDescription,
+        dir: Directory<'_>,
+        nregs: usize,
+        width: usize,
+    ) -> Self {
+        let entry = &dir.functions[dir.entry_func as usize];
+        Decoded {
+            machine: machine.clone(),
+            globals: dir.globals.to_vec(),
+            custom_ops: dir.custom_ops.to_vec(),
+            data_words: dir.data_words,
+            entries: dir.functions.iter().map(|f| f.entry).collect(),
+            entry_pc: entry.entry,
+            num_args: entry.num_args,
+            pcs: Vec::new(),
+            ops: Vec::new(),
+            interlock: Vec::new(),
+            pools: CustomPools::default(),
+            nregs,
+            width: width as u64,
+            branch_penalty: u64::from(machine.branch_penalty),
+        }
+    }
+
+    /// Decode the next pc from its machine ops, fetched as `bytes` bytes at
+    /// `addr`, with `lat_extra` added to every result latency.
+    pub(crate) fn push<'a>(
+        &mut self,
+        ops: impl IntoIterator<Item = &'a MachineOp>,
+        addr: u32,
+        bytes: u32,
+        lat_extra: u32,
+    ) -> &mut PcMeta {
+        let regs_per = u32::from(self.machine.regs_per_cluster);
+        let (o0, i0) = (self.ops.len(), self.interlock.len() as u32);
+        let mut act = ActivityDelta::default();
+        for op in ops {
+            act.add_op(op, &self.custom_ops);
+            for r in op.reads().chain(op.dsts.iter().copied()) {
+                let r = flat_reg(r, regs_per);
+                if r != 0 {
+                    self.interlock.push(r);
+                }
+            }
+            let op = decode_op(
+                op,
+                &self.machine,
+                &self.entries,
+                regs_per,
+                lat_extra,
+                &mut self.pools,
+            );
+            self.ops.push(op);
+        }
+        if self.ops.len() == o0 {
+            // An empty bundle still occupies its pc in the op stream.
+            self.ops.push(DecodedOp {
+                kind: ExecKind::Nop,
+                lat: 0,
+                defer: false,
+                flush: false,
+            });
+        }
+        // Defer only where op order is observable: a register, SP or LR an
+        // earlier op of the pc writes is read by a later one, or a load
+        // follows a store. Everything else writes straight through.
+        let (mut written, mut stored) = (Vec::new(), false);
+        let (mut defer_writes, mut defer_stores) = (false, false);
+        let pc = self.pcs.len() as u32;
+        for op in &mut self.ops[o0..] {
+            let (link_read, link_write) = match op.kind {
+                ExecKind::AddSp { .. } => (Some(SP), Some(SP)),
+                ExecKind::MovFromSp { .. } => (Some(SP), None),
+                ExecKind::MovFromLr { .. } | ExecKind::Ret => (Some(LR), None),
+                ExecKind::MovToLr { .. } => (None, Some(LR)),
+                ExecKind::Call { ref mut ret, .. } => {
+                    *ret = pc + 1;
+                    (None, Some(LR))
+                }
+                _ => (None, None),
+            };
+            for_each_read(op, &self.pools, &mut |r| {
+                defer_writes |= written.contains(&r)
+            });
+            defer_writes |= link_read.is_some_and(|r| written.contains(&r));
+            for_each_write(op, &self.pools, &mut |w| written.push(w));
+            written.extend(link_write);
+            defer_stores |= stored && matches!(op.kind, ExecKind::Ldw { .. });
+            stored |= matches!(op.kind, ExecKind::Stw { .. });
+        }
+        for op in &mut self.ops[o0..] {
+            op.defer = if matches!(op.kind, ExecKind::Stw { .. }) {
+                defer_stores
+            } else {
+                defer_writes
+            };
+        }
+        self.ops.last_mut().expect("at least one op").flush = defer_writes || defer_stores;
+        let line_bytes = self.machine.icache.map(|c| c.line_bytes);
+        self.pcs.push(PcMeta {
+            ops: (o0 as u32, self.ops.len() as u32),
+            interlock: (i0, self.interlock.len() as u32),
+            act,
+            fetch: FetchInfo::new(addr, bytes, line_bytes),
+            pair_with_prev: false,
+            seals: false,
+        });
+        self.pcs.last_mut().expect("just pushed")
+    }
+
+    /// The decoded ops of `pc`.
+    #[inline(always)]
+    pub(crate) fn ops_of(&self, pc: u32) -> &[DecodedOp] {
+        let (lo, hi) = self.pcs[pc as usize].ops;
+        &self.ops[lo as usize..hi as usize]
+    }
+
+    /// The pc whose ops include the decoded op at `index`.
+    pub(crate) fn pc_of(&self, index: usize) -> u32 {
+        self.pcs.partition_point(|m| m.ops.1 as usize <= index) as u32
+    }
+
+    /// The interlock set of `pc`.
+    #[inline(always)]
+    pub(crate) fn interlock_of(&self, pc: u32) -> &[u32] {
+        let (lo, hi) = self.pcs[pc as usize].interlock;
+        &self.interlock[lo as usize..hi as usize]
+    }
+}
+
+/// Visit one decoded op's register *reads* (flat indices), including the
+/// shared custom-op source pool.
+pub(crate) fn for_each_read(op: &DecodedOp, pools: &CustomPools, f: &mut impl FnMut(u32)) {
+    let mut src = |s: &Src| {
+        if let Src::Reg(r) = *s {
+            f(r);
+        }
+    };
+    match &op.kind {
+        ExecKind::Bin { a, b, .. } => {
+            src(a);
+            src(b);
+        }
+        ExecKind::Un { a, .. } => src(a),
+        ExecKind::Ldw { base, .. } => src(base),
+        ExecKind::Stw { val, base, .. } => {
+            src(val);
+            src(base);
+        }
+        ExecKind::BrT { cond, .. } | ExecKind::BrF { cond, .. } => src(cond),
+        ExecKind::Emit { src: s } | ExecKind::MovToLr { src: s } | ExecKind::Mov { src: s, .. } => {
+            src(s);
+        }
+        ExecKind::Select { c, a, b, .. } => {
+            src(c);
+            src(a);
+            src(b);
+        }
+        ExecKind::Custom { srcs, .. } => {
+            for s in &pools.srcs[srcs.0 as usize..srcs.1 as usize] {
+                src(s);
+            }
+        }
+        ExecKind::Br { .. }
+        | ExecKind::Call { .. }
+        | ExecKind::Ret
+        | ExecKind::Halt
+        | ExecKind::AddSp { .. }
+        | ExecKind::MovFromSp { .. }
+        | ExecKind::MovFromLr { .. }
+        | ExecKind::Nop => {}
+    }
+}
+
+/// Visit one decoded op's register *writes* (flat indices), including the
+/// shared custom-op destination pool; the hardwired zero register is left
+/// out.
+pub(crate) fn for_each_write(op: &DecodedOp, pools: &CustomPools, f: &mut impl FnMut(u32)) {
+    let mut dst = |d: u32| {
+        if d != 0 {
+            f(d);
+        }
+    };
+    match &op.kind {
+        ExecKind::Bin { dst: d, .. }
+        | ExecKind::Un { dst: d, .. }
+        | ExecKind::Ldw { dst: d, .. }
+        | ExecKind::MovFromSp { dst: d }
+        | ExecKind::MovFromLr { dst: d }
+        | ExecKind::Mov { dst: d, .. }
+        | ExecKind::Select { dst: d, .. } => dst(*d),
+        ExecKind::Custom { dsts, .. } => {
+            for &d in &pools.dsts[dsts.0 as usize..dsts.1 as usize] {
+                dst(d);
+            }
+        }
+        ExecKind::Stw { .. }
+        | ExecKind::Br { .. }
+        | ExecKind::BrT { .. }
+        | ExecKind::BrF { .. }
+        | ExecKind::Call { .. }
+        | ExecKind::Ret
+        | ExecKind::Halt
+        | ExecKind::Emit { .. }
+        | ExecKind::AddSp { .. }
+        | ExecKind::MovToLr { .. }
+        | ExecKind::Nop => {}
+    }
+}
+
+/// Issue timing, shared by the block engine's static replay (cycles as
+/// offsets from a chain's entry) and its slow path (absolute cycles): the
+/// current issue cycle, the stall and group tallies, and the issue
+/// model's group state. An [`IssueModel`] advances it one pc at a time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Issue<G> {
+    /// Cycle of the current issue point.
+    pub(crate) cycle: u64,
+    /// Interlock stall cycles so far.
+    pub(crate) stalls: u64,
+    /// Issue groups opened so far (one per bundle on a VLIW).
+    pub(crate) groups: u64,
+    pub(crate) group: G,
+}
+
+impl<G> Issue<G> {
+    /// Stall to the latest in-flight ready time on `ready` over `regs`,
+    /// counting the stall; true when there was one.
+    #[inline(always)]
+    pub(crate) fn interlock(&mut self, ready: &[u64], regs: &[u32]) -> bool {
+        let at = regs
+            .iter()
+            .fold(self.cycle, |t, &r| t.max(ready[r as usize]));
+        self.stalls += at - self.cycle;
+        let stalled = at > self.cycle;
+        self.cycle = at;
+        stalled
+    }
+}
+
+/// How one target kind issues its program: everything the block engine
+/// ([`crate::block`]) does differently for a VLIW and a scalar pipeline.
+/// Implemented by [`asip_isa::VliwProgram`] (bundles under a
+/// whole-machine interlock) and [`asip_isa::ScalarProgram`] (1–2-wide
+/// in-order issue groups); crate-internal, so no other model exists.
+///
+/// The timing methods act on an [`Issue`] and a ready-time scoreboard, so
+/// the one rule serves both the static replay that builds superops
+/// (against a chain-local scoreboard) and the exact per-pc slow path
+/// (against the run's).
+pub trait IssueModel: Clone + fmt::Debug + Send + Sync + 'static {
+    /// The issue-group state carried from one pc to the next; the default
+    /// is an empty group, and any other state is an open one (an I-cache
+    /// miss closes it, one cycle later).
+    type Group: Copy + Default + PartialEq + fmt::Debug + Send + Sync;
+    /// The entry state of a block's half-open replay variant.
+    const HALF_OPEN: Self::Group;
+    /// Cycles a taken transfer or a halt adds to close the issue group
+    /// open at that point: a VLIW bundle's cycle is already counted when
+    /// it issues, a scalar group closes lazily.
+    const CLOSE: u64;
+    /// Whether a pc can hold several ops whose order could observe each
+    /// other's results (a VLIW bundle); a scalar instruction cannot, so
+    /// its executor never checks for deferred results.
+    const DEFERS: bool;
+
+    /// Static validation against `machine`.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidProgram`] naming the first violation.
+    fn validate(&self, machine: &MachineDescription) -> Result<(), SimError>;
+
+    /// The program's directories.
+    fn directory(&self) -> Directory<'_>;
+
+    /// Decode a validated program for `machine`.
+    fn decode(&self, machine: &MachineDescription) -> Decoded;
+
+    /// Run the program on the interpretive oracle ([`crate::reference`]).
+    ///
+    /// # Errors
+    ///
+    /// Any [`SimError`].
+    fn reference(
+        &self,
+        machine: &MachineDescription,
+        inputs: &[(String, Vec<i32>)],
+        args: &[i32],
+        opts: SimOptions,
+    ) -> Result<SimResult, SimError>;
+
+    /// Issue `pc`: advance `t` past any structural break and interlock
+    /// stall (against `ready`) to `pc`'s issue cycle, counting stalls and
+    /// opened groups.
+    fn issue(d: &Decoded, t: &mut Issue<Self::Group>, ready: &[u64], pc: u32);
+
+    /// `pc` has issued and run: what that does to the issue state before
+    /// any taken transfer or halt closes it.
+    fn issued(d: &Decoded, t: &mut Issue<Self::Group>, pc: u32);
+
+    /// Entering the block that starts at `pc` with group state `g`:
+    /// whether it runs as its half-open replay variant (`HALF_OPEN`, else
+    /// the empty-group one), and the cycles by which the variant's entry
+    /// trails the current cycle.
+    fn entry(d: &Decoded, g: Self::Group, pc: u32) -> (bool, u64);
 }

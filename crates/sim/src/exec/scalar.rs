@@ -1,139 +1,119 @@
-//! The decoded scalar tables: flat operands, baked latencies, fetch
-//! geometry and a precomputed adjacent-pair dual-issue bit per
-//! instruction.
+//! The scalar issue model: 1–2-wide in-order issue groups.
 //!
 //! Timing semantics are the reference model's (see [`crate::reference`]
-//! and the module docs of [`crate::scalar`]): 1–2-wide in-order issue,
-//! the slot table as the dynamic pairing rule, a per-register ready-time
-//! scoreboard with forwarding/+1-no-bypass, load-use and taken-branch
-//! stalls, and sequential architectural state. What moved to decode time:
-//!
-//! * Operand resolution, latency lookup (the no-forwarding penalty is baked
-//!   into each op's latency), activity classification, fetch byte/line
-//!   geometry.
-//! * The **dual-issue pairing check**: an issue group of an in-order 2-wide
-//!   front end only ever holds the dynamically previous instruction, which
-//!   on a fall-through is the one at `pc - 1` — so the bipartite slot
-//!   matching collapses to one precomputed `pair_with_prev` bit per
-//!   adjacent instruction pair.
+//! and the module docs of [`crate::scalar`]): the slot table as the
+//! dynamic pairing rule, a per-register ready-time scoreboard with
+//! forwarding/+1-no-bypass (the no-forwarding penalty is baked into each
+//! op's latency), load-use and taken-branch stalls, and sequential
+//! architectural state. The **dual-issue pairing check** moved to decode
+//! time: an issue group of an in-order 2-wide front end only ever holds
+//! the dynamically previous instruction, which on a fall-through is the
+//! one at `pc - 1` — so the bipartite slot matching collapses to one
+//! precomputed `pair_with_prev` bit per adjacent instruction pair.
 
-use super::{CustomPools, DecodedOp, FetchInfo};
-use crate::run::SimError;
+use super::{Decoded, Directory, Issue, IssueModel};
+use crate::run::{SimError, SimOptions, SimResult};
 use crate::scalar::group_fits;
 use asip_isa::scalar::scalar_inst_bytes;
-use asip_isa::{MachineDescription, Opcode, ScalarProgram};
+use asip_isa::{MachineDescription, ScalarProgram};
 
-/// One fully pre-decoded instruction: the op plus everything the pipeline
-/// loop consults per fetch, in one cache-friendly record.
-#[derive(Debug, Clone)]
-pub(crate) struct Inst {
-    pub(crate) op: DecodedOp,
-    pub(crate) interlock: (u32, u32),
-    /// Activity-class index (`LatClass` order), counted with one indexed
-    /// add per instruction instead of a branch tree.
-    pub(crate) class: u8,
-    /// Pre-rounded custom-datapath area charged per execution (0 for base
-    /// ops).
-    pub(crate) custom_area: u32,
-    /// Fall-through control ops still seal their issue group.
-    pub(crate) seals: bool,
-    /// Whether this instruction can dual-issue with its *predecessor*
-    /// under the slot table (false for instruction 0). Stored on the
-    /// current instruction so the structural check never touches the
-    /// previous instruction's record.
-    pub(crate) pair_with_prev: bool,
-    pub(crate) fetch: FetchInfo,
+/// The open issue group: how many instructions it holds, and whether a
+/// control op sealed it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Group {
+    len: u64,
+    closed: bool,
 }
 
-/// A [`ScalarProgram`] compiled once against a [`MachineDescription`] into
-/// the dense form the block engine executes. Owns clones of the machine
-/// and program, so a decoding can outlive its inputs.
-#[derive(Debug)]
-pub(crate) struct DecodedScalar {
-    pub(crate) machine: MachineDescription,
-    pub(crate) program: ScalarProgram,
-    pub(crate) insts: Vec<Inst>,
-    /// Flat registers each instruction reads or writes (hazard set).
-    pub(crate) interlock: Vec<u32>,
-    pub(crate) pools: CustomPools,
-    pub(crate) entry_pc: u32,
-    pub(crate) num_args: u32,
-    pub(crate) nregs: usize,
-    pub(crate) width: usize,
-    pub(crate) branch_penalty: u64,
-}
+impl IssueModel for ScalarProgram {
+    type Group = Group;
+    /// A group holding the block's fall-through predecessor.
+    const HALF_OPEN: Group = Group {
+        len: 1,
+        closed: false,
+    };
+    const CLOSE: u64 = 1;
+    const DEFERS: bool = false;
 
-impl DecodedScalar {
-    /// Validate `program` against the scalar pipeline of `machine`, then
-    /// decode it.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidProgram`] if the program fails static validation
-    /// against the machine.
-    pub(crate) fn new(
-        machine: &MachineDescription,
-        program: &ScalarProgram,
-    ) -> Result<DecodedScalar, SimError> {
-        program
-            .validate(machine)
-            .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
-        let regs_per = u32::from(machine.regs_per_cluster);
-        let layout = program.layout(machine.encoding);
-        let line_bytes = machine.icache.map(|c| c.line_bytes);
-        let fn_entry: Vec<u32> = program.functions.iter().map(|f| f.entry).collect();
-        // Extra forwarding cost: without bypass, results take one more
-        // cycle through the register file before a consumer can issue.
-        let fwd_extra = u64::from(!machine.forwarding);
+    fn validate(&self, machine: &MachineDescription) -> Result<(), SimError> {
+        ScalarProgram::validate(self, machine).map_err(|e| SimError::InvalidProgram(e.to_string()))
+    }
 
-        let n = program.insts.len();
-        let mut insts = Vec::with_capacity(n);
-        let mut interlock = Vec::new();
-        let mut pools = CustomPools::default();
-        for (pc, op) in program.insts.iter().enumerate() {
-            let bytes = scalar_inst_bytes(op, machine.encoding);
-            let i0 = interlock.len() as u32;
-            for r in op.reads().chain(op.dsts.iter().copied()) {
-                if !r.is_zero() {
-                    interlock.push(super::flat_reg(r, regs_per));
-                }
-            }
-            let custom_area = match op.opcode {
-                Opcode::Custom(k) => program
-                    .custom_ops
-                    .get(k as usize)
-                    .map(|def| def.area.round() as u32)
-                    .unwrap_or(0),
-                _ => 0,
-            };
-            let pair_with_prev = pc > 0
-                && group_fits(
-                    &machine.slots,
-                    &[program.insts[pc - 1].opcode.fu_kind()],
-                    op.opcode.fu_kind(),
-                );
-            insts.push(Inst {
-                op: super::decode_op(op, machine, &fn_entry, regs_per, fwd_extra, &mut pools),
-                interlock: (i0, interlock.len() as u32),
-                class: op.opcode.lat_class() as u8,
-                custom_area,
-                seals: op.opcode.is_control(),
-                pair_with_prev,
-                fetch: FetchInfo::new(layout.inst_addr[pc], bytes, line_bytes),
-            });
+    fn directory(&self) -> Directory<'_> {
+        Directory {
+            functions: &self.functions,
+            globals: &self.globals,
+            custom_ops: &self.custom_ops,
+            entry_func: self.entry_func,
+            data_words: self.data_words,
         }
-        let entry = &program.functions[program.entry_func as usize];
-        Ok(DecodedScalar {
-            machine: machine.clone(),
-            program: program.clone(),
-            insts,
-            interlock,
-            pools,
-            entry_pc: entry.entry,
-            num_args: entry.num_args,
-            nregs: regs_per as usize,
-            width: machine.issue_width().clamp(1, 2),
-            branch_penalty: u64::from(machine.branch_penalty),
-        })
+    }
+
+    fn decode(&self, machine: &MachineDescription) -> Decoded {
+        let regs_per = machine.regs_per_cluster as usize;
+        let width = machine.issue_width().clamp(1, 2);
+        let mut d = Decoded::new(machine, self.directory(), regs_per, width);
+        let addr = self.layout(machine.encoding).inst_addr;
+        // Without bypass, results take one more cycle through the
+        // register file before a consumer can issue.
+        let fwd_extra = u32::from(!machine.forwarding);
+        let mut prev = None;
+        for (op, &addr) in self.insts.iter().zip(&addr) {
+            let bytes = scalar_inst_bytes(op, machine.encoding);
+            let meta = d.push([op], addr, bytes, fwd_extra);
+            let kind = op.opcode.fu_kind();
+            meta.pair_with_prev = prev.is_some_and(|p| group_fits(&machine.slots, &[p], kind));
+            meta.seals = op.opcode.is_control();
+            prev = Some(kind);
+        }
+        d
+    }
+
+    fn reference(
+        &self,
+        machine: &MachineDescription,
+        inputs: &[(String, Vec<i32>)],
+        args: &[i32],
+        opts: SimOptions,
+    ) -> Result<SimResult, SimError> {
+        crate::reference::run_scalar_reference(machine, self, inputs, args, opts)
+    }
+
+    /// Open a new group when the current one is full, sealed, or has no
+    /// distinct-slot assignment for this instruction, then again after any
+    /// data-hazard stall; a control op never shares a group with a later
+    /// instruction.
+    #[inline(always)]
+    fn issue(d: &Decoded, t: &mut Issue<Group>, ready: &[u64], pc: u32) {
+        let g = t.group;
+        if g.len >= d.width || g.closed || (g.len == 1 && !d.pcs[pc as usize].pair_with_prev) {
+            t.cycle += 1;
+            t.group = Group::default();
+        }
+        if t.interlock(ready, d.interlock_of(pc)) {
+            t.group = Group::default();
+        }
+        t.group.len += 1;
+        t.groups += u64::from(t.group.len == 1);
+    }
+
+    /// A control op seals its group.
+    #[inline(always)]
+    fn issued(d: &Decoded, t: &mut Issue<Group>, pc: u32) {
+        t.group.closed |= d.pcs[pc as usize].seals;
+    }
+
+    /// A full or sealed group forces a structural break before the first
+    /// instruction, as does a one-instruction group the first instruction
+    /// cannot pair with: exactly the empty-group variant one cycle later.
+    #[inline(always)]
+    fn entry(d: &Decoded, g: Group, pc: u32) -> (bool, u64) {
+        if g.len == 0 {
+            (false, 0)
+        } else if g.len == 1 && !g.closed && g.len < d.width && d.pcs[pc as usize].pair_with_prev {
+            (true, 0)
+        } else {
+            (false, 1)
+        }
     }
 }

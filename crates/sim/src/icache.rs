@@ -64,10 +64,10 @@ impl ICache {
     }
 
     /// Access the inclusive line-number span `[first, last]`; returns the
-    /// number of misses incurred. The block engines ([`crate::block`])
-    /// compute every pc's span once at decode time and call this directly,
-    /// so the per-fetch address arithmetic (and the per-fetch byte-size
-    /// recomputation that fed it) is gone from their cycle loops.
+    /// number of misses incurred. The block engine ([`crate::block`])
+    /// computes every pc's span once at decode time and calls this
+    /// directly, so the per-fetch address arithmetic (and the per-fetch
+    /// byte-size recomputation that fed it) is gone from its cycle loops.
     #[inline]
     pub fn access_lines(&mut self, first: u64, last: u64) -> u32 {
         let mut misses = 0;
@@ -129,7 +129,7 @@ impl ICache {
 
     /// Read-only residency probe: whether `lineno` is currently cached,
     /// with **no** state change (no tick, no LRU stamp, no counters). The
-    /// block-compiled engines ([`crate::block`]) probe a superop's whole
+    /// block-compiled engine ([`crate::block`]) probes a superop's whole
     /// line set first and only touch the lines (via
     /// [`ICache::access_lines`]) once every probe hits — a miss anywhere
     /// sends the block to the interpretive slow path, which replays the

@@ -22,9 +22,14 @@
 //! ## One engine plus the oracle
 //!
 //! Fast candidate evaluation is what makes instruction-set exploration
-//! tractable, so every run is served by one engine per target,
-//! [`BlockVliw`] / [`BlockScalar`] ([`SimEngine::Block`], the default).
-//! [`Simulator::new`] and [`ScalarSimulator::new`] build it:
+//! tractable, so every run of either target kind is served by one engine,
+//! [`BlockEngine`] ([`SimEngine::Block`], the default), generic over the
+//! program type: the program's issue model — bundles under a whole-machine
+//! interlock, or 1–2-wide scalar issue groups — supplies the only timing
+//! rules that differ, and everything else (decoding, translation, the
+//! trace tier, dispatch, the one op executor) is shared. [`Simulator::new`]
+//! builds it for a [`asip_isa::VliwProgram`] and, as
+//! [`ScalarSimulator`], for a [`asip_isa::ScalarProgram`]:
 //!
 //! * **Decode once.** The program + machine description become dense
 //!   tables — operands as flat register indices, latencies, activity
@@ -35,11 +40,12 @@
 //!   translated on first visit into superops whose static costs (issue
 //!   cycles, interlock stalls against a block-entry scoreboard, fetch
 //!   bytes, activity deltas, touched I-cache lines) are folded at
-//!   translate time. Entry guards (block-start pc, admissible in-flight
-//!   writes, resident I-cache lines, headroom under the cycle limit)
-//!   decide per dispatch whether the superop applies; when any guard
-//!   fails, execution runs an exact per-pc cycle loop for one pc and
-//!   re-attempts fast dispatch at the next block boundary.
+//!   translate time by replaying the issue model's timing rule. Entry
+//!   guards (block-start pc, admissible in-flight writes, resident I-cache
+//!   lines, headroom under the cycle limit) decide per dispatch whether
+//!   the superop applies; when any guard fails, execution runs the same
+//!   timing rule exactly, cycle by cycle, for one pc and re-attempts fast
+//!   dispatch at the next block boundary.
 //! * **Superblock traces.** The dispatcher counts dispatches of in-loop
 //!   block leaders and records each block's dominant successor with a
 //!   Boyer–Moore majority sketch. When a leader crosses the promotion
@@ -87,7 +93,7 @@ pub mod reference;
 pub mod run;
 pub mod scalar;
 
-pub use block::{BlockScalar, BlockVliw};
+pub use block::{BlockEngine, BlockStats};
 pub use icache::ICache;
 pub use run::{run_program, SimEngine, SimError, SimOptions, SimResult, Simulator};
 pub use scalar::{run_scalar_program, ScalarSimulator};

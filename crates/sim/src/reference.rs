@@ -1,17 +1,18 @@
 //! The original interpretive cycle loops, preserved as the differential
-//! oracle for the block engines in [`crate::block`].
+//! oracle for the block engine in [`crate::block`].
 //!
 //! These are the pre-refactor simulators, byte-for-byte in behavior: they
 //! re-resolve operands against [`Operand`]s, look latencies and encodings
 //! up in the [`MachineDescription`] tables on every cycle, track in-flight
 //! writes in a scanned vector and allocate per-bundle scratch — exactly
-//! what the block engines optimize away. The workspace differential suite
-//! (`crates/sim/tests/decoded_differential.rs`) pins that both engines
-//! produce identical [`SimResult`]s — every stall and activity counter
-//! included — over all presets × all kernels and fuzzed machine
+//! what the block engine optimizes away. The workspace differential suite
+//! (`crates/sim/tests/decoded_differential.rs`) pins that the engine and
+//! these loops produce identical [`SimResult`]s — every stall and activity
+//! counter included — over all presets × all kernels and fuzzed machine
 //! configurations; the microbenchmarks in `crates/bench` measure the
 //! speedup against them.
 
+use crate::exec::{initial_memory, static_data, write_inputs};
 use crate::icache::ICache;
 use crate::run::{SimError, SimOptions, SimResult};
 use crate::scalar::group_fits;
@@ -35,18 +36,6 @@ fn count_activity(act: &mut ActivityCounts, op: Opcode) {
         LatClass::Copy => act.copy_ops += 1,
         LatClass::Custom => act.custom_ops += 1,
     }
-}
-
-fn load_memory(dmem_words: u32, globals: &[asip_isa::GlobalSym]) -> asip_isa::image::Image {
-    crate::exec::initial_memory(dmem_words, globals)
-}
-
-fn write_inputs(
-    memory: &mut [i32],
-    globals: &[asip_isa::GlobalSym],
-    inputs: &[(String, Vec<i32>)],
-) {
-    crate::exec::write_inputs(memory, globals, inputs);
 }
 
 /// Run `program` on the reference (pre-decoded-era) VLIW cycle loop:
@@ -76,7 +65,7 @@ pub fn run_vliw_reference(
         });
     }
     let layout = layout(program, machine);
-    let mut memory = load_memory(machine.dmem_words, &program.globals);
+    let mut memory = initial_memory(machine.dmem_words, &program.globals);
     write_inputs(&mut memory, &program.globals, inputs);
 
     // Stack setup: arguments at the very top; SP points at the first.
@@ -325,7 +314,7 @@ pub fn run_vliw_reference(
 
     out.cycles = cycle;
     out.activity.cycles = cycle;
-    out.memory = crate::exec::static_data(&memory, program.data_words);
+    out.memory = static_data(&memory, program.data_words);
     Ok(out)
 }
 
@@ -356,7 +345,7 @@ pub fn run_scalar_reference(
             got: args.len() as u32,
         });
     }
-    let mut memory = load_memory(machine.dmem_words, &program.globals);
+    let mut memory = initial_memory(machine.dmem_words, &program.globals);
     write_inputs(&mut memory, &program.globals, inputs);
 
     // Stack setup: arguments at the very top; SP points at the first.
@@ -615,6 +604,6 @@ pub fn run_scalar_reference(
     out.activity.cycles = cycle;
     out.activity.idle_slots =
         (out.activity.bundles * width as u64).saturating_sub(out.ops_executed);
-    out.memory = crate::exec::static_data(&memory, program.data_words);
+    out.memory = static_data(&memory, program.data_words);
     Ok(out)
 }

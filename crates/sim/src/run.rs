@@ -16,12 +16,16 @@
 //!
 //! Taken control transfers pay the machine's branch penalty.
 //!
+//! [`Simulator`] serves both target kinds: its program type selects the
+//! pipeline model (this one for a [`VliwProgram`], the default;
+//! [`crate::scalar`]'s for an [`asip_isa::ScalarProgram`]).
 //! [`Simulator::new`] prepares the program for the engine
 //! [`SimOptions::engine`] names: the block engine ([`crate::block`]) by
 //! default, or the original interpretive loop ([`crate::reference`]), kept
 //! as the differential oracle.
 
-use crate::block::BlockVliw;
+use crate::block::BlockEngine;
+use crate::exec::IssueModel;
 use asip_isa::codec::{Codec, CodecError, Reader, Writer};
 use asip_isa::{ActivityCounts, MachineDescription, VliwProgram};
 use std::fmt;
@@ -144,7 +148,7 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Result of a successful simulation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimResult {
     /// Values produced by `emit`, in order.
     pub output: Vec<i32>,
@@ -354,24 +358,27 @@ impl Codec for SimError {
 /// so the variants' size difference costs nothing worth a box.
 #[derive(Debug)]
 #[allow(clippy::large_enum_variant)]
-enum VliwBackend {
+enum Engine<P: IssueModel> {
     /// The interpretive oracle re-reads the raw program per run, so this
     /// arm carries its own clones instead of a decoding.
     Reference {
         machine: MachineDescription,
-        program: VliwProgram,
+        program: P,
     },
-    Block(BlockVliw),
+    Block(BlockEngine<P>),
 }
 
-/// The simulator. Construct with [`Simulator::new`] — which prepares the
-/// program once for the engine named by [`SimOptions::engine`] — optionally
+/// The simulator of one program, generic over its kind: a
+/// [`VliwProgram`] (the default) or, as [`ScalarSimulator`](crate::ScalarSimulator), an
+/// [`asip_isa::ScalarProgram`]; the program type selects the pipeline
+/// model. Construct with [`Simulator::new`] — which prepares the program
+/// once for the engine named by [`SimOptions::engine`] — optionally
 /// override global data ([`Simulator::write_global`]), then
 /// [`Simulator::run`] any number of times (each run starts from a fresh
 /// memory image).
 #[derive(Debug)]
-pub struct Simulator {
-    backend: VliwBackend,
+pub struct Simulator<P: IssueModel = VliwProgram> {
+    engine: Engine<P>,
     /// Named global overrides recorded by [`Simulator::write_global`],
     /// replayed in order onto a fresh memory image at every run. A fresh
     /// image is an anonymous mapping whose zero pages the kernel supplies
@@ -382,7 +389,7 @@ pub struct Simulator {
     opts: SimOptions,
 }
 
-impl Simulator {
+impl<P: IssueModel> Simulator<P> {
     /// Prepare a simulation: validates the program and block-compiles it
     /// when `opts` selects the block engine.
     ///
@@ -392,41 +399,34 @@ impl Simulator {
     /// against the machine.
     pub fn new(
         machine: &MachineDescription,
-        program: &VliwProgram,
+        program: &P,
         opts: SimOptions,
-    ) -> Result<Simulator, SimError> {
-        let backend = match opts.engine {
+    ) -> Result<Simulator<P>, SimError> {
+        let engine = match opts.engine {
             SimEngine::Reference => {
-                program
-                    .validate(machine)
-                    .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
-                VliwBackend::Reference {
+                program.validate(machine)?;
+                Engine::Reference {
                     machine: machine.clone(),
                     program: program.clone(),
                 }
             }
-            SimEngine::Block => VliwBackend::Block(BlockVliw::new(machine, program)?),
+            SimEngine::Block => Engine::Block(BlockEngine::new(machine, program)?),
         };
         Ok(Simulator {
-            backend,
+            engine,
             overrides: Vec::new(),
             opts,
         })
     }
 
-    /// The engine serving this simulator's runs.
-    pub fn engine(&self) -> SimEngine {
-        self.opts.engine
-    }
-
     /// Overwrite a global before running (workload inputs). Returns false
     /// if the global does not exist.
     pub fn write_global(&mut self, name: &str, data: &[i32]) -> bool {
-        let program = match &self.backend {
-            VliwBackend::Reference { program, .. } => program,
-            VliwBackend::Block(b) => b.program(),
+        let globals = match &self.engine {
+            Engine::Reference { program, .. } => program.directory().globals,
+            Engine::Block(b) => b.globals(),
         };
-        let Some(g) = program.global(name) else {
+        let Some(g) = globals.iter().find(|g| g.name == name) else {
             return false;
         };
         let take = (g.words as usize).min(data.len());
@@ -441,15 +441,11 @@ impl Simulator {
     ///
     /// Any [`SimError`] raised during execution.
     pub fn run(&self, args: &[i32]) -> Result<SimResult, SimError> {
-        match &self.backend {
-            VliwBackend::Reference { machine, program } => crate::reference::run_vliw_reference(
-                machine,
-                program,
-                &self.overrides,
-                args,
-                self.opts,
-            ),
-            VliwBackend::Block(b) => b.run_with_inputs(&self.overrides, args, self.opts),
+        match &self.engine {
+            Engine::Reference { machine, program } => {
+                program.reference(machine, &self.overrides, args, self.opts)
+            }
+            Engine::Block(b) => b.run_with_inputs(&self.overrides, args, self.opts),
         }
     }
 }

@@ -24,120 +24,21 @@
 //! can only cost cycles, never correctness (the same invariant the VLIW
 //! simulator keeps via interlocks).
 //!
-//! [`ScalarSimulator::new`] prepares the program for the engine
-//! [`SimOptions::engine`] names: the block engine ([`crate::block`]) by
-//! default, or the original interpretive loop ([`crate::reference`]), kept
+//! [`ScalarSimulator`] is the one [`Simulator`] instantiated for a
+//! [`ScalarProgram`]: [`Simulator::new`] prepares the program for the
+//! engine [`SimOptions::engine`] names — the block engine
+//! ([`crate::block`]) by default, with this module's model as its issue
+//! model, or the original interpretive loop ([`crate::reference`]), kept
 //! as the differential oracle.
 //!
 //! [`forwarding`]: asip_isa::MachineDescription::forwarding
 //! [`ICache`]: crate::ICache
 
-use crate::block::BlockScalar;
-use crate::run::{SimEngine, SimError, SimOptions, SimResult};
+use crate::run::{SimError, SimOptions, SimResult, Simulator};
 use asip_isa::{MachineDescription, ScalarProgram};
 
-/// The engine a [`ScalarSimulator`] dispatches to, selected by
-/// [`SimOptions::engine`] at construction (unboxed, like
-/// `run::VliwBackend`).
-#[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
-enum ScalarBackend {
-    /// The interpretive oracle re-reads the raw program per run, so this
-    /// arm carries its own clones instead of a decoding.
-    Reference {
-        machine: MachineDescription,
-        program: ScalarProgram,
-    },
-    Block(BlockScalar),
-}
-
-/// The scalar simulator. Construct with [`ScalarSimulator::new`] — which
-/// prepares the program once for the engine named by
-/// [`SimOptions::engine`] — optionally override global data
-/// ([`ScalarSimulator::write_global`]), then [`ScalarSimulator::run`] any
-/// number of times.
-#[derive(Debug)]
-pub struct ScalarSimulator {
-    backend: ScalarBackend,
-    /// Named global overrides recorded by [`ScalarSimulator::write_global`],
-    /// replayed in order onto a fresh memory image at every run.
-    overrides: Vec<(String, Vec<i32>)>,
-    opts: SimOptions,
-}
-
-impl ScalarSimulator {
-    /// Prepare a simulation: validates the program and block-compiles it
-    /// when `opts` selects the block engine.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidProgram`] if the program fails static validation
-    /// against the machine.
-    pub fn new(
-        machine: &MachineDescription,
-        program: &ScalarProgram,
-        opts: SimOptions,
-    ) -> Result<ScalarSimulator, SimError> {
-        let backend = match opts.engine {
-            SimEngine::Reference => {
-                program
-                    .validate(machine)
-                    .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
-                ScalarBackend::Reference {
-                    machine: machine.clone(),
-                    program: program.clone(),
-                }
-            }
-            SimEngine::Block => ScalarBackend::Block(BlockScalar::new(machine, program)?),
-        };
-        Ok(ScalarSimulator {
-            backend,
-            overrides: Vec::new(),
-            opts,
-        })
-    }
-
-    /// The engine serving this simulator's runs.
-    pub fn engine(&self) -> SimEngine {
-        self.opts.engine
-    }
-
-    /// Overwrite a global before running (workload inputs). Returns false
-    /// if the global does not exist.
-    pub fn write_global(&mut self, name: &str, data: &[i32]) -> bool {
-        let program = match &self.backend {
-            ScalarBackend::Reference { program, .. } => program,
-            ScalarBackend::Block(b) => b.program(),
-        };
-        let Some(g) = program.global(name) else {
-            return false;
-        };
-        let take = (g.words as usize).min(data.len());
-        self.overrides
-            .push((name.to_string(), data[..take].to_vec()));
-        true
-    }
-
-    /// Run the program's entry function with the given arguments.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`] raised during execution.
-    pub fn run(&self, args: &[i32]) -> Result<SimResult, SimError> {
-        match &self.backend {
-            ScalarBackend::Reference { machine, program } => {
-                crate::reference::run_scalar_reference(
-                    machine,
-                    program,
-                    &self.overrides,
-                    args,
-                    self.opts,
-                )
-            }
-            ScalarBackend::Block(b) => b.run_with_inputs(&self.overrides, args, self.opts),
-        }
-    }
-}
+/// The scalar simulator: a [`Simulator`] over a [`ScalarProgram`].
+pub type ScalarSimulator = Simulator<ScalarProgram>;
 
 /// Whether the instructions already in an issue group (`kinds`) plus one
 /// more of kind `extra` can all be assigned to *distinct* slots of the

@@ -17,10 +17,10 @@ use asip_backend::{compile_module, compile_module_scalar, BackendOptions};
 use asip_ir::interp::{Interp, InterpOptions, Profile};
 use asip_ir::passes::{optimize, OptConfig};
 use asip_ir::Module;
-use asip_isa::{FuKind, ICacheConfig, MachineDescription, TargetKind};
+use asip_isa::{FuKind, ICacheConfig, MachineDescription, TargetKind, VliwProgram};
 use asip_sim::{
-    reference, BlockScalar, BlockVliw, ScalarSimulator, SimEngine, SimError, SimOptions, SimResult,
-    Simulator,
+    reference, BlockEngine, BlockStats, ScalarSimulator, SimEngine, SimError, SimOptions,
+    SimResult, Simulator,
 };
 use asip_workloads::Workload;
 use proptest::prelude::*;
@@ -406,19 +406,6 @@ fn tiny_icache(base: &MachineDescription, size_bytes: u32) -> MachineDescription
     })
 }
 
-/// The tier counters one block-engine run leaves behind.
-#[derive(Debug)]
-struct Tiers {
-    /// Blocks dispatched as superops.
-    fast_blocks: u64,
-    /// Bundles or instructions run by the per-pc slow path.
-    slow_pcs: u64,
-    traces_formed: u64,
-    trace_entries: u64,
-    trace_side_exits: u64,
-    trace_fallbacks: u64,
-}
-
 /// `w` compiled without a profile for `m` (either target kind), run once
 /// on a fresh block engine under `o` and once on the reference loop:
 /// (block result, the block engine's tier counters, reference result).
@@ -426,19 +413,7 @@ fn block_and_reference(
     m: &MachineDescription,
     w: &Workload,
     o: SimOptions,
-) -> (SimResult, Tiers, SimResult) {
-    macro_rules! tiers {
-        ($engine:expr, $slow_pcs:expr) => {
-            Tiers {
-                fast_blocks: $engine.fast_blocks(),
-                slow_pcs: $slow_pcs,
-                traces_formed: $engine.traces_formed(),
-                trace_entries: $engine.trace_entries(),
-                trace_side_exits: $engine.trace_side_exits(),
-                trace_fallbacks: $engine.trace_fallbacks(),
-            }
-        };
-    }
+) -> (SimResult, BlockStats, SimResult) {
     let module = frontend(w);
     let fail = |e: SimError| panic!("{} on {}: {e}", w.name, m.name);
     match m.target {
@@ -446,25 +421,25 @@ fn block_and_reference(
             let p = compile_module(&module, m, None, &BackendOptions::default())
                 .unwrap()
                 .program;
-            let engine = BlockVliw::new(m, &p).unwrap();
+            let engine = BlockEngine::new(m, &p).unwrap();
             let got = engine
                 .run_with_inputs(&w.inputs, &w.args, o)
                 .unwrap_or_else(fail);
             let r =
                 reference::run_vliw_reference(m, &p, &w.inputs, &w.args, o).unwrap_or_else(fail);
-            (got, tiers!(engine, engine.slow_bundles()), r)
+            (got, engine.stats(), r)
         }
         TargetKind::Scalar => {
             let p = compile_module_scalar(&module, m, None, &BackendOptions::default())
                 .unwrap()
                 .program;
-            let engine = BlockScalar::new(m, &p).unwrap();
+            let engine = BlockEngine::new(m, &p).unwrap();
             let got = engine
                 .run_with_inputs(&w.inputs, &w.args, o)
                 .unwrap_or_else(fail);
             let r =
                 reference::run_scalar_reference(m, &p, &w.inputs, &w.args, o).unwrap_or_else(fail);
-            (got, tiers!(engine, engine.slow_insts()), r)
+            (got, engine.stats(), r)
         }
     }
 }
@@ -480,14 +455,14 @@ fn block_fallback_slow_path_exercised() {
     for base in [MachineDescription::ember4(), MachineDescription::scalar1()] {
         let m = tiny_icache(&base, 512);
         for t in THRESHOLDS {
-            let (got, tiers, r) = block_and_reference(&m, &w, opts(SimEngine::Block, t));
+            let (got, stats, r) = block_and_reference(&m, &w, opts(SimEngine::Block, t));
             assert!(
-                tiers.slow_pcs > 0,
+                stats.slow_pcs > 0,
                 "block@{t} on {}: cold I-cache lines must exercise the slow path",
                 m.name
             );
             assert!(
-                tiers.fast_blocks > 0,
+                stats.fast_blocks > 0,
                 "block@{t} on {}: hot blocks must still dispatch as superops",
                 m.name
             );
@@ -503,14 +478,14 @@ fn block_fallback_slow_path_exercised() {
 fn default_options_form_traces_on_a_hot_loop() {
     let w = asip_workloads::by_name("sort").unwrap();
     for m in &pinned_machines() {
-        let (got, tiers, r) = block_and_reference(m, &w, SimOptions::default());
+        let (got, stats, r) = block_and_reference(m, &w, SimOptions::default());
         assert!(
-            tiers.traces_formed > 0,
+            stats.traces_formed > 0,
             "{}: default options must form traces",
             m.name
         );
         assert!(
-            tiers.trace_entries > 0,
+            stats.trace_entries > 0,
             "{}: formed traces must be dispatched",
             m.name
         );
@@ -529,11 +504,11 @@ fn superblock_traces_and_side_exits_exercised() {
     let w = asip_workloads::by_name("sort").unwrap();
     for m in [MachineDescription::ember4(), MachineDescription::scalar1()] {
         for t in THRESHOLDS {
-            let (got, tiers, r) = block_and_reference(&m, &w, opts(SimEngine::Block, t));
+            let (got, stats, r) = block_and_reference(&m, &w, opts(SimEngine::Block, t));
             let tier = (
-                tiers.traces_formed > 0,
-                tiers.trace_entries > 0,
-                tiers.trace_side_exits > 0,
+                stats.traces_formed > 0,
+                stats.trace_entries > 0,
+                stats.trace_side_exits > 0,
             );
             let fires = t != u32::MAX;
             assert_eq!(
@@ -558,9 +533,9 @@ fn superblock_guard_failure_fallback_exercised() {
         let mut m = tiny_icache(base, 256);
         m.encoding = asip_isa::Encoding::Uncompressed;
         for t in THRESHOLDS {
-            let (got, tiers, r) = block_and_reference(&m, &w, opts(SimEngine::Block, t));
+            let (got, stats, r) = block_and_reference(&m, &w, opts(SimEngine::Block, t));
             assert_eq!(
-                tiers.trace_fallbacks > 0,
+                stats.trace_fallbacks > 0,
                 t != u32::MAX,
                 "block@{t} on {}: cold chained lines must fall back to the block dispatcher",
                 m.name
@@ -669,6 +644,97 @@ fn memory_image_edges_match_reference() {
                 "block@{t} on {}",
                 m.name
             );
+        }
+    }
+}
+
+/// Same-bundle ordering of SP, LR and memory, which no compiled kernel is
+/// known to rely on: a hand-built VLIW program whose bundles write SP or LR,
+/// or store a word, and read it back in a later slot must see the old
+/// value until the bundle ends, on the block engine's fast and slow paths
+/// exactly as on the reference.
+#[test]
+fn same_bundle_reads_of_sp_lr_and_memory_see_the_old_values() {
+    use asip_isa::{Bundle, FuncSym, MachineOp, Opcode, Operand, Reg};
+    let r = |index| Reg { cluster: 0, index };
+    let op = |opcode, dsts: Vec<Reg>, srcs: Vec<Operand>, imm| MachineOp {
+        imm,
+        ..MachineOp::new(opcode, dsts, srcs)
+    };
+    let bundle = |ops: Vec<(usize, MachineOp)>| {
+        let mut b = Bundle::empty(4);
+        for (slot, o) in ops {
+            b.slots[slot] = Some(o);
+        }
+        b
+    };
+    let emit = |index| {
+        bundle(vec![(
+            0,
+            op(Opcode::Emit, vec![], vec![Operand::Reg(r(index))], 0),
+        )])
+    };
+    let program = VliwProgram {
+        machine: "ember4".into(),
+        bundles: vec![
+            bundle(vec![
+                (1, op(Opcode::AddSp, vec![], vec![], -3)),
+                (2, op(Opcode::MovFromSp, vec![r(5)], vec![], 0)),
+            ]),
+            bundle(vec![
+                (1, op(Opcode::MovFromSp, vec![r(6)], vec![], 0)),
+                (2, op(Opcode::MovToLr, vec![], vec![Operand::Imm(9)], 0)),
+                (3, op(Opcode::MovFromLr, vec![r(7)], vec![], 0)),
+            ]),
+            bundle(vec![(1, op(Opcode::MovFromLr, vec![r(8)], vec![], 0))]),
+            bundle(vec![
+                (
+                    0,
+                    op(
+                        Opcode::Stw,
+                        vec![],
+                        vec![Operand::Imm(42), Operand::Imm(0)],
+                        0,
+                    ),
+                ),
+                (3, op(Opcode::Ldw, vec![r(9)], vec![Operand::Imm(0)], 0)),
+            ]),
+            bundle(vec![(
+                3,
+                op(Opcode::Ldw, vec![r(10)], vec![Operand::Imm(0)], 0),
+            )]),
+            emit(5),
+            emit(6),
+            emit(7),
+            emit(8),
+            emit(9),
+            emit(10),
+            bundle(vec![(0, op(Opcode::Halt, vec![], vec![], 0))]),
+        ],
+        functions: vec![FuncSym {
+            name: "main".into(),
+            entry: 0,
+            frame_words: 0,
+            num_args: 0,
+        }],
+        ..VliwProgram::default()
+    };
+    for m in [
+        MachineDescription::ember4(),
+        MachineDescription::ember4().derive("ember4-noic", |m| m.icache = None),
+    ] {
+        let top = m.dmem_words as i32;
+        let r = Simulator::new(&m, &program, reference_opts())
+            .unwrap()
+            .run(&[])
+            .unwrap();
+        assert_eq!(r.output, vec![top, top - 3, -1, 9, 0, 42], "{}", m.name);
+        for t in THRESHOLDS {
+            let b = Simulator::new(&m, &program, opts(SimEngine::Block, t))
+                .unwrap()
+                .run(&[])
+                .unwrap();
+            assert_fields(&b, &r, &format!("block@{t} on {}", m.name));
         }
     }
 }
