@@ -690,11 +690,11 @@ impl<G> Issue<G> {
 /// the one rule serves both the static replay that builds superops
 /// (against a chain-local scoreboard) and the exact per-pc slow path
 /// (against the run's).
-pub trait IssueModel: Clone + fmt::Debug + Send + Sync + 'static {
+pub trait IssueModel: Clone + fmt::Debug {
     /// The issue-group state carried from one pc to the next; the default
     /// is an empty group, and any other state is an open one (an I-cache
     /// miss closes it, one cycle later).
-    type Group: Copy + Default + PartialEq + fmt::Debug + Send + Sync;
+    type Group: Copy + Default + PartialEq + fmt::Debug;
     /// The entry state of a block's half-open replay variant.
     const HALF_OPEN: Self::Group;
     /// Cycles a taken transfer or a halt adds to close the issue group
