@@ -369,7 +369,8 @@ enum Engine<P: IssueModel> {
 }
 
 /// The simulator of one program, generic over its kind: a
-/// [`VliwProgram`] (the default) or, as [`ScalarSimulator`](crate::ScalarSimulator), an
+/// [`VliwProgram`] (the default) or, as
+/// [`ScalarSimulator`](crate::ScalarSimulator), an
 /// [`asip_isa::ScalarProgram`]; the program type selects the pipeline
 /// model. Construct with [`Simulator::new`] — which prepares the program
 /// once for the engine named by [`SimOptions::engine`] — optionally
