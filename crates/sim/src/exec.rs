@@ -438,12 +438,17 @@ pub struct Decoded {
 impl Decoded {
     /// Empty tables for `dir`'s program on `machine`, with `nregs` flat
     /// registers and `width` issue slots; the issue model's decoder then
-    /// [`push`](Decoded::push)es every pc in order.
+    /// [`push`](Decoded::push)es every pc in order. The pc and op tables
+    /// are sized once for `pcs` pcs holding `ops` decoded ops in all (an
+    /// empty bundle counts one): grown by doubling instead, a large
+    /// program's per-pc table is copied at every regrowth and can end up
+    /// twice its length.
     pub(crate) fn new(
         machine: &MachineDescription,
         dir: Directory<'_>,
         nregs: usize,
         width: usize,
+        (pcs, ops): (usize, usize),
     ) -> Self {
         let entry = &dir.functions[dir.entry_func as usize];
         Decoded {
@@ -454,8 +459,8 @@ impl Decoded {
             entries: dir.functions.iter().map(|f| f.entry).collect(),
             entry_pc: entry.entry,
             num_args: entry.num_args,
-            pcs: Vec::new(),
-            ops: Vec::new(),
+            pcs: Vec::with_capacity(pcs),
+            ops: Vec::with_capacity(ops),
             interlock: Vec::new(),
             pools: CustomPools::default(),
             nregs,

@@ -52,7 +52,8 @@ impl IssueModel for ScalarProgram {
     fn decode(&self, machine: &MachineDescription) -> Decoded {
         let regs_per = machine.regs_per_cluster as usize;
         let width = machine.issue_width().clamp(1, 2);
-        let mut d = Decoded::new(machine, self.directory(), regs_per, width);
+        let n = self.insts.len();
+        let mut d = Decoded::new(machine, self.directory(), regs_per, width, (n, n));
         let addr = self.layout(machine.encoding).inst_addr;
         // Without bypass, results take one more cycle through the
         // register file before a consumer can issue.

@@ -38,12 +38,16 @@ impl IssueModel for VliwProgram {
 
     fn decode(&self, machine: &MachineDescription) -> Decoded {
         let nregs = machine.clusters as usize * machine.regs_per_cluster as usize;
-        let mut d = Decoded::new(machine, self.directory(), nregs, machine.issue_width());
+        let width = machine.issue_width();
+        let ops = self.bundles.iter().map(|b| b.ops().count().max(1)).sum();
+        let size = (self.bundles.len(), ops);
+        let mut d = Decoded::new(machine, self.directory(), nregs, width, size);
         let addr = layout(self, machine).bundle_addr;
         for (b, &addr) in self.bundles.iter().zip(&addr) {
             let bytes = bundle_bytes(b, machine, machine.encoding);
             d.push(b.ops().map(|(_, op)| op), addr, bytes, 0);
         }
+        debug_assert_eq!((d.pcs.len(), d.ops.len()), size, "tables sized exactly");
         d
     }
 
