@@ -520,7 +520,13 @@ impl Session {
     /// Workers pull requests from a shared cursor (long cells never leave
     /// threads idle) and write outcomes into their request's slot: the
     /// returned vector is request-ordered and identical for any thread
-    /// count. The pool is `min(threads, requests)` scoped threads.
+    /// count. The pool is `min(threads, requests)` scoped threads, each
+    /// joined before the call returns. A scope alone returns once its
+    /// threads' closures end, while the threads may still be exiting and
+    /// holding their glibc malloc arenas; the next batch's workers then
+    /// attach new arenas, and how many a process ends up keeping resident
+    /// would depend on thread timing. Joined, every batch reuses the same
+    /// arenas.
     pub fn eval_batch(&self, reqs: &[EvalRequest]) -> Vec<EvalOutcome> {
         let n = reqs.len();
         let threads = self.threads.min(n).max(1);
@@ -530,15 +536,22 @@ impl Session {
         let slots: Mutex<Vec<Option<EvalOutcome>>> = Mutex::new(vec![None; n]);
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let outcome = self.eval(&reqs[i]);
-                    slots.lock().unwrap()[i] = Some(outcome);
-                });
+            let workers: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let outcome = self.eval(&reqs[i]);
+                        slots.lock().unwrap()[i] = Some(outcome);
+                    })
+                })
+                .collect();
+            for w in workers {
+                if let Err(panic) = w.join() {
+                    std::panic::resume_unwind(panic);
+                }
             }
         });
         slots
