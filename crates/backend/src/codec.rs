@@ -1,7 +1,8 @@
 //! [`Codec`] implementations for the Compile-stage artifacts the persistent
 //! artifact cache stores: [`CompiledProgram`] (VLIW) and
 //! [`CompiledScalarProgram`] (scalar), each a linked executable plus its
-//! [`BackendStats`].
+//! [`BackendStats`]. [`BackendOptions`] is encoded too, for the Compile
+//! stage's cache key.
 //!
 //! The program payloads reuse the [`asip_isa::codec`] container codecs;
 //! statistics encode `usize` fields as `u64` and `occupancy` as exact
@@ -9,7 +10,8 @@
 //! cold ones.
 
 use crate::scalar::CompiledScalarProgram;
-use crate::{BackendStats, CompiledProgram};
+use crate::trace::TraceConfig;
+use crate::{BackendOptions, BackendStats, CompiledProgram};
 use asip_isa::codec::{Codec, CodecError, Reader, Writer};
 use asip_isa::{ScalarProgram, VliwProgram};
 
@@ -29,6 +31,31 @@ impl Codec for BackendStats {
             occupancy: r.get_f64()?,
             spill_slots: r.get_u32()?,
             traces_formed: r.get_u64()? as usize,
+        })
+    }
+}
+
+/// The backend configuration, part of the Compile stage's cache key.
+/// `usize` limits encode as `u64` and `min_ratio` as its exact IEEE-754
+/// bits.
+impl Codec for BackendOptions {
+    fn encode(&self, w: &mut Writer) {
+        w.put_bool(self.superblocks);
+        w.put_u64(self.trace.max_trace_blocks as u64);
+        w.put_u64(self.trace.max_dup_ops as u64);
+        w.put_f64(self.trace.min_ratio);
+        w.put_u32(self.max_spill_rounds);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(BackendOptions {
+            superblocks: r.get_bool()?,
+            trace: TraceConfig {
+                max_trace_blocks: r.get_u64()? as usize,
+                max_dup_ops: r.get_u64()? as usize,
+                min_ratio: r.get_f64()?,
+            },
+            max_spill_rounds: r.get_u32()?,
         })
     }
 }
@@ -213,5 +240,17 @@ mod tests {
         let back = BackendStats::decode_all(&s.encode_to_vec()).unwrap();
         assert_eq!(back, s);
         assert_eq!(back.occupancy.to_bits(), s.occupancy.to_bits());
+    }
+
+    #[test]
+    fn backend_options_roundtrip_with_exact_ratio() {
+        let mut opts = BackendOptions::default();
+        opts.trace.min_ratio = 1.0 / 3.0;
+        let back = BackendOptions::decode_all(&opts.encode_to_vec()).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{opts:?}"));
+        assert_eq!(
+            back.trace.min_ratio.to_bits(),
+            opts.trace.min_ratio.to_bits()
+        );
     }
 }

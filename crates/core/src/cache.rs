@@ -12,7 +12,7 @@
 //! * **Tier 1 — disk** ([`DiskStore`], optional): a persistent directory
 //!   ([`SessionBuilder::cache_dir`](crate::session::SessionBuilder::cache_dir)
 //!   or `ASIP_CACHE_DIR`) that survives the process, so a new session
-//!   warm-starts the whole Parse→Optimize→Profile→Compile front half.
+//!   warm-starts the whole pipeline.
 //!
 //! Lookups **read through**: a miss in tier 0 falls to tier 1, and a hit
 //! there is promoted back into tier 0. Computed artifacts **write through**
@@ -20,27 +20,49 @@
 //! stale drops, evictions) inside [`CacheStats`]. Custom tier stacks plug
 //! in via [`ArtifactCache::with_tiers`].
 //!
-//! # Hashed keys, exact hits
+//! # Exact byte keys
 //!
-//! Stage artifacts are keyed by the *complete rendered inputs* of the stage
-//! (source text, machine description, profile fingerprint, …). The memory
-//! tier indexes entries by a 64-bit FNV-1a hash and keeps the full key
-//! alongside each entry: a lookup first matches the hash, then verifies the
-//! stored key byte-for-byte, so a hash collision degrades to a bucket scan
-//! — never to a wrong artifact. (Tests can force the degenerate all-collide
-//! case through [`CacheConfig::hash_mask`].) The disk tier stores each
-//! entry with a self-describing header (magic, [`FORMAT_VERSION`], stage
-//! kind, **full key**, payload checksum) and re-verifies all of it on load,
-//! so a filename collision, a stale format or plain file corruption
-//! silently degrades to a recompute — never to a wrong artifact.
+//! A stage's key is the codec encoding of everything the stage reads,
+//! built with [`Writer`]: the source text, the [`OptConfig`], the
+//! machine, the backend options, the workload's inputs and arguments, and
+//! the **payload bytes of its parent artifacts** (the optimized module for
+//! Profile and Compile, the profile for Compile, the compiled program for
+//! Simulate). A parent that came from the cache goes into its child's key
+//! as the bytes the cache holds, so a warm evaluation never renders or
+//! re-encodes a module or a program to look up the next stage. Codec
+//! encodings delimit themselves, so the concatenation is injective: two
+//! keys are equal only if every input is.
+//!
+//! Tiers compare keys **exactly**. The memory tier buckets entries by a
+//! 64-bit hash of the key, computed eight bytes at a time, and compares the
+//! stored key bytes on every probe, so a hash collision degrades to a
+//! bucket scan, never to a wrong artifact. (Tests force the degenerate
+//! all-collide case through [`CacheConfig::hash_mask`].) The disk tier
+//! names each file by two seeds of the same hash and stores the key bytes
+//! in a self-describing header (magic, [`FORMAT_VERSION`], stage kind,
+//! key, payload checksum) that a load re-verifies, so a file-name
+//! collision, a stale format or plain file corruption silently degrades to
+//! a recompute.
 //!
 //! # Artifacts travel as versioned bytes
 //!
 //! Every cached artifact kind (IR modules, profiles, compiled VLIW/scalar
-//! programs) implements the hand-rolled binary [`Codec`]
-//! ([`asip_isa::codec`]); `decode(encode(x)) == x` exactly, so disk-warm,
-//! memory-warm and cold evaluations produce byte-identical results — only
-//! the counters in [`CacheStats`] can tell them apart.
+//! programs, simulation results) implements the hand-rolled binary
+//! [`Codec`] ([`asip_isa::codec`]); `decode(encode(x)) == x` exactly, so
+//! disk-warm, memory-warm and cold evaluations produce byte-identical
+//! results; only the counters in [`CacheStats`] can tell them apart.
+//!
+//! Tiers hold payloads as shared `Arc<[u8]>`: a memory hit clones a
+//! reference, not the bytes. A stage returns its payload in a handle that
+//! decodes the value only when something reads it, so a fully warm
+//! evaluation decodes nothing but its Simulate entry. Only payloads held
+//! by the cache's own memory tier are served undecoded: those are bytes
+//! this process encoded, or bytes that passed a decode when they were
+//! promoted. A payload from any other tier is decoded before it is served,
+//! and one that fails is dropped as stale and recomputed.
+//!
+//! [`OptConfig`]: asip_ir::passes::OptConfig
+//! [`Writer`]: asip_isa::codec::Writer
 
 pub mod disk;
 mod entry;
@@ -52,6 +74,7 @@ pub use mem::MemoryStore;
 
 use crate::pipeline::ToolchainError;
 use asip_isa::codec::Codec;
+use std::cell::OnceCell;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -354,33 +377,34 @@ impl StageTimes {
     }
 }
 
-/// 64-bit FNV-1a over `key`, from an arbitrary basis (`seed`). The memory
-/// tier hashes with the standard basis; the disk tier derives its file
-/// names from two independently-seeded hashes.
-pub(crate) fn fnv1a64_seeded(key: &str, seed: u64) -> u64 {
-    let mut h: u64 = seed;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// Seed of the key hash the memory tier buckets by and the disk tier's
+/// first file-name half.
+pub(crate) const KEY_SEED: u64 = 0;
 
-/// Standard FNV-1a offset basis.
-pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// 64-bit FNV-1a over a byte slice (entry checksums).
-pub(crate) fn fnv1a64_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = FNV_BASIS;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// 64-bit hash of `bytes` from `seed`, eight bytes per step: each
+/// little-endian word is xored into the state, which is then multiplied by
+/// an odd constant to 128 bits and folded back by xoring the two halves.
+/// Every tier compares keys exactly, so the hash only has to spread them;
+/// it makes no claim against crafted collisions.
+pub(crate) fn hash64(bytes: &[u8], seed: u64) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let fold = |x: u64| {
+        let p = u128::from(x) * u128::from(K);
+        (p as u64) ^ ((p >> 64) as u64)
+    };
+    let mut h = fold(seed ^ bytes.len() as u64);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        h = fold(h ^ u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
     }
-    h
+    let rest = words.remainder();
+    let mut tail = [0u8; 8];
+    tail[..rest.len()].copy_from_slice(rest);
+    fold(h ^ u64::from_le_bytes(tail))
 }
 
 /// One tier of the artifact cache: an opaque byte store keyed by
-/// (stage, full rendered key).
+/// (stage, key bytes).
 ///
 /// Implementations **own verification**: `load` must only return a payload
 /// that was stored under exactly this (stage, key) pair — via an exact
@@ -399,16 +423,16 @@ pub trait CacheStore: Send + Sync + fmt::Debug {
     fn label(&self) -> &'static str;
 
     /// Look up the payload stored for (stage, key); `None` on miss.
-    fn load(&self, stage: StageKind, key: &str) -> Option<Vec<u8>>;
+    fn load(&self, stage: StageKind, key: &[u8]) -> Option<Arc<[u8]>>;
 
     /// Store a payload for (stage, key). An entry already present for the
     /// same key may be kept unchanged (payloads are deterministic encodings
     /// of deterministic artifacts, so both copies are identical).
-    fn store(&self, stage: StageKind, key: &str, payload: &[u8]);
+    fn store(&self, stage: StageKind, key: &[u8], payload: &Arc<[u8]>);
 
     /// Drop the entry for (stage, key), counting a stale drop (called when
     /// a loaded payload fails to decode).
-    fn invalidate(&self, stage: StageKind, key: &str);
+    fn invalidate(&self, stage: StageKind, key: &[u8]);
 
     /// Drop every entry and reset the tier's counters.
     fn clear(&self);
@@ -501,6 +525,9 @@ impl TierObs {
 /// [`Toolchain`]: crate::pipeline::Toolchain
 pub struct ArtifactCache {
     stores: Vec<Arc<dyn CacheStore>>,
+    /// Tier 0 when the cache built it ([`ArtifactCache::with_config`]):
+    /// its verified entries are served without a decode check.
+    own_mem: Option<Arc<MemoryStore>>,
     tier_obs: Vec<TierObs>,
     config: CacheConfig,
     hits: [AtomicU64; 5],
@@ -533,26 +560,29 @@ impl ArtifactCache {
     /// tier 0, plus a [`DiskStore`] tier 1 when [`CacheConfig::disk`] is
     /// set.
     pub fn with_config(config: CacheConfig) -> ArtifactCache {
-        let mut stores: Vec<Arc<dyn CacheStore>> = vec![Arc::new(MemoryStore::new(
-            config.byte_budget,
-            config.hash_mask,
-        ))];
+        let mem = Arc::new(MemoryStore::new(config.byte_budget, config.hash_mask));
+        let mut stores: Vec<Arc<dyn CacheStore>> = vec![mem.clone()];
         if let Some(d) = &config.disk {
             stores.push(Arc::new(DiskStore::open(d.clone())));
         }
-        ArtifactCache::with_tiers(config, stores)
+        ArtifactCache {
+            own_mem: Some(mem),
+            ..ArtifactCache::with_tiers(config, stores)
+        }
     }
 
     /// A cache over an explicit tier stack, hottest first. This is the
     /// pluggability seam: any [`CacheStore`] implementation (remote,
     /// instrumented, …) can participate. `config` is kept for
     /// introspection ([`ArtifactCache::config`]) but the stores themselves
-    /// govern retention.
+    /// govern retention. Every payload these tiers serve is decoded before
+    /// it is used.
     pub fn with_tiers(config: CacheConfig, stores: Vec<Arc<dyn CacheStore>>) -> ArtifactCache {
         assert!(!stores.is_empty(), "a cache needs at least one tier");
         let tier_obs = stores.iter().map(|s| TierObs::for_store(&**s)).collect();
         ArtifactCache {
             stores,
+            own_mem: None,
             tier_obs,
             config,
             hits: Default::default(),
@@ -668,22 +698,23 @@ impl ArtifactCache {
     }
 
     /// Look up `key` for `stage` through the tier stack, computing and
-    /// writing through on a full miss.
+    /// writing through on a full miss. Returns the payload in a [`Staged`]
+    /// handle that decodes it on first use.
     ///
     /// A hit in a colder tier is promoted into every hotter tier; a
-    /// payload that fails to decode is invalidated in the tier that served
-    /// it and the probe continues downward — corruption degrades to a
-    /// recompute, never an error. `compute` runs outside any lock and
-    /// times only this stage's own work (nested stage calls inside
-    /// `compute` — e.g. Optimize invoking Parse — record under their own
-    /// [`StageKind`], so [`StageTimes`] entries add up instead of
+    /// payload that needs a decode check and fails it is invalidated in
+    /// the tier that served it and the probe continues downward —
+    /// corruption degrades to a recompute, never an error. `compute` runs
+    /// outside any lock and times only this stage's own work (nested stage
+    /// calls inside `compute` — e.g. Optimize invoking Parse — record under
+    /// their own [`StageKind`], so [`StageTimes`] entries add up instead of
     /// double-counting).
     pub(crate) fn get_or_compute<V: Codec>(
         &self,
         stage: StageKind,
-        key: String,
+        key: &[u8],
         compute: impl FnOnce(&mut StageTimer) -> Result<V, ToolchainError>,
-    ) -> Result<V, ToolchainError> {
+    ) -> Result<Staged<V>, ToolchainError> {
         // Symmetric timing: the frame measures this call's *entire* wall
         // time (hit or miss, probe and write-through included), net of
         // nested stage calls — see STAGE_SELF_NS.
@@ -697,60 +728,136 @@ impl ArtifactCache {
     fn probe_or_compute<V: Codec>(
         &self,
         stage: StageKind,
-        key: String,
+        key: &[u8],
         compute: impl FnOnce(&mut StageTimer) -> Result<V, ToolchainError>,
         mut span: asip_obs::Span,
-    ) -> Result<V, ToolchainError> {
+    ) -> Result<Staged<V>, ToolchainError> {
         for (i, store) in self.stores.iter().enumerate() {
             let obs = &self.tier_obs[i];
             obs.loads.add(1);
-            let payload = {
+            let loaded = {
                 let mut tier_span = asip_obs::span("cache", obs.label);
                 tier_span.note("load");
-                store.load(stage, &key)
+                match &self.own_mem {
+                    Some(mem) if i == 0 => mem.load_verified(stage, key),
+                    _ => store.load(stage, key).map(|p| (p, false)),
+                }
             };
-            let Some(payload) = payload else {
+            let Some((payload, verified)) = loaded else {
                 continue;
             };
-            match V::decode_all(&payload) {
-                Ok(v) => {
-                    obs.hits.add(1);
-                    for (j, hotter) in self.stores[..i].iter().enumerate() {
-                        let promote = &self.tier_obs[j];
-                        promote.stores.add(1);
-                        let mut tier_span = asip_obs::span("cache", promote.label);
-                        tier_span.note("store");
-                        hotter.store(stage, &key, &payload);
+            let staged = if verified {
+                Staged::verified(payload)
+            } else {
+                match V::decode_all(&payload) {
+                    Ok(v) => Staged::decoded(payload, v),
+                    // Verified container, undecodable payload (e.g.
+                    // encoded by a build with different tag assignments):
+                    // drop and fall through to the next tier.
+                    Err(_) => {
+                        let mut tier_span = asip_obs::span("cache", obs.label);
+                        tier_span.note("stale-drop");
+                        store.invalidate(stage, key);
+                        continue;
                     }
-                    self.hits[stage as usize].fetch_add(1, Ordering::Relaxed);
-                    span.note("hit");
-                    return Ok(v);
                 }
-                // Verified container, undecodable payload (e.g. encoded by
-                // a build with different tag assignments): drop and fall
-                // through to the next tier.
-                Err(_) => {
-                    let mut tier_span = asip_obs::span("cache", obs.label);
-                    tier_span.note("stale-drop");
-                    store.invalidate(stage, &key);
-                }
-            }
+            };
+            obs.hits.add(1);
+            self.write_through(0..i, stage, key, &staged.payload);
+            self.hits[stage as usize].fetch_add(1, Ordering::Relaxed);
+            span.note("hit");
+            return Ok(staged);
         }
         self.misses[stage as usize].fetch_add(1, Ordering::Relaxed);
         span.note("miss");
         let mut timer = StageTimer::default();
         let v = compute(&mut timer)?;
         self.stage_ns[stage as usize].fetch_add(timer.ns, Ordering::Relaxed);
-        let payload = v.encode_to_vec();
-        for (j, store) in self.stores.iter().enumerate() {
+        let staged = Staged::new(v);
+        self.write_through(0..self.stores.len(), stage, key, &staged.payload);
+        Ok(staged)
+    }
+
+    /// Store a payload that this process encoded or decode-checked into
+    /// the tiers `tiers`; the cache's own memory tier records it as
+    /// verified.
+    fn write_through(
+        &self,
+        tiers: std::ops::Range<usize>,
+        stage: StageKind,
+        key: &[u8],
+        payload: &Arc<[u8]>,
+    ) {
+        for j in tiers {
             let tier = &self.tier_obs[j];
             tier.stores.add(1);
             let mut tier_span = asip_obs::span("cache", tier.label);
             tier_span.note("store");
-            store.store(stage, &key, &payload);
+            match &self.own_mem {
+                Some(mem) if j == 0 => mem.store_verified(stage, key, payload),
+                _ => self.stores[j].store(stage, key, payload),
+            }
         }
-        Ok(v)
     }
+}
+
+/// A stage's artifact as the pipeline passes it from stage to stage: the
+/// payload bytes the cache holds, and the value, decoded on first use. A
+/// child stage copies the payload into its key and reads the value only
+/// when it misses.
+pub(crate) struct Staged<V> {
+    payload: Arc<[u8]>,
+    value: OnceCell<V>,
+}
+
+impl<V: Codec> Staged<V> {
+    /// A value computed in this process, encoded once.
+    fn new(value: V) -> Staged<V> {
+        Staged {
+            payload: value.encode_to_vec().into(),
+            value: OnceCell::from(value),
+        }
+    }
+
+    /// A payload the cache's own memory tier holds as verified.
+    fn verified(payload: Arc<[u8]>) -> Staged<V> {
+        Staged {
+            payload,
+            value: OnceCell::new(),
+        }
+    }
+
+    /// A payload with the value its decode check produced.
+    fn decoded(payload: Arc<[u8]>, value: V) -> Staged<V> {
+        Staged {
+            payload,
+            value: OnceCell::from(value),
+        }
+    }
+
+    /// The artifact's codec encoding.
+    pub(crate) fn payload(&self) -> &[u8] {
+        &self.payload
+    }
+
+    /// The artifact, decoded on the first call.
+    pub(crate) fn get(&self) -> &V {
+        self.value.get_or_init(|| decode_verified(&self.payload))
+    }
+
+    /// The artifact, owned: the decoded value if there is one, else a
+    /// fresh decode. The cache holds only bytes, so the caller may mutate
+    /// it freely.
+    pub(crate) fn into_value(self) -> V {
+        self.value
+            .into_inner()
+            .unwrap_or_else(|| decode_verified(&self.payload))
+    }
+}
+
+/// Decode a payload that this process encoded or already decode-checked.
+fn decode_verified<V: Codec>(payload: &[u8]) -> V {
+    V::decode_all(payload).expect("a verified payload decodes: decode(encode(x)) == x")
 }
 
 /// Accumulates the nanoseconds a stage spends in its *own* work. Stage
@@ -812,9 +919,11 @@ mod tests {
     }
 
     fn store(cache: &ArtifactCache, key: &str, m: &Module) -> Result<Module, ToolchainError> {
-        cache.get_or_compute(StageKind::Parse, key.to_string(), |t| {
-            Ok(t.time(|| m.clone()))
-        })
+        cache
+            .get_or_compute(StageKind::Parse, key.as_bytes(), |t| {
+                Ok(t.time(|| m.clone()))
+            })
+            .map(Staged::into_value)
     }
 
     /// Payload + bookkeeping bytes one entry occupies in the memory tier.
@@ -937,11 +1046,13 @@ mod tests {
         assert_eq!(cache.stats(), CacheStats::default());
     }
 
+    type TraceEntry = (StageKind, Vec<u8>, Arc<[u8]>);
+
     /// A custom tier that records every call — proves the tier stack is
     /// genuinely pluggable and pins the read-through/write-through protocol.
     #[derive(Debug, Default)]
     struct TraceStore {
-        entries: Mutex<Vec<(StageKind, String, Vec<u8>)>>,
+        entries: Mutex<Vec<TraceEntry>>,
         hits: AtomicU64,
         loads: AtomicU64,
         stores: AtomicU64,
@@ -952,7 +1063,7 @@ mod tests {
             "trace"
         }
 
-        fn load(&self, stage: StageKind, key: &str) -> Option<Vec<u8>> {
+        fn load(&self, stage: StageKind, key: &[u8]) -> Option<Arc<[u8]>> {
             self.loads.fetch_add(1, Ordering::Relaxed);
             let found = self
                 .entries
@@ -967,15 +1078,15 @@ mod tests {
             found
         }
 
-        fn store(&self, stage: StageKind, key: &str, payload: &[u8]) {
+        fn store(&self, stage: StageKind, key: &[u8], payload: &Arc<[u8]>) {
             self.stores.fetch_add(1, Ordering::Relaxed);
             self.entries
                 .lock()
                 .unwrap()
-                .push((stage, key.to_string(), payload.to_vec()));
+                .push((stage, key.to_vec(), payload.clone()));
         }
 
-        fn invalidate(&self, _stage: StageKind, _key: &str) {}
+        fn invalidate(&self, _stage: StageKind, _key: &[u8]) {}
 
         fn clear(&self) {
             self.entries.lock().unwrap().clear();
@@ -1052,11 +1163,11 @@ mod tests {
             fn label(&self) -> &'static str {
                 "garbage"
             }
-            fn load(&self, _stage: StageKind, _key: &str) -> Option<Vec<u8>> {
-                Some(vec![0xff, 0xff, 0xff])
+            fn load(&self, _stage: StageKind, _key: &[u8]) -> Option<Arc<[u8]>> {
+                Some(Arc::from(&[0xff, 0xff, 0xff][..]))
             }
-            fn store(&self, _stage: StageKind, _key: &str, _payload: &[u8]) {}
-            fn invalidate(&self, _stage: StageKind, _key: &str) {
+            fn store(&self, _stage: StageKind, _key: &[u8], _payload: &Arc<[u8]>) {}
+            fn invalidate(&self, _stage: StageKind, _key: &[u8]) {
                 self.invalidated.fetch_add(1, Ordering::Relaxed);
             }
             fn clear(&self) {}
@@ -1083,5 +1194,34 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.parse.misses, 1, "{s}");
         assert_eq!(garbage.invalidated.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn own_memory_tier_decode_checks_payloads_it_did_not_verify() {
+        // Bytes written into the cache's own memory tier through the
+        // public store API were neither encoded nor checked by the cache,
+        // so they are decoded before use; garbage recomputes.
+        let cache = bare(u64::MAX, !0);
+        cache.tiers()[0].store(StageKind::Parse, b"k", &Arc::from(&[0xffu8; 3][..]));
+        let m = module("void main(int a) { emit(a); }");
+        assert_eq!(store(&cache, "k", &m).unwrap(), m);
+        let s = cache.stats();
+        assert_eq!(s.parse.misses, 1, "{s}");
+        assert_eq!(s.mem.stale_drops, 1, "{s}");
+        // The recompute stored verified bytes, served from then on.
+        assert_eq!(store(&cache, "k", &m).unwrap(), m);
+        assert_eq!(cache.stats().parse.hits, 1);
+    }
+
+    #[test]
+    fn key_hash_covers_length_and_seed() {
+        // Zero-padded tails and empty keys must not collide.
+        let keys: [&[u8]; 5] = [b"", b"\0", b"a", b"a\0", b"abcdefgh\0"];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(hash64(a, KEY_SEED), hash64(b, KEY_SEED), "{a:?} {b:?}");
+            }
+            assert_ne!(hash64(a, KEY_SEED), hash64(a, KEY_SEED + 1));
+        }
     }
 }

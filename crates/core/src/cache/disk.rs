@@ -4,15 +4,16 @@
 //!
 //! ```text
 //! <cache_dir>/
-//!   parse/      <h1><h2>.art     one file per entry; the name is two
-//!   optimize/   …                independently-seeded 64-bit FNV-1a
-//!   profile/    …                hashes of the full stage key (128 bits
-//!   compile/    …                of name space)
+//!   parse/      <h1><h2>.art     one file per entry; the name is the
+//!   optimize/   …                stage key's 64-bit hash under two seeds
+//!   profile/    …                (128 bits of name space)
+//!   compile/    …
+//!   simulate/   …
 //! ```
 //!
 //! Each `.art` file is a versioned, self-describing container (the
-//! `entry` module): magic, format version, stage kind, the **full
-//! stage key**, the artifact payload, and a trailing checksum. A load
+//! `entry` module): magic, format version, stage kind, the **stage key's
+//! bytes**, the artifact payload, and a trailing checksum. A load
 //! re-verifies all of it, so a file-name collision, a renamed or truncated
 //! file, garbage bytes or a stale format version can never surface a wrong
 //! artifact — each is deleted, counted in [`TierStats::stale_drops`], and
@@ -35,15 +36,15 @@
 //! directory only ever observe complete entries.
 
 use super::entry::{decode_entry, encode_entry};
-use super::{fnv1a64_seeded, CacheStore, DiskTierConfig, StageKind, TierStats, FNV_BASIS};
+use super::{hash64, CacheStore, DiskTierConfig, StageKind, TierStats, KEY_SEED};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
-/// Second, independent FNV-1a basis for the file-name hash pair.
-const FNV_BASIS_2: u64 = FNV_BASIS ^ 0x9e37_79b9_7f4a_7c15;
+/// Seed of the second half of an entry's file name.
+const NAME_SEED_2: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Observability mirrors of the retention counters (the authoritative
 /// values stay in [`TierStats`]; these feed the metrics exposition).
@@ -107,9 +108,9 @@ impl DiskStore {
         &self.config.dir
     }
 
-    fn path_for(&self, stage: StageKind, key: &str) -> PathBuf {
-        let h1 = fnv1a64_seeded(key, FNV_BASIS);
-        let h2 = fnv1a64_seeded(key, FNV_BASIS_2);
+    fn path_for(&self, stage: StageKind, key: &[u8]) -> PathBuf {
+        let h1 = hash64(key, KEY_SEED);
+        let h2 = hash64(key, NAME_SEED_2);
         self.config
             .dir
             .join(stage.name())
@@ -231,7 +232,7 @@ impl CacheStore for DiskStore {
         "disk"
     }
 
-    fn load(&self, stage: StageKind, key: &str) -> Option<Vec<u8>> {
+    fn load(&self, stage: StageKind, key: &[u8]) -> Option<Arc<[u8]>> {
         self.loads.fetch_add(1, Ordering::Relaxed);
         let path = self.path_for(stage, key);
         let bytes = match fs::read(&path) {
@@ -245,7 +246,7 @@ impl CacheStore for DiskStore {
                     let _ = f.set_modified(SystemTime::now());
                 }
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
+                Some(Arc::from(payload))
             }
             Err(_) => {
                 // Truncated, corrupt, stale format, or a key whose file
@@ -256,7 +257,7 @@ impl CacheStore for DiskStore {
         }
     }
 
-    fn store(&self, stage: StageKind, key: &str, payload: &[u8]) {
+    fn store(&self, stage: StageKind, key: &[u8], payload: &Arc<[u8]>) {
         let entry = encode_entry(stage, key, payload);
         if entry.len() as u64 > self.config.byte_budget {
             // An entry that can never fit is not persisted at all.
@@ -295,7 +296,7 @@ impl CacheStore for DiskStore {
         }
     }
 
-    fn invalidate(&self, stage: StageKind, key: &str) {
+    fn invalidate(&self, stage: StageKind, key: &[u8]) {
         let path = self.path_for(stage, key);
         let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         self.drop_stale(&path, len);
@@ -350,6 +351,10 @@ impl CacheStore for DiskStore {
 mod tests {
     use super::*;
 
+    fn payload(bytes: &[u8]) -> Arc<[u8]> {
+        Arc::from(bytes)
+    }
+
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("asip-diskstore-{}-{}", std::process::id(), name));
@@ -361,18 +366,18 @@ mod tests {
     fn persists_across_store_instances() {
         let dir = tmp_dir("persist");
         let a = DiskStore::open(DiskTierConfig::new(&dir));
-        a.store(StageKind::Parse, "key-1", b"payload-1");
+        a.store(StageKind::Parse, b"key-1", &payload(b"payload-1"));
         assert_eq!(
-            a.load(StageKind::Parse, "key-1").as_deref(),
+            a.load(StageKind::Parse, b"key-1").as_deref(),
             Some(&b"payload-1"[..])
         );
         drop(a);
         let b = DiskStore::open(DiskTierConfig::new(&dir));
         assert_eq!(
-            b.load(StageKind::Parse, "key-1").as_deref(),
+            b.load(StageKind::Parse, b"key-1").as_deref(),
             Some(&b"payload-1"[..])
         );
-        assert_eq!(b.load(StageKind::Compile, "key-1"), None, "per-stage");
+        assert_eq!(b.load(StageKind::Compile, b"key-1"), None, "per-stage");
         assert_eq!(b.stats().hits, 1);
         assert!(b.stats().resident_bytes > 0);
         let _ = fs::remove_dir_all(&dir);
@@ -382,12 +387,12 @@ mod tests {
     fn renamed_file_fails_key_check_and_is_dropped() {
         let dir = tmp_dir("rename");
         let s = DiskStore::open(DiskTierConfig::new(&dir));
-        s.store(StageKind::Compile, "key-a", b"artifact-a");
+        s.store(StageKind::Compile, b"key-a", &payload(b"artifact-a"));
         // Masquerade key-a's entry as key-b's.
-        let a = s.path_for(StageKind::Compile, "key-a");
-        let b = s.path_for(StageKind::Compile, "key-b");
+        let a = s.path_for(StageKind::Compile, b"key-a");
+        let b = s.path_for(StageKind::Compile, b"key-b");
         fs::rename(&a, &b).unwrap();
-        assert_eq!(s.load(StageKind::Compile, "key-b"), None);
+        assert_eq!(s.load(StageKind::Compile, b"key-b"), None);
         assert_eq!(s.stats().stale_drops, 1);
         assert!(!b.exists(), "the masquerading file is deleted");
         let _ = fs::remove_dir_all(&dir);
@@ -396,7 +401,7 @@ mod tests {
     #[test]
     fn size_eviction_drops_oldest_first() {
         let dir = tmp_dir("evict");
-        let probe = encode_entry(StageKind::Parse, "k00", b"xxxxxxxx");
+        let probe = encode_entry(StageKind::Parse, b"k00", b"xxxxxxxx");
         let unit = probe.len() as u64;
         let s = DiskStore::open(DiskTierConfig {
             dir: dir.clone(),
@@ -404,7 +409,8 @@ mod tests {
             max_age_secs: None,
         });
         for i in 0..6 {
-            s.store(StageKind::Parse, &format!("k{i:02}"), b"xxxxxxxx");
+            let key = format!("k{i:02}");
+            s.store(StageKind::Parse, key.as_bytes(), &payload(b"xxxxxxxx"));
             // mtime granularity: space the writes out.
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
@@ -412,8 +418,8 @@ mod tests {
         assert!(t.evictions >= 2, "{t}");
         assert!(t.resident_bytes <= 3 * unit + unit / 2, "{t}");
         // The newest entry survived; the oldest did not.
-        assert!(s.load(StageKind::Parse, "k05").is_some());
-        assert!(s.load(StageKind::Parse, "k00").is_none());
+        assert!(s.load(StageKind::Parse, b"k05").is_some());
+        assert!(s.load(StageKind::Parse, b"k00").is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -421,9 +427,9 @@ mod tests {
     fn max_age_purges_at_open() {
         let dir = tmp_dir("age");
         let s = DiskStore::open(DiskTierConfig::new(&dir));
-        s.store(StageKind::Parse, "old", b"payload");
+        s.store(StageKind::Parse, b"old", &payload(b"payload"));
         // Backdate the entry far beyond any cutoff.
-        let path = s.path_for(StageKind::Parse, "old");
+        let path = s.path_for(StageKind::Parse, b"old");
         let f = fs::File::options().write(true).open(&path).unwrap();
         f.set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(1))
             .unwrap();
@@ -434,7 +440,7 @@ mod tests {
             byte_budget: DiskTierConfig::new(&dir).byte_budget,
             max_age_secs: Some(3600),
         });
-        assert_eq!(s.load(StageKind::Parse, "old"), None);
+        assert_eq!(s.load(StageKind::Parse, b"old"), None);
         assert_eq!(s.stats().evictions, 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -470,15 +476,15 @@ mod tests {
         let dir = tmp_dir("hammer");
         let a = DiskStore::open(DiskTierConfig::new(&dir));
         let b = DiskStore::open(DiskTierConfig::new(&dir));
-        let payload_for = |i: u64| vec![(i & 0xff) as u8; 4096 + (i % 7) as usize];
+        let payload_for = |i: u64| payload(&vec![(i & 0xff) as u8; 4096 + (i % 7) as usize]);
         std::thread::scope(|scope| {
             for (store, salt) in [(&a, 0u64), (&b, 1000u64)] {
                 for t in 0..2u64 {
                     scope.spawn(move || {
                         for i in 0..50 {
                             let v = salt + t * 100 + i;
-                            store.store(StageKind::Simulate, "hot-key", &payload_for(v));
-                            if let Some(got) = store.load(StageKind::Simulate, "hot-key") {
+                            store.store(StageKind::Simulate, b"hot-key", &payload_for(v));
+                            if let Some(got) = store.load(StageKind::Simulate, b"hot-key") {
                                 assert!(
                                     got.len() >= 4096 && got.len() < 4103,
                                     "unexpected payload shape: {} bytes",
@@ -504,8 +510,8 @@ mod tests {
         let file = std::env::temp_dir().join(format!("asip-notdir-{}", std::process::id()));
         fs::write(&file, b"x").unwrap();
         let s = DiskStore::open(DiskTierConfig::new(file.join("sub")));
-        s.store(StageKind::Parse, "k", b"payload");
-        assert_eq!(s.load(StageKind::Parse, "k"), None);
+        s.store(StageKind::Parse, b"k", &payload(b"payload"));
+        assert_eq!(s.load(StageKind::Parse, b"k"), None);
         let _ = fs::remove_file(&file);
     }
 }

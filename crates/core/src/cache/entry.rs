@@ -10,21 +10,24 @@
 //! +--------+---------+-------+--------------+------------------+----------+
 //! ```
 //!
-//! The **full stage key** is stored, not a hash: a load verifies it
-//! byte-for-byte against the requested key, exactly like the memory tier's
-//! stored-key collision check — so two keys whose file names collide can
-//! never serve each other's artifact. The trailing checksum is FNV-1a over
-//! everything before it, catching truncation and bit rot; the version field
-//! retires whole formats at once. Every verification failure maps to an
-//! [`EntryError`] and, at the store layer, to a counted, silent recompute.
+//! The **key bytes** are stored, not a hash of them: a load compares them
+//! exactly against the requested key, like the memory tier's stored-key
+//! check, so two keys whose file names collide can never serve each
+//! other's artifact. Keys are codec bytes, not text. The trailing checksum
+//! is 64-bit FNV-1a over everything before it, catching truncation and bit
+//! rot; the version field retires whole formats at once. Every
+//! verification failure maps to an [`EntryError`] and, at the store layer,
+//! to a counted, silent recompute.
 
-use super::{fnv1a64_bytes, StageKind};
+use super::StageKind;
 use asip_isa::codec::{CodecError, Reader, Writer};
 
 /// Version stamp of the persisted artifact format. Bump whenever any
-/// artifact [`Codec`](asip_isa::codec::Codec) or this container changes
-/// incompatibly; old entries then read as stale and are recomputed.
-pub const FORMAT_VERSION: u32 = 1;
+/// artifact [`Codec`](asip_isa::codec::Codec), any stage key or this
+/// container changes incompatibly; old entries then read as stale and are
+/// recomputed. Version 2: byte keys built from codec encodings, and
+/// Simulate entries that carry the compile statistics and code size.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic bytes opening every entry file.
 const MAGIC: [u8; 8] = *b"ASIPART\0";
@@ -55,29 +58,37 @@ impl From<CodecError> for EntryError {
     }
 }
 
-/// Wrap `payload` in the versioned container for (stage, key).
-pub(crate) fn encode_entry(stage: StageKind, key: &str, payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
-    for b in MAGIC {
-        w.put_u8(b);
+/// 64-bit FNV-1a over `bytes`: the entry checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in bytes {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    h
+}
+
+/// Wrap `payload` in the versioned container for (stage, key).
+pub(crate) fn encode_entry(stage: StageKind, key: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_raw(&MAGIC);
     w.put_u32(FORMAT_VERSION);
     w.put_u8(stage as u8);
-    w.put_str(key);
+    w.put_bytes(key);
     w.put_bytes(payload);
     let mut bytes = w.into_bytes();
-    let checksum = fnv1a64_bytes(&bytes);
+    let checksum = fnv1a64(&bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     bytes
 }
 
-/// Unwrap an entry, verifying magic, version, stage, full key and checksum.
-/// Returns the artifact payload bytes.
-pub(crate) fn decode_entry(
-    bytes: &[u8],
+/// Unwrap an entry, verifying magic, version, stage, key bytes and
+/// checksum. Returns the artifact payload bytes.
+pub(crate) fn decode_entry<'a>(
+    bytes: &'a [u8],
     stage: StageKind,
-    key: &str,
-) -> Result<Vec<u8>, EntryError> {
+    key: &[u8],
+) -> Result<&'a [u8], EntryError> {
     if bytes.len() < 8 + MAGIC.len() {
         return Err(EntryError::Malformed(CodecError::Truncated));
     }
@@ -94,14 +105,16 @@ pub(crate) fn decode_entry(
     if r.get_u8()? != stage as u8 {
         return Err(EntryError::StageMismatch);
     }
-    if r.get_str()? != key {
+    let key_len = r.get_len()?;
+    if r.get_raw(key_len)? != key {
         return Err(EntryError::KeyMismatch);
     }
-    let payload = r.get_bytes()?;
+    let payload_len = r.get_len()?;
+    let payload = r.get_raw(payload_len)?;
     r.finish()?;
     // Checked last so the error diagnoses *what* mismatched when the
     // header itself is intact.
-    if fnv1a64_bytes(content) != checksum {
+    if fnv1a64(content) != checksum {
         return Err(EntryError::BadChecksum);
     }
     Ok(payload)
@@ -111,51 +124,55 @@ pub(crate) fn decode_entry(
 mod tests {
     use super::*;
 
+    /// Keys are codec bytes: this one is not valid UTF-8 (`\xff` never
+    /// is, and `\xc3` must be followed by a continuation byte).
+    const KEY: &[u8] = b"\xff\x00codec\xc3\x28key";
+
     #[test]
     fn roundtrip_and_every_defense_fires() {
         let stage = StageKind::Compile;
         let payload = b"artifact bytes".to_vec();
-        let good = encode_entry(stage, "the/full:key", &payload);
-        assert_eq!(decode_entry(&good, stage, "the/full:key"), Ok(payload));
+        let good = encode_entry(stage, KEY, &payload);
+        assert_eq!(decode_entry(&good, stage, KEY), Ok(&payload[..]));
 
         // Truncation.
         assert!(matches!(
-            decode_entry(&good[..good.len() / 2], stage, "the/full:key"),
+            decode_entry(&good[..good.len() / 2], stage, KEY),
             Err(EntryError::Malformed(_) | EntryError::BadChecksum)
         ));
         // Garbage.
-        assert!(decode_entry(&[0u8; 64], stage, "the/full:key").is_err());
+        assert!(decode_entry(&[0u8; 64], stage, KEY).is_err());
         // Magic.
         let mut bad = good.clone();
         bad[0] ^= 0xff;
-        assert_eq!(
-            decode_entry(&bad, stage, "the/full:key"),
-            Err(EntryError::BadMagic)
-        );
+        assert_eq!(decode_entry(&bad, stage, KEY), Err(EntryError::BadMagic));
         // Version.
         let mut bad = good.clone();
         bad[8] = 0xee;
         assert!(matches!(
-            decode_entry(&bad, stage, "the/full:key"),
+            decode_entry(&bad, stage, KEY),
             Err(EntryError::BadVersion(_))
         ));
         // Stage.
         assert_eq!(
-            decode_entry(&good, StageKind::Parse, "the/full:key"),
+            decode_entry(&good, StageKind::Parse, KEY),
             Err(EntryError::StageMismatch)
         );
-        // Key.
+        // Key: a different byte, and a strict prefix.
+        let mut other = KEY.to_vec();
+        other[0] ^= 0x01;
         assert_eq!(
-            decode_entry(&good, stage, "another-key"),
+            decode_entry(&good, stage, &other),
+            Err(EntryError::KeyMismatch)
+        );
+        assert_eq!(
+            decode_entry(&good, stage, &KEY[..KEY.len() - 1]),
             Err(EntryError::KeyMismatch)
         );
         // Payload bit flip → checksum.
         let mut bad = good.clone();
         let n = bad.len();
         bad[n - 12] ^= 0x01;
-        assert_eq!(
-            decode_entry(&bad, stage, "the/full:key"),
-            Err(EntryError::BadChecksum)
-        );
+        assert_eq!(decode_entry(&bad, stage, KEY), Err(EntryError::BadChecksum));
     }
 }

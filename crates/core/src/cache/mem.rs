@@ -1,19 +1,27 @@
 //! Tier 0: the in-process, LRU byte-budgeted [`CacheStore`].
 //!
-//! This is the seed's `ArtifactCache` storage engine refactored behind the
-//! [`CacheStore`] trait: payload bytes indexed by a masked 64-bit FNV-1a
-//! hash of the full key, with the key stored alongside each entry and
-//! compared byte-for-byte on every probe (a hash collision degrades to a
-//! bucket scan, never a wrong artifact), and one global least-recently-used
-//! queue across all cacheable stages enforcing the byte budget. An entry larger
-//! than the whole budget is never admitted — flushing every resident entry
-//! for an artifact that cannot stay would be pure churn — but still counts
-//! as an eviction so the non-retention shows up in [`TierStats`].
+//! Payloads are shared `Arc<[u8]>` buffers in buckets indexed by the
+//! key's 64-bit hash (computed eight bytes at a time, then masked by
+//! [`CacheConfig::hash_mask`](super::CacheConfig::hash_mask)). Each entry
+//! keeps its key bytes, compared exactly on every probe, so a hash
+//! collision degrades to a bucket scan, never a wrong artifact. A hit
+//! clones the `Arc` under the lock, not the bytes. One global
+//! least-recently-used queue across all cacheable stages enforces the byte
+//! budget. An entry larger than the whole budget is never admitted —
+//! flushing every resident entry for an artifact that cannot stay would be
+//! pure churn — but still counts as an eviction so the non-retention shows
+//! up in [`TierStats`].
+//!
+//! Each entry also records whether its payload is **verified**: stored by
+//! the owning [`ArtifactCache`](super::ArtifactCache), which writes only
+//! bytes it encoded or decode-checked. The cache serves verified payloads
+//! without decoding them first; bytes stored through the public
+//! [`CacheStore::store`] are not verified.
 
-use super::{fnv1a64_seeded, CacheStore, StageKind, TierStats, FNV_BASIS};
+use super::{hash64, CacheStore, StageKind, TierStats, KEY_SEED};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Fixed per-entry bookkeeping overhead added to every size estimate.
 pub(crate) const ENTRY_OVERHEAD: u64 = 96;
@@ -24,9 +32,11 @@ static OBS_EVICTIONS: asip_obs::Counter = asip_obs::Counter::new("cache.mem.evic
 static OBS_STALE_DROPS: asip_obs::Counter = asip_obs::Counter::new("cache.mem.stale_drops");
 
 struct Entry {
-    /// Full rendered key, compared byte-for-byte on every bucket probe.
-    key: Box<str>,
-    payload: Box<[u8]>,
+    /// The key bytes, compared exactly on every bucket probe.
+    key: Box<[u8]>,
+    payload: Arc<[u8]>,
+    /// Stored by the owning cache (see the [module docs](self)).
+    verified: bool,
     id: u64,
 }
 
@@ -38,7 +48,7 @@ struct StageMap {
 }
 
 impl StageMap {
-    fn find(&self, hash: u64, key: &str) -> Option<&Entry> {
+    fn find(&self, hash: u64, key: &[u8]) -> Option<&Entry> {
         self.buckets
             .get(&hash)?
             .iter()
@@ -152,11 +162,11 @@ impl MemoryStore {
         }
     }
 
-    fn hash(&self, key: &str) -> u64 {
-        fnv1a64_seeded(key, FNV_BASIS) & self.hash_mask
+    fn hash(&self, key: &[u8]) -> u64 {
+        hash64(key, KEY_SEED) & self.hash_mask
     }
 
-    fn find_loc(inner: &Inner, stage: StageKind, hash: u64, key: &str) -> Option<Loc> {
+    fn find_loc(inner: &Inner, stage: StageKind, hash: u64, key: &[u8]) -> Option<Loc> {
         let e = inner.maps[stage as usize].find(hash, key)?;
         let bytes = key.len() as u64 + e.payload.len() as u64 + ENTRY_OVERHEAD;
         Some(Loc {
@@ -166,40 +176,37 @@ impl MemoryStore {
             bytes,
         })
     }
-}
 
-impl std::fmt::Debug for MemoryStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemoryStore")
-            .field("budget", &self.byte_budget)
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-impl CacheStore for MemoryStore {
-    fn label(&self) -> &'static str {
-        "mem"
-    }
-
-    fn load(&self, stage: StageKind, key: &str) -> Option<Vec<u8>> {
+    /// Look up (stage, key): the payload, and whether it is verified.
+    pub(crate) fn load_verified(&self, stage: StageKind, key: &[u8]) -> Option<(Arc<[u8]>, bool)> {
         self.loads.fetch_add(1, Ordering::Relaxed);
         let hash = self.hash(key);
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self
+            .inner
+            .lock()
+            .expect("no holder of the memory-tier lock panics");
         let found = inner.maps[stage as usize]
             .find(hash, key)
-            .map(|e| (e.id, e.payload.to_vec()));
-        let (id, payload) = found?;
+            .map(|e| (e.id, e.payload.clone(), e.verified));
+        let (id, payload, verified) = found?;
         inner.touch(id);
         drop(inner);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(payload)
+        Some((payload, verified))
     }
 
-    fn store(&self, stage: StageKind, key: &str, payload: &[u8]) {
+    /// Store a payload the owning cache encoded or decode-checked.
+    pub(crate) fn store_verified(&self, stage: StageKind, key: &[u8], payload: &Arc<[u8]>) {
+        self.insert(stage, key, payload, true);
+    }
+
+    fn insert(&self, stage: StageKind, key: &[u8], payload: &Arc<[u8]>, verified: bool) {
         let hash = self.hash(key);
         let bytes = key.len() as u64 + payload.len() as u64 + ENTRY_OVERHEAD;
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self
+            .inner
+            .lock()
+            .expect("no holder of the memory-tier lock panics");
         // First insert wins: a racing worker (or a promotion racing a
         // write-through) may have stored this key already; the payloads
         // are identical deterministic encodings, so keep the resident one.
@@ -224,7 +231,8 @@ impl CacheStore for MemoryStore {
             hash,
             Entry {
                 key: key.into(),
-                payload: payload.into(),
+                payload: payload.clone(),
+                verified,
                 id,
             },
         );
@@ -244,8 +252,31 @@ impl CacheStore for MemoryStore {
             OBS_EVICTIONS.add(evicted);
         }
     }
+}
 
-    fn invalidate(&self, stage: StageKind, key: &str) {
+impl std::fmt::Debug for MemoryStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MemoryStore")
+            .field("budget", &self.byte_budget)
+            .field("stats", &self.stats())
+            .finish()
+    }
+}
+
+impl CacheStore for MemoryStore {
+    fn label(&self) -> &'static str {
+        "mem"
+    }
+
+    fn load(&self, stage: StageKind, key: &[u8]) -> Option<Arc<[u8]>> {
+        self.load_verified(stage, key).map(|(payload, _)| payload)
+    }
+
+    fn store(&self, stage: StageKind, key: &[u8], payload: &Arc<[u8]>) {
+        self.insert(stage, key, payload, false);
+    }
+
+    fn invalidate(&self, stage: StageKind, key: &[u8]) {
         let hash = self.hash(key);
         let mut inner = self.inner.lock().unwrap();
         if let Some(loc) = Self::find_loc(&inner, stage, hash, key) {
@@ -300,19 +331,23 @@ impl CacheStore for MemoryStore {
 mod tests {
     use super::*;
 
+    fn payload(bytes: &[u8]) -> Arc<[u8]> {
+        Arc::from(bytes)
+    }
+
     #[test]
     fn store_load_and_invalidate() {
         let s = MemoryStore::new(u64::MAX, !0);
-        assert_eq!(s.load(StageKind::Parse, "k"), None);
-        s.store(StageKind::Parse, "k", b"payload");
+        assert_eq!(s.load(StageKind::Parse, b"k"), None);
+        s.store(StageKind::Parse, b"k", &payload(b"payload"));
         assert_eq!(
-            s.load(StageKind::Parse, "k").as_deref(),
+            s.load(StageKind::Parse, b"k").as_deref(),
             Some(&b"payload"[..])
         );
         // Same key, different stage: distinct entries.
-        assert_eq!(s.load(StageKind::Compile, "k"), None);
-        s.invalidate(StageKind::Parse, "k");
-        assert_eq!(s.load(StageKind::Parse, "k"), None);
+        assert_eq!(s.load(StageKind::Compile, b"k"), None);
+        s.invalidate(StageKind::Parse, b"k");
+        assert_eq!(s.load(StageKind::Parse, b"k"), None);
         let t = s.stats();
         assert_eq!(t.stale_drops, 1);
         assert_eq!(t.entries, 0);
@@ -322,10 +357,23 @@ mod tests {
     #[test]
     fn first_insert_wins_on_duplicate_store() {
         let s = MemoryStore::new(u64::MAX, !0);
-        s.store(StageKind::Parse, "k", b"one");
-        s.store(StageKind::Parse, "k", b"one");
+        s.store(StageKind::Parse, b"k", &payload(b"one"));
+        s.store(StageKind::Parse, b"k", &payload(b"one"));
         let t = s.stats();
         assert_eq!(t.stores, 1);
         assert_eq!(t.entries, 1);
+    }
+
+    #[test]
+    fn only_owner_stores_are_verified_and_hits_share_the_payload() {
+        let s = MemoryStore::new(u64::MAX, !0);
+        let p = payload(b"bytes");
+        s.store(StageKind::Parse, b"public", &p);
+        s.store_verified(StageKind::Parse, b"owned", &p);
+        let (public, verified) = s.load_verified(StageKind::Parse, b"public").unwrap();
+        assert!(!verified);
+        assert!(Arc::ptr_eq(&public, &p), "a hit shares the stored buffer");
+        let (_, verified) = s.load_verified(StageKind::Parse, b"owned").unwrap();
+        assert!(verified);
     }
 }

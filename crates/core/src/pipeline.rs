@@ -24,34 +24,69 @@
 //! simulate on the in-order pipeline model ([`asip_sim::scalar`]). Both
 //! flavors flow through the same stages, caches and error currency.
 //!
-//! The first four stages are **memoized** in an [`ArtifactCache`] shared by
-//! every clone of a [`Toolchain`]: parsing is keyed by source text,
-//! optimization by (source, [`OptConfig`]), profiling by (module, inputs,
-//! args), and compilation by (target kind, module, machine, backend
-//! options, profile) — so the two target flavors can never alias.
+//! # Memoized stages and their keys
+//!
+//! All five stages are **memoized** in an [`ArtifactCache`] shared by every
+//! clone of a [`Toolchain`]. Each key is the codec encoding of what the
+//! stage reads (see [`crate::cache`]):
+//!
+//! | stage | key |
+//! |---|---|
+//! | Parse | source |
+//! | Optimize | [`OptConfig`], source |
+//! | Profile | optimized module payload, inputs, args |
+//! | Compile | target, module payload, machine, [`BackendOptions`], profile payload or a "none" tag |
+//! | Simulate | machine, [`SimOptions::max_cycles`], compiled-artifact payload, inputs, args |
+//!
+//! A parent artifact enters its child's key as its cached payload bytes,
+//! so the keys chain: a cell's Compile key holds the exact module its
+//! Optimize stage produced. The target leads the Compile key and the
+//! artifact payload opens with its target tag, so the two target flavors
+//! can never alias.
 //!
 //! [`Simulate`](StageKind::Simulate) is memoized too: both cycle-level
-//! engines are deterministic functions of (compiled artifact, machine
-//! tables, [`SimOptions`], workload inputs and arguments), which is exactly
-//! what the target-flavored Simulate key renders — so a repeated identical
+//! engines are deterministic functions of its key, so a repeated identical
 //! cell across ISE/DSE sweeps, or a disk-warm rerun of a whole grid, skips
-//! simulation entirely and returns a byte-identical `SimResult`. The
-//! golden-output check runs on every call (hit or miss), outside the
-//! cached computation. The N×M grid ([`crate::nxm`]) and the ISE/DSE
-//! search loops ([`crate::ise`], [`crate::dse`]) therefore stop
-//! recompiling identical front halves *and* stop re-measuring identical
-//! cells: evaluating M machines against one workload parses, optimizes and
-//! profiles it once, and re-evaluating any (artifact, machine, inputs)
-//! triple costs a cache probe.
+//! simulation entirely and returns a byte-identical `SimResult`. Its entry
+//! also holds the compiled program's [`BackendStats`] and code size, so a
+//! hit needs nothing from the program. Two things are deliberately *not*
+//! part of its key:
 //!
-//! Cache keys are the full rendered artifact inputs with stored-key
-//! verification in every tier, so a hit can never silently collide. The
-//! cache is **tiered** (see [`crate::cache`]): an LRU byte-budgeted memory
-//! tier, plus an optional persistent disk tier that lets a fresh process
-//! warm-start the whole front half. [`Toolchain::cache_stats`] exposes
-//! per-stage hit/miss and per-tier counters and [`Toolchain::stage_times`]
-//! cumulative per-stage execution time.
+//! * the [`asip_sim::SimEngine`] choice and its promotion threshold — both
+//!   engines produce bit-identical `SimResult`s (pinned by the
+//!   differential suites and the `session_env` engine-invariance test), so
+//!   a cell measured under one is a valid hit for the other, on either
+//!   tier;
+//! * the golden `expected` stream — the output check runs on every call,
+//!   hit or miss, so a sabotaged expectation still reports
+//!   [`ToolchainError::WrongOutput`] against the cached measurement.
+//!
+//! The N×M grid ([`crate::nxm`]) and the ISE/DSE search loops
+//! ([`crate::ise`], [`crate::dse`]) therefore stop recompiling identical
+//! front halves *and* stop re-measuring identical cells: evaluating M
+//! machines against one workload parses, optimizes and profiles it once,
+//! and re-evaluating any (artifact, machine, inputs) triple costs a cache
+//! probe.
+//!
+//! # Decoding only what is read
+//!
+//! [`Toolchain::run_workload`] and
+//! [`Session::eval`](crate::session::Session::eval) pass each stage's
+//! result to the next as a handle holding the cached payload, which is
+//! decoded only when a stage misses and must compute. A fully warm cell
+//! therefore hashes its keys and decodes only its Simulate entry. The
+//! public stage methods ([`Toolchain::frontend`],
+//! [`Toolchain::compile_for`], [`Toolchain::run_artifact`], …) take and
+//! return decoded values; they build the same keys by encoding their
+//! arguments, so both paths share every cache entry.
+//!
+//! The cache is **tiered** (see [`crate::cache`]): an LRU byte-budgeted
+//! memory tier, plus an optional persistent disk tier that lets a fresh
+//! process warm-start the whole pipeline. [`Toolchain::cache_stats`]
+//! exposes per-stage hit/miss and per-tier counters and
+//! [`Toolchain::stage_times`] cumulative per-stage execution time.
 
+use crate::cache::Staged;
 pub use crate::cache::{ArtifactCache, CacheConfig, CacheStats, StageKind, StageStats, StageTimes};
 use asip_backend::{
     compile_module, compile_module_scalar, BackendOptions, BackendStats, CompiledProgram,
@@ -137,32 +172,6 @@ impl From<asip_sim::SimError> for ToolchainError {
     }
 }
 
-/// Append `blob` to `key` as lowercase hex and return the result as a
-/// `String` (hex expansion keeps codec-rendered keys valid UTF-8).
-fn hex_expand(mut key: Vec<u8>, blob: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let at = key.len();
-    key.resize(at + blob.len() * 2, 0);
-    for (pair, &b) in key[at..].chunks_exact_mut(2).zip(blob) {
-        pair[0] = HEX[(b >> 4) as usize];
-        pair[1] = HEX[(b & 15) as usize];
-    }
-    String::from_utf8(key).expect("hex expansion is ASCII")
-}
-
-/// Stable fingerprint of an optional profile: entries sorted by function id
-/// (the underlying `HashMap`'s debug order is not deterministic).
-fn profile_key(profile: Option<&Profile>) -> String {
-    match profile {
-        None => "none".to_string(),
-        Some(p) => {
-            let mut entries: Vec<(&u32, &Vec<u64>)> = p.counts.iter().collect();
-            entries.sort_by_key(|(id, _)| **id);
-            format!("{entries:?}")
-        }
-    }
-}
-
 /// The configured toolchain engine.
 ///
 /// Cloning is cheap and shares the [`ArtifactCache`]; use
@@ -210,19 +219,11 @@ pub enum CompiledArtifact {
 
 /// The versioned binary encoding of a Compile-stage artifact: a target tag
 /// byte followed by the target's own program codec. This is what the
-/// persistent cache tier stores and verifies for the Compile stage.
+/// persistent cache tier stores and verifies for the Compile stage, and
+/// what a Simulate key holds.
 impl Codec for CompiledArtifact {
     fn encode(&self, w: &mut Writer) {
-        match self {
-            CompiledArtifact::Vliw(p) => {
-                w.put_u8(0);
-                p.encode(w);
-            }
-            CompiledArtifact::Scalar(p) => {
-                w.put_u8(1);
-                p.encode(w);
-            }
-        }
+        self.as_program().encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -240,20 +241,12 @@ impl Codec for CompiledArtifact {
 impl CompiledArtifact {
     /// Compile-time statistics, whichever the target.
     pub fn stats(&self) -> BackendStats {
-        match self {
-            CompiledArtifact::Vliw(p) => p.stats,
-            CompiledArtifact::Scalar(p) => p.stats,
-        }
+        self.as_program().stats()
     }
 
     /// Code size in bytes under the machine's own encoding.
     pub fn code_bytes(&self, machine: &MachineDescription) -> u32 {
-        match self {
-            CompiledArtifact::Vliw(p) => {
-                asip_isa::encoding::code_bytes(&p.program, machine, machine.encoding)
-            }
-            CompiledArtifact::Scalar(p) => p.program.code_bytes(machine.encoding),
-        }
+        self.as_program().code_bytes(machine)
     }
 
     /// The VLIW program, if this is one.
@@ -271,6 +264,54 @@ impl CompiledArtifact {
             CompiledArtifact::Scalar(p) => Some(p),
         }
     }
+
+    fn as_program(&self) -> ProgramRef<'_> {
+        match self {
+            CompiledArtifact::Vliw(p) => ProgramRef::Vliw(p),
+            CompiledArtifact::Scalar(p) => ProgramRef::Scalar(p),
+        }
+    }
+}
+
+/// A borrowed compiled program of either target kind, so the by-value
+/// Simulate entry points can key and run a program without wrapping it in
+/// a [`CompiledArtifact`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ProgramRef<'a> {
+    Vliw(&'a CompiledProgram),
+    Scalar(&'a CompiledScalarProgram),
+}
+
+impl ProgramRef<'_> {
+    /// The program's [`CompiledArtifact`] encoding.
+    fn encode(self, w: &mut Writer) {
+        match self {
+            ProgramRef::Vliw(p) => {
+                w.put_u8(0);
+                p.encode(w);
+            }
+            ProgramRef::Scalar(p) => {
+                w.put_u8(1);
+                p.encode(w);
+            }
+        }
+    }
+
+    fn stats(self) -> BackendStats {
+        match self {
+            ProgramRef::Vliw(p) => p.stats,
+            ProgramRef::Scalar(p) => p.stats,
+        }
+    }
+
+    fn code_bytes(self, machine: &MachineDescription) -> u32 {
+        match self {
+            ProgramRef::Vliw(p) => {
+                asip_isa::encoding::code_bytes(&p.program, machine, machine.encoding)
+            }
+            ProgramRef::Scalar(p) => p.program.code_bytes(machine.encoding),
+        }
+    }
 }
 
 /// Result of running one workload on one machine.
@@ -286,6 +327,91 @@ pub struct WorkloadRun {
     pub compile: BackendStats,
     /// Code size in bytes under the machine's encoding.
     pub code_bytes: u32,
+}
+
+/// What the Simulate stage caches: the measurement, plus the compiled
+/// program's statistics and code size, so a hit never decodes the program.
+struct SimEntry {
+    sim: SimResult,
+    compile: BackendStats,
+    code_bytes: u32,
+}
+
+impl Codec for SimEntry {
+    fn encode(&self, w: &mut Writer) {
+        self.sim.encode(w);
+        self.compile.encode(w);
+        w.put_u32(self.code_bytes);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(SimEntry {
+            sim: SimResult::decode(r)?,
+            compile: BackendStats::decode(r)?,
+            code_bytes: r.get_u32()?,
+        })
+    }
+}
+
+/// A parent artifact as a stage reads it: its payload goes into the
+/// stage's key, and its value is read only when the stage misses.
+pub(crate) enum Input<'a, V> {
+    /// A value the caller holds, encoded into the key.
+    Value(&'a V),
+    /// A stage result, whose payload is copied into the key as it is.
+    Staged(&'a Staged<V>),
+}
+
+impl<V: Codec> Input<'_, V> {
+    fn put(&self, key: &mut Writer) {
+        match self {
+            Input::Value(v) => v.encode(key),
+            Input::Staged(s) => key.put_raw(s.payload()),
+        }
+    }
+
+    fn get(&self) -> &V {
+        match self {
+            Input::Value(v) => v,
+            Input::Staged(s) => s.get(),
+        }
+    }
+}
+
+/// The compiled program a Simulate call reads: one the caller holds, or a
+/// Compile result, decoded only if the Simulate stage misses.
+pub(crate) enum ArtifactInput<'a> {
+    Program(ProgramRef<'a>),
+    Staged(&'a Staged<CompiledArtifact>),
+}
+
+impl ArtifactInput<'_> {
+    fn put(&self, key: &mut Writer) {
+        match self {
+            ArtifactInput::Program(p) => p.encode(key),
+            ArtifactInput::Staged(s) => key.put_raw(s.payload()),
+        }
+    }
+
+    fn program(&self) -> ProgramRef<'_> {
+        match self {
+            ArtifactInput::Program(p) => *p,
+            ArtifactInput::Staged(s) => s.get().as_program(),
+        }
+    }
+}
+
+/// Append a workload's inputs and arguments to a key.
+fn put_run_inputs(key: &mut Writer, inputs: &[(String, Vec<i32>)], args: &[i32]) {
+    key.put_u32(inputs.len() as u32);
+    for (name, data) in inputs {
+        key.put_str(name);
+        data.encode(key);
+    }
+    key.put_u32(args.len() as u32);
+    for &a in args {
+        key.put_i32(a);
+    }
 }
 
 impl Toolchain {
@@ -342,8 +468,14 @@ impl Toolchain {
     ///
     /// [`ToolchainError::Frontend`] on TinyC errors.
     pub fn parse(&self, source: &str) -> Result<Module, ToolchainError> {
+        self.parse_stage(source).map(Staged::into_value)
+    }
+
+    fn parse_stage(&self, source: &str) -> Result<Staged<Module>, ToolchainError> {
+        let mut key = Writer::new();
+        key.put_str(source);
         self.cache
-            .get_or_compute(StageKind::Parse, source.to_string(), |t| {
+            .get_or_compute(StageKind::Parse, &key.into_bytes(), |t| {
                 Ok(t.time(|| asip_tinyc::compile(source))?)
             })
     }
@@ -355,13 +487,20 @@ impl Toolchain {
     ///
     /// [`ToolchainError::Frontend`] on TinyC errors.
     pub fn frontend(&self, source: &str) -> Result<Module, ToolchainError> {
-        let key = format!("{:?}\u{1f}{source}", self.opt);
-        self.cache.get_or_compute(StageKind::Optimize, key, |t| {
-            // Parse times itself under its own stage.
-            let mut module = self.parse(source)?;
-            t.time(|| optimize(&mut module, &self.opt));
-            Ok(module)
-        })
+        self.optimize_stage(source).map(Staged::into_value)
+    }
+
+    pub(crate) fn optimize_stage(&self, source: &str) -> Result<Staged<Module>, ToolchainError> {
+        let mut key = Writer::new();
+        self.opt.encode(&mut key);
+        key.put_str(source);
+        self.cache
+            .get_or_compute(StageKind::Optimize, &key.into_bytes(), |t| {
+                // Parse times itself under its own stage.
+                let mut module = self.parse_stage(source)?.into_value();
+                t.time(|| optimize(&mut module, &self.opt));
+                Ok(module)
+            })
     }
 
     /// **Profile stage**: interpret the module to collect block execution
@@ -376,50 +515,74 @@ impl Toolchain {
         inputs: &[(String, Vec<i32>)],
         args: &[i32],
     ) -> Result<Profile, ToolchainError> {
-        let key = format!("{module:?}\u{1f}{inputs:?}\u{1f}{args:?}");
-        self.cache.get_or_compute(StageKind::Profile, key, |t| {
-            t.time(|| {
-                let mut interp = Interp::new(module, InterpOptions::default());
-                for (name, data) in inputs {
-                    interp.write_global(name, data);
-                }
-                let r = interp.run("main", args).map_err(ToolchainError::Profile)?;
-                Ok(r.profile)
-            })
-        })
+        self.profile_stage(Input::Value(module), inputs, args)
+            .map(Staged::into_value)
     }
 
-    /// Cached compile of one target flavor. The key leads with the flavor
-    /// name, so a VLIW and a scalar artifact of the same (module, machine,
-    /// options, profile) can never collide in the cache.
-    fn compile_flavor(
+    pub(crate) fn profile_stage(
+        &self,
+        module: Input<'_, Module>,
+        inputs: &[(String, Vec<i32>)],
+        args: &[i32],
+    ) -> Result<Staged<Profile>, ToolchainError> {
+        let mut key = Writer::new();
+        module.put(&mut key);
+        put_run_inputs(&mut key, inputs, args);
+        self.cache
+            .get_or_compute(StageKind::Profile, &key.into_bytes(), |t| {
+                let module = module.get();
+                t.time(|| {
+                    let mut interp = Interp::new(module, InterpOptions::default());
+                    for (name, data) in inputs {
+                        interp.write_global(name, data);
+                    }
+                    let r = interp.run("main", args).map_err(ToolchainError::Profile)?;
+                    Ok(r.profile)
+                })
+            })
+    }
+
+    /// **Compile stage** of one target flavor. The key leads with the
+    /// flavor, so a VLIW and a scalar artifact of the same (module,
+    /// machine, options, profile) can never collide in the cache.
+    pub(crate) fn compile_stage(
         &self,
         flavor: TargetKind,
-        module: &Module,
+        module: Input<'_, Module>,
         machine: &MachineDescription,
-        profile: Option<&Profile>,
-    ) -> Result<CompiledArtifact, ToolchainError> {
-        let key = format!(
-            "{flavor}\u{1f}{module:?}\u{1f}{machine:?}\u{1f}{:?}\u{1f}{}",
-            self.backend,
-            profile_key(profile)
-        );
-        self.cache.get_or_compute(StageKind::Compile, key, |t| {
-            t.time(|| match flavor {
-                TargetKind::Vliw => Ok(CompiledArtifact::Vliw(compile_module(
-                    module,
-                    machine,
-                    profile,
-                    &self.backend,
-                )?)),
-                TargetKind::Scalar => Ok(CompiledArtifact::Scalar(compile_module_scalar(
-                    module,
-                    machine,
-                    profile,
-                    &self.backend,
-                )?)),
+        profile: Option<Input<'_, Profile>>,
+    ) -> Result<Staged<CompiledArtifact>, ToolchainError> {
+        let mut key = Writer::new();
+        flavor.encode(&mut key);
+        module.put(&mut key);
+        machine.encode(&mut key);
+        self.backend.encode(&mut key);
+        match &profile {
+            None => key.put_u8(0),
+            Some(p) => {
+                key.put_u8(1);
+                p.put(&mut key);
+            }
+        }
+        self.cache
+            .get_or_compute(StageKind::Compile, &key.into_bytes(), |t| {
+                let module = module.get();
+                let profile = profile.as_ref().map(Input::get);
+                t.time(|| match flavor {
+                    TargetKind::Vliw => Ok(CompiledArtifact::Vliw(compile_module(
+                        module,
+                        machine,
+                        profile,
+                        &self.backend,
+                    )?)),
+                    TargetKind::Scalar => Ok(CompiledArtifact::Scalar(compile_module_scalar(
+                        module,
+                        machine,
+                        profile,
+                        &self.backend,
+                    )?)),
+                })
             })
-        })
     }
 
     /// **Compile stage**, dispatched on the machine's [`TargetKind`]: IR
@@ -435,7 +598,13 @@ impl Toolchain {
         machine: &MachineDescription,
         profile: Option<&Profile>,
     ) -> Result<CompiledArtifact, ToolchainError> {
-        self.compile_flavor(machine.target, module, machine, profile)
+        self.compile_stage(
+            machine.target,
+            Input::Value(module),
+            machine,
+            profile.map(Input::Value),
+        )
+        .map(Staged::into_value)
     }
 
     /// **Compile stage**, VLIW flavor: IR module → VLIW machine program
@@ -452,11 +621,16 @@ impl Toolchain {
         machine: &MachineDescription,
         profile: Option<&Profile>,
     ) -> Result<CompiledProgram, ToolchainError> {
-        let art = self.compile_flavor(TargetKind::Vliw, module, machine, profile)?;
-        Ok(art
-            .vliw()
-            .expect("vliw-flavored keys hold vliw artifacts")
-            .clone())
+        let staged = self.compile_stage(
+            TargetKind::Vliw,
+            Input::Value(module),
+            machine,
+            profile.map(Input::Value),
+        )?;
+        match staged.into_value() {
+            CompiledArtifact::Vliw(p) => Ok(p),
+            CompiledArtifact::Scalar(_) => unreachable!("vliw-flavored keys hold vliw artifacts"),
+        }
     }
 
     /// **Compile stage**, scalar flavor: IR module → linear scalar program.
@@ -471,16 +645,24 @@ impl Toolchain {
         machine: &MachineDescription,
         profile: Option<&Profile>,
     ) -> Result<CompiledScalarProgram, ToolchainError> {
-        let art = self.compile_flavor(TargetKind::Scalar, module, machine, profile)?;
-        Ok(art
-            .scalar()
-            .expect("scalar-flavored keys hold scalar artifacts")
-            .clone())
+        let staged = self.compile_stage(
+            TargetKind::Scalar,
+            Input::Value(module),
+            machine,
+            profile.map(Input::Value),
+        )?;
+        match staged.into_value() {
+            CompiledArtifact::Scalar(p) => Ok(p),
+            CompiledArtifact::Vliw(_) => {
+                unreachable!("scalar-flavored keys hold scalar artifacts")
+            }
+        }
     }
 
     /// Full stage graph for one workload on one machine, checking the
-    /// golden output. Every stage but the final simulation is served from
-    /// the artifact cache when possible.
+    /// golden output. Every stage is served from the artifact cache when
+    /// possible, and each stage's result reaches the next as its cached
+    /// payload, decoded only if the next stage misses.
     ///
     /// # Errors
     ///
@@ -491,58 +673,76 @@ impl Toolchain {
         w: &Workload,
         machine: &MachineDescription,
     ) -> Result<WorkloadRun, ToolchainError> {
-        let module = self.frontend(&w.source)?;
+        let module = self.optimize_stage(&w.source)?;
         let profile = if self.profile_guided {
-            Some(self.profile(&module, &w.inputs, &w.args)?)
+            Some(self.profile_stage(Input::Staged(&module), &w.inputs, &w.args)?)
         } else {
             None
         };
-        let compiled = self.compile_for(&module, machine, profile.as_ref())?;
-        self.run_artifact(w, machine, &compiled)
+        let compiled = self.compile_stage(
+            machine.target,
+            Input::Staged(&module),
+            machine,
+            profile.as_ref().map(Input::Staged),
+        )?;
+        self.simulate_stage(w, machine, ArtifactInput::Staged(&compiled))
     }
 
-    /// The Simulate-stage cache key. Flavor-tagged like Compile keys, and
-    /// covering everything that can change the deterministic measurement:
-    /// the compiled program, the machine tables, the [`SimOptions`]
-    /// *limits*, and the workload's inputs and arguments. The program and
-    /// the input data are rendered through their lossless binary codec
-    /// (hex-expanded) rather than `Debug` formatting — the key is built on
-    /// the hot path of every cell, and the codec writer is an order of
-    /// magnitude cheaper than `fmt` while remaining a complete, injective
-    /// rendering. Two things are deliberately *not* part of the key:
-    ///
-    /// * the [`asip_sim::SimEngine`] choice and its promotion threshold —
-    ///   both engines produce bit-identical `SimResult`s (pinned by the
-    ///   differential suites and the `session_env` engine-invariance
-    ///   test), so a cell measured under one is a valid hit for the other,
-    ///   on either tier;
-    /// * the golden `expected` stream — the output check runs on every
-    ///   call, hit or miss, so a sabotaged expectation still reports
-    ///   [`ToolchainError::WrongOutput`] against the cached measurement.
-    fn simulate_key<P: Codec>(
+    /// **Simulate stage**, keyed by everything that can change the
+    /// deterministic measurement: the machine tables, the [`SimOptions`]
+    /// cycle limit, the compiled artifact, and the workload's inputs and
+    /// arguments. The cached entry carries the program's statistics and
+    /// code size beside the [`SimResult`], so a hit decodes neither the
+    /// program nor anything else; the golden check runs on every call.
+    pub(crate) fn simulate_stage(
         &self,
-        flavor: TargetKind,
-        machine: &MachineDescription,
-        program: &P,
         w: &Workload,
-    ) -> String {
-        let mut blob = Writer::new();
-        program.encode(&mut blob);
-        blob.put_u32(w.inputs.len() as u32);
-        for (name, data) in &w.inputs {
-            blob.put_str(name);
-            data.encode(&mut blob);
-        }
-        w.args.encode(&mut blob);
-        let key = format!(
-            "{flavor}\u{1f}{machine:?}\u{1f}max_cycles={}\u{1f}",
-            self.sim.max_cycles
-        );
-        hex_expand(key.into_bytes(), &blob.into_bytes())
+        machine: &MachineDescription,
+        compiled: ArtifactInput<'_>,
+    ) -> Result<WorkloadRun, ToolchainError> {
+        let mut key = Writer::new();
+        machine.encode(&mut key);
+        key.put_u64(self.sim.max_cycles);
+        compiled.put(&mut key);
+        put_run_inputs(&mut key, &w.inputs, &w.args);
+        let entry = self
+            .cache
+            .get_or_compute(StageKind::Simulate, &key.into_bytes(), |t| {
+                let program = compiled.program();
+                let sim = t.time(|| self.simulate(w, machine, program))?;
+                self.cache.record_sim_cycles(sim.cycles);
+                Ok(SimEntry {
+                    sim,
+                    compile: program.stats(),
+                    code_bytes: program.code_bytes(machine),
+                })
+            })?
+            .into_value();
+        Self::check_output(&entry.sim, w, machine)?;
+        Ok(WorkloadRun {
+            workload: w.name.clone(),
+            machine: machine.name.clone(),
+            sim: entry.sim,
+            compile: entry.compile,
+            code_bytes: entry.code_bytes,
+        })
     }
 
-    /// One VLIW measurement on the configured engine: a Simulate miss
-    /// prepares a [`Simulator`], runs it once and drops it.
+    /// One measurement on the configured engine, for either target.
+    fn simulate(
+        &self,
+        w: &Workload,
+        machine: &MachineDescription,
+        program: ProgramRef<'_>,
+    ) -> Result<SimResult, ToolchainError> {
+        match program {
+            ProgramRef::Vliw(p) => self.simulate_vliw(w, machine, p),
+            ProgramRef::Scalar(p) => self.simulate_scalar(w, machine, p),
+        }
+    }
+
+    /// One VLIW measurement: a Simulate miss prepares a [`Simulator`],
+    /// runs it once and drops it.
     fn simulate_vliw(
         &self,
         w: &Workload,
@@ -591,9 +791,9 @@ impl Toolchain {
     /// **Simulate stage**: run an already-compiled workload (used by sweeps
     /// that vary only the simulation conditions). **Memoized** like every
     /// other stage: the engines are deterministic functions of the key's
-    /// rendered inputs, so a repeated identical cell across ISE/DSE sweeps
-    /// — or a disk-warm rerun — skips the cycle loop entirely and returns
-    /// a byte-identical [`SimResult`]. Errors are never cached.
+    /// inputs, so a repeated identical cell across ISE/DSE sweeps — or a
+    /// disk-warm rerun — skips the cycle loop entirely and returns a
+    /// byte-identical [`SimResult`]. Errors are never cached.
     ///
     /// # Errors
     ///
@@ -604,27 +804,13 @@ impl Toolchain {
         machine: &MachineDescription,
         compiled: &CompiledProgram,
     ) -> Result<WorkloadRun, ToolchainError> {
-        let key = self.simulate_key(TargetKind::Vliw, machine, &compiled.program, w);
-        let result = self.cache.get_or_compute(StageKind::Simulate, key, |t| {
-            let result = t.time(|| self.simulate_vliw(w, machine, compiled))?;
-            self.cache.record_sim_cycles(result.cycles);
-            Ok(result)
-        })?;
-        Self::check_output(&result, w, machine)?;
-        let code_bytes =
-            asip_isa::encoding::code_bytes(&compiled.program, machine, machine.encoding);
-        Ok(WorkloadRun {
-            workload: w.name.clone(),
-            machine: machine.name.clone(),
-            sim: result,
-            compile: compiled.stats,
-            code_bytes,
-        })
+        let program = ProgramRef::Vliw(compiled);
+        self.simulate_stage(w, machine, ArtifactInput::Program(program))
     }
 
     /// **Simulate stage**, scalar flavor: run an already-compiled scalar
     /// workload on the in-order pipeline model. Memoized like
-    /// [`Toolchain::run_compiled`], with a scalar-flavored key.
+    /// [`Toolchain::run_compiled`].
     ///
     /// # Errors
     ///
@@ -635,28 +821,15 @@ impl Toolchain {
         machine: &MachineDescription,
         compiled: &CompiledScalarProgram,
     ) -> Result<WorkloadRun, ToolchainError> {
-        let key = self.simulate_key(TargetKind::Scalar, machine, &compiled.program, w);
-        let result = self.cache.get_or_compute(StageKind::Simulate, key, |t| {
-            let result = t.time(|| self.simulate_scalar(w, machine, compiled))?;
-            self.cache.record_sim_cycles(result.cycles);
-            Ok(result)
-        })?;
-        Self::check_output(&result, w, machine)?;
-        let code_bytes = compiled.program.code_bytes(machine.encoding);
-        Ok(WorkloadRun {
-            workload: w.name.clone(),
-            machine: machine.name.clone(),
-            sim: result,
-            compile: compiled.stats,
-            code_bytes,
-        })
+        let program = ProgramRef::Scalar(compiled);
+        self.simulate_stage(w, machine, ArtifactInput::Program(program))
     }
 
-    /// **Simulate stage** for either artifact kind: dispatches to the VLIW
-    /// or the scalar pipeline model through [`Toolchain::run_compiled`] or
-    /// [`Toolchain::run_compiled_scalar`], so the result is memoized like
-    /// theirs: a repeated identical cell returns the cached [`SimResult`]
-    /// without simulating, and only errors are never cached.
+    /// **Simulate stage** for either artifact kind, on the VLIW or the
+    /// scalar pipeline model, memoized like [`Toolchain::run_compiled`]: a
+    /// repeated identical cell returns the cached [`SimResult`] without
+    /// simulating, and only errors are never cached. The key is built
+    /// from the artifact's encoding; the artifact itself is not copied.
     ///
     /// # Errors
     ///
@@ -667,10 +840,7 @@ impl Toolchain {
         machine: &MachineDescription,
         compiled: &CompiledArtifact,
     ) -> Result<WorkloadRun, ToolchainError> {
-        match compiled {
-            CompiledArtifact::Vliw(p) => self.run_compiled(w, machine, p),
-            CompiledArtifact::Scalar(p) => self.run_compiled_scalar(w, machine, p),
-        }
+        self.simulate_stage(w, machine, ArtifactInput::Program(compiled.as_program()))
     }
 }
 
@@ -739,10 +909,49 @@ mod tests {
         // No stage recomputed.
         assert_eq!(warm.misses(), cold.misses(), "{warm}");
 
-        // Cached and uncached runs are bit-identical measurements — the
-        // memoized Simulate hit returns the whole SimResult unchanged.
-        assert_eq!(first.sim, second.sim);
-        assert_eq!(first.code_bytes, second.code_bytes);
+        // Cached and uncached runs are identical: the Simulate hit returns
+        // the whole SimResult, and the compile stats and code size it
+        // carries, unchanged.
+        assert_eq!(first, second);
+    }
+
+    #[test]
+    fn distinct_parent_inputs_never_share_an_entry() {
+        let tc = Toolchain::default();
+        let w = asip_workloads::by_name("fir").unwrap();
+        let module = tc.frontend(&w.source).unwrap();
+        let profile = tc.profile(&module, &w.inputs, &w.args).unwrap();
+
+        // One module on two machines that differ only in `lat_mul`: the
+        // machine bytes in the Compile key keep the two apart.
+        let m1 = MachineDescription::ember4();
+        let mut m2 = m1.clone();
+        m2.lat_mul += 2;
+        let before = tc.cache_stats();
+        let a1 = tc.compile_for(&module, &m1, Some(&profile)).unwrap();
+        tc.compile_for(&module, &m2, Some(&profile)).unwrap();
+        let after = tc.cache_stats();
+        assert_eq!(after.compile.misses, before.compile.misses + 2, "{after}");
+        assert_eq!(after.compile.hits, before.compile.hits, "{after}");
+
+        // One artifact on two input sets: the input bytes in the Simulate
+        // key keep the two apart, and each run reports its own output.
+        let mut w2 = w.clone();
+        w2.inputs[0].1[0] += 1;
+        let mut interp = Interp::new(&module, InterpOptions::default());
+        for (name, data) in &w2.inputs {
+            interp.write_global(name, data);
+        }
+        w2.expected = interp.run("main", &w2.args).unwrap().output;
+        assert_ne!(w2.expected, w.expected, "the inputs must matter");
+        let before = tc.cache_stats();
+        let r1 = tc.run_artifact(&w, &m1, &a1).unwrap();
+        let r2 = tc.run_artifact(&w2, &m1, &a1).unwrap();
+        let after = tc.cache_stats();
+        assert_eq!(after.simulate.misses, before.simulate.misses + 2, "{after}");
+        assert_eq!(after.simulate.hits, before.simulate.hits, "{after}");
+        assert_eq!(r1.sim.output, w.expected);
+        assert_eq!(r2.sim.output, w2.expected);
     }
 
     #[test]

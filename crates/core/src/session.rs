@@ -32,8 +32,8 @@
 //! `eval_batch` executes cells on scoped worker threads pulling from a
 //! shared cursor, and writes each outcome into its request's slot: the
 //! result vector is **request-ordered and byte-identical regardless of
-//! thread count**. Artifacts are deterministic functions of their rendered
-//! inputs and round-trip the cache's versioned binary codec exactly, so
+//! thread count**. Artifacts are deterministic functions of their stage
+//! keys and round-trip the cache's versioned binary codec exactly, so
 //! cache hits (from either tier), racing recomputes, LRU evictions and
 //! disk warm starts can never change a measurement — only the
 //! [`CacheStats`] counters.
@@ -44,7 +44,7 @@ use crate::cache::{
 };
 use crate::flight::SingleFlight;
 use crate::ise::{extend, IseConfig, IseReport};
-use crate::pipeline::{Toolchain, ToolchainError, WorkloadRun};
+use crate::pipeline::{ArtifactInput, Input, Toolchain, ToolchainError, WorkloadRun};
 use asip_backend::BackendOptions;
 use asip_ir::passes::OptConfig;
 use asip_isa::{FuKind, MachineDescription};
@@ -478,89 +478,109 @@ impl Session {
         self.flights.run(req.encode_to_vec(), || self.eval(req))
     }
 
+    /// The stage calls of one cell. Each stage's result reaches the next
+    /// as its cached payload, so a fully warm cell decodes only its
+    /// Simulate entry.
     fn eval_inner(&self, req: &EvalRequest) -> Result<EvalRun, ToolchainError> {
         let tc = &self.tc;
         let w = &req.workload;
-        let mut module = tc.frontend(&w.source)?;
+        let module = tc.optimize_stage(&w.source)?;
         let wants_ise = req.options.ise_budget > 0.0 && req.machine.has_fu(FuKind::Custom);
         // ISE selection needs a profile even when compilation is not
         // profile-guided.
         let profile = if tc.profile_guided || wants_ise {
-            Some(tc.profile(&module, &w.inputs, &w.args)?)
+            Some(tc.profile_stage(Input::Staged(&module), &w.inputs, &w.args)?)
         } else {
             None
         };
-        let (machine, ise) = if wants_ise {
+        let guided = profile.as_ref().filter(|_| tc.profile_guided);
+        let (compiled, machine, ise) = if wants_ise {
             let cfg = IseConfig {
                 area_budget: req.options.ise_budget,
                 ..Default::default()
             };
-            let (m2, report) = extend(
-                &mut module,
+            // `extend` rewrites an owned, freshly decoded module: the
+            // cache holds only bytes, so no cached artifact changes.
+            let mut module = module.into_value();
+            let profile = profile.as_ref().expect("profiled for ISE").get();
+            let (machine, report) = extend(&mut module, &req.machine, profile, &cfg);
+            let compiled = tc.compile_stage(
+                machine.target,
+                Input::Value(&module),
+                &machine,
+                guided.map(Input::Staged),
+            )?;
+            (compiled, machine, Some(report))
+        } else {
+            let compiled = tc.compile_stage(
+                req.machine.target,
+                Input::Staged(&module),
                 &req.machine,
-                profile.as_ref().expect("profiled for ISE"),
-                &cfg,
-            );
-            (m2, Some(report))
-        } else {
-            (req.machine.clone(), None)
+                guided.map(Input::Staged),
+            )?;
+            (compiled, req.machine.clone(), None)
         };
-        let guided = if tc.profile_guided {
-            profile.as_ref()
-        } else {
-            None
-        };
-        let compiled = tc.compile_for(&module, &machine, guided)?;
-        let run = tc.run_artifact(w, &machine, &compiled)?;
+        let run = tc.simulate_stage(w, &machine, ArtifactInput::Staged(&compiled))?;
         Ok(EvalRun { run, machine, ise })
     }
 
-    /// Evaluate a batch of cells on the worker pool.
-    ///
-    /// Workers pull requests from a shared cursor (long cells never leave
-    /// threads idle) and write outcomes into their request's slot: the
+    /// Evaluate a batch of cells on the worker pool ([`par_map`]): the
     /// returned vector is request-ordered and identical for any thread
-    /// count. The pool is `min(threads, requests)` scoped threads, each
-    /// joined before the call returns. A scope alone returns once its
-    /// threads' closures end, while the threads may still be exiting and
-    /// holding their glibc malloc arenas; the next batch's workers then
-    /// attach new arenas, and how many a process ends up keeping resident
-    /// would depend on thread timing. Joined, every batch reuses the same
-    /// arenas.
+    /// count.
     pub fn eval_batch(&self, reqs: &[EvalRequest]) -> Vec<EvalOutcome> {
-        let n = reqs.len();
-        let threads = self.threads.min(n).max(1);
-        if threads <= 1 {
-            return reqs.iter().map(|r| self.eval(r)).collect();
-        }
-        let slots: Mutex<Vec<Option<EvalOutcome>>> = Mutex::new(vec![None; n]);
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let outcome = self.eval(&reqs[i]);
-                        slots.lock().unwrap()[i] = Some(outcome);
-                    })
-                })
-                .collect();
-            for w in workers {
-                if let Err(panic) = w.join() {
-                    std::panic::resume_unwind(panic);
-                }
-            }
-        });
-        slots
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|o| o.expect("every batch slot is filled by a worker"))
-            .collect()
+        par_map(self.threads, reqs, |r| self.eval(r))
     }
+}
+
+/// Map `f` over `items` on a pool of `min(threads, items)` scoped worker
+/// threads, returning the results in item order.
+///
+/// Workers pull items from a shared cursor (long items never leave threads
+/// idle) and write each result into its item's slot, so the output is the
+/// same for any thread count. Each worker is joined before the call
+/// returns. A scope alone returns once its threads' closures end, while
+/// the threads may still be exiting and holding their glibc malloc arenas;
+/// the next pool's workers then attach new arenas, and how many a process
+/// ends up keeping resident would depend on thread timing. Joined, every
+/// pool reuses the same arenas. [`Session::eval_batch`] and the evaluation
+/// server's coalescing batches both run on this pool.
+pub fn par_map<T: Sync, R: Send>(
+    threads: usize,
+    items: &[T],
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let n = items.len();
+    let threads = threads.min(n).max(1);
+    if threads <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    let cursor = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let out = f(&items[i]);
+                    slots.lock().expect("no worker panics holding the slots")[i] = Some(out);
+                })
+            })
+            .collect();
+        for w in workers {
+            if let Err(panic) = w.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+    slots
+        .into_inner()
+        .expect("every worker was joined without a panic")
+        .into_iter()
+        .map(|o| o.expect("every slot is filled by a worker"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -632,6 +652,23 @@ mod tests {
         let report = run.ise.expect("ISE report present");
         assert!(!report.selected.is_empty());
         assert!(run.machine.custom_ops.len() > base.custom_ops.len());
+    }
+
+    #[test]
+    fn ise_extension_never_mutates_the_cached_module() {
+        // `extend` rewrites the optimized module it is given. If that were
+        // the cached one, the plain evaluation after it would compile the
+        // extended module.
+        let w = asip_workloads::by_name("yuv2rgb").unwrap();
+        let base = MachineDescription::ember1();
+        let s = Session::builder().build();
+        let extended = s.eval(&EvalRequest::new(w.clone(), base.clone()).with_ise(32.0));
+        assert!(extended.result.expect("ISE eval runs").ise.is_some());
+        let plain = EvalRequest::new(w, base);
+        let after_ise = s.eval(&plain).result.expect("plain eval runs");
+        assert!(s.cache_stats().optimize.hits > 0, "the module was shared");
+        let fresh = Session::builder().build().eval(&plain).result;
+        assert_eq!(after_ise, fresh.expect("plain eval runs"));
     }
 
     #[test]

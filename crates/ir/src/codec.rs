@@ -1,6 +1,7 @@
 //! [`Codec`] implementations for the IR artifact kinds the persistent
 //! artifact cache stores: whole [`Module`]s (the Parse and Optimize stage
-//! outputs) and interpreter [`Profile`]s (the Profile stage output).
+//! outputs) and interpreter [`Profile`]s (the Profile stage output), plus
+//! the [`OptConfig`] the Optimize stage's cache key holds.
 //!
 //! Built on the byte-level primitives and format discipline of
 //! [`asip_isa::codec`]; see that module for the tag/length conventions. The
@@ -14,6 +15,7 @@ use crate::inst::{
     Addr, AddrBase, BlockId, FuncId, GlobalId, Inst, LocalSlot, Terminator, VReg, Val,
 };
 use crate::interp::Profile;
+use crate::passes::{InlineConfig, OptConfig, UnrollConfig};
 use asip_isa::codec::{Codec, CodecError, Reader, Writer};
 use asip_isa::Opcode;
 use std::collections::HashMap;
@@ -338,6 +340,44 @@ impl Codec for Module {
     }
 }
 
+/// The optimization configuration, part of the Optimize stage's cache key.
+/// `usize` limits encode as `u64`.
+impl Codec for OptConfig {
+    fn encode(&self, w: &mut Writer) {
+        w.put_bool(self.inline);
+        w.put_u64(self.inline_cfg.max_callee_insts as u64);
+        w.put_u64(self.inline_cfg.max_caller_insts as u64);
+        w.put_u32(self.inline_cfg.rounds);
+        w.put_bool(self.if_convert);
+        w.put_bool(self.licm);
+        w.put_u32(self.unroll.factor);
+        w.put_u64(self.unroll.max_loop_insts as u64);
+        w.put_bool(self.unroll.innermost_only);
+        w.put_bool(self.drop_dead_funcs);
+        w.put_str(&self.entry);
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(OptConfig {
+            inline: r.get_bool()?,
+            inline_cfg: InlineConfig {
+                max_callee_insts: r.get_u64()? as usize,
+                max_caller_insts: r.get_u64()? as usize,
+                rounds: r.get_u32()?,
+            },
+            if_convert: r.get_bool()?,
+            licm: r.get_bool()?,
+            unroll: UnrollConfig {
+                factor: r.get_u32()?,
+                max_loop_insts: r.get_u64()? as usize,
+                innermost_only: r.get_bool()?,
+            },
+            drop_dead_funcs: r.get_bool()?,
+            entry: r.get_str()?,
+        })
+    }
+}
+
 impl Codec for Profile {
     fn encode(&self, w: &mut Writer) {
         // Sorted by function id: equal profiles encode to identical bytes.
@@ -494,6 +534,19 @@ mod tests {
         b.counts.insert(2, vec![7, 8]);
         assert_eq!(a.encode_to_vec(), b.encode_to_vec());
         roundtrip(&a);
+    }
+
+    #[test]
+    fn opt_configs_roundtrip() {
+        for cfg in [OptConfig::default(), OptConfig::none()] {
+            let bytes = cfg.encode_to_vec();
+            let back = OptConfig::decode_all(&bytes).expect("decode");
+            assert_eq!(format!("{back:?}"), format!("{cfg:?}"));
+        }
+        assert_ne!(
+            OptConfig::default().encode_to_vec(),
+            OptConfig::none().encode_to_vec()
+        );
     }
 
     #[test]

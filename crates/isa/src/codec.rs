@@ -147,6 +147,13 @@ impl Writer {
         self.put_u32(b.len() as u32);
         self.buf.extend_from_slice(b);
     }
+
+    /// Write raw bytes with no length prefix, e.g. a complete [`Codec`]
+    /// encoding, which delimits itself: `put_raw(&v.encode_to_vec())`
+    /// writes what `v.encode(w)` writes.
+    pub fn put_raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
 }
 
 /// Cursor over encoded bytes; every getter checks bounds.

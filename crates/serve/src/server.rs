@@ -26,7 +26,7 @@ use crate::client::Timeouts;
 use crate::faults;
 use crate::wire::{read_frame, write_frame, ClientStats, Message, MetricsReply, StatsReply};
 use asip_core::cache::CacheStats;
-use asip_core::session::{EvalOutcome, EvalRequest, Session};
+use asip_core::session::{par_map, EvalOutcome, EvalRequest, Session};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -303,60 +303,20 @@ impl EvalServer {
     }
 }
 
-/// Evaluate a batch through [`Session::eval_coalesced`] on the session's
-/// worker pool: same shared-cursor/slot discipline as
-/// [`Session::eval_batch`], so results are request-ordered and
-/// thread-count-invariant, but concurrent identical cells (across *all*
-/// server connections) dedup to one computation. Returns the outcomes plus
-/// how many cells this caller led.
+/// Evaluate a batch through [`Session::eval_coalesced`] on the pool
+/// [`Session::eval_batch`] uses ([`par_map`], which joins its workers), so
+/// results are request-ordered and thread-count-invariant, but concurrent
+/// identical cells (across *all* server connections) dedup to one
+/// computation. Returns the outcomes plus how many cells this caller led.
 fn eval_batch_coalesced(session: &Session, reqs: &[EvalRequest]) -> (Vec<EvalOutcome>, u64) {
-    use std::sync::atomic::AtomicUsize;
-    let n = reqs.len();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    let threads = session.threads().min(n).max(1);
-    let eval_timed = |r: &EvalRequest| {
+    let runs = par_map(session.threads(), reqs, |r| {
         let t0 = std::time::Instant::now();
         let out = session.eval_coalesced(r);
         OBS_EVAL_CELL_NS.record(t0.elapsed().as_nanos() as u64);
         out
-    };
-    if threads <= 1 {
-        let mut led_total = 0;
-        let outs = reqs
-            .iter()
-            .map(|r| {
-                let (o, led) = eval_timed(r);
-                led_total += u64::from(led);
-                o
-            })
-            .collect();
-        return (outs, led_total);
-    }
-    let slots: Mutex<Vec<Option<EvalOutcome>>> = Mutex::new(vec![None; n]);
-    let cursor = AtomicUsize::new(0);
-    let led_total = AtomicU64::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let (outcome, led) = eval_timed(&reqs[i]);
-                led_total.fetch_add(u64::from(led), Ordering::Relaxed);
-                slots.lock().unwrap()[i] = Some(outcome);
-            });
-        }
     });
-    let outs = slots
-        .into_inner()
-        .unwrap()
-        .into_iter()
-        .map(|o| o.expect("every batch slot is filled by a worker"))
-        .collect();
-    (outs, led_total.into_inner())
+    let led = runs.iter().map(|&(_, led)| u64::from(led)).sum();
+    (runs.into_iter().map(|(o, _)| o).collect(), led)
 }
 
 fn handle_connection(stream: TcpStream, shared: &ServerShared) {
