@@ -41,12 +41,19 @@ pub fn session() -> &'static Session {
 /// counters (the memoized Simulate stage included), the
 /// simulation-throughput line, plus one line per cache tier (memory, and
 /// disk when `ASIP_CACHE_DIR` is active).
+///
+/// Throughput is the session's simulated cycles over the process's
+/// Simulate self time (the `stage.simulate.self_ns` sum): every Simulate
+/// call's own wall time, cache probes, decodes and stores on either tier
+/// included.
 pub fn session_summary() -> String {
     use asip_core::StageKind;
     let s = session();
     let stats = s.cache_stats();
+    let snap = asip_obs::snapshot();
+    let self_ns = |stage: StageKind| snap.histogram(&format!("stage.{}.self_ns", stage.name()));
     let sim_cycles = s.cache().sim_cycles();
-    let sim_secs = s.stage_times().get(StageKind::Simulate) as f64 / 1e9;
+    let sim_secs = self_ns(StageKind::Simulate).map_or(0.0, |h| h.sum_ns as f64 / 1e9);
     let mips = if sim_secs > 0.0 {
         sim_cycles as f64 / sim_secs / 1e6
     } else {
@@ -87,11 +94,10 @@ pub fn session_summary() -> String {
             .unwrap_or_default();
         out.push_str(&format!("\n[session] disk tier: {} ({dir})", stats.disk));
     }
-    let snap = asip_obs::snapshot();
     let stage_lat: Vec<String> = StageKind::ALL
         .iter()
-        .filter_map(|stage| {
-            let h = snap.histogram(&format!("stage.{}.self_ns", stage.name()))?;
+        .filter_map(|&stage| {
+            let h = self_ns(stage)?;
             if h.count == 0 {
                 return None;
             }

@@ -1,4 +1,4 @@
-//! Tier 1: the persistent on-disk [`CacheStore`].
+//! The disk tier: a persistent directory of versioned entry files.
 //!
 //! # On-disk layout
 //!
@@ -17,16 +17,16 @@
 //! re-verifies all of it, so a file-name collision, a renamed or truncated
 //! file, garbage bytes or a stale format version can never surface a wrong
 //! artifact — each is deleted, counted in [`TierStats::stale_drops`], and
-//! silently recomputed.
+//! silently recomputed. The owning cache then decodes the payload, and
+//! [`DiskStore::invalidate`]s an entry whose payload does not decode.
 //!
-//! # Eviction: age + size
+//! # Eviction: least recently used first, by size
 //!
-//! The store tracks total entry bytes; when they exceed the configured
-//! budget, the oldest files (by modification time) are deleted until the
-//! total fits. Loads re-touch their file's mtime, so "oldest" approximates
-//! least-recently-*used*, not just least-recently-written. Opening a store
-//! additionally purges entries older than [`DiskTierConfig::max_age_secs`],
-//! when set.
+//! The store tracks total entry bytes and the entry count; when the bytes
+//! exceed the configured budget, the oldest files (by modification time)
+//! are deleted until the total fits. Loads re-touch their file's mtime, so
+//! "oldest" approximates least-recently-*used*, not just
+//! least-recently-written.
 //!
 //! # Failure model
 //!
@@ -36,7 +36,7 @@
 //! directory only ever observe complete entries.
 
 use super::entry::{decode_entry, encode_entry};
-use super::{hash64, CacheStore, DiskTierConfig, StageKind, TierStats, KEY_SEED};
+use super::{hash64, DiskTierConfig, StageKind, TierStats, KEY_SEED};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,14 +46,18 @@ use std::time::{Duration, SystemTime};
 /// Seed of the second half of an entry's file name.
 const NAME_SEED_2: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Observability mirrors of the retention counters (the authoritative
-/// values stay in [`TierStats`]; these feed the metrics exposition).
+/// Observability mirrors of the tier counters (the authoritative values
+/// stay in [`TierStats`]; these feed the metrics exposition).
+/// `cache.disk.stores` counts every store call, persisted or not.
+static OBS_LOADS: asip_obs::Counter = asip_obs::Counter::new("cache.disk.loads");
+static OBS_HITS: asip_obs::Counter = asip_obs::Counter::new("cache.disk.hits");
+static OBS_STORES: asip_obs::Counter = asip_obs::Counter::new("cache.disk.stores");
 static OBS_EVICTIONS: asip_obs::Counter = asip_obs::Counter::new("cache.disk.evictions");
 static OBS_STALE_DROPS: asip_obs::Counter = asip_obs::Counter::new("cache.disk.stale_drops");
 static OBS_TMP_RECLAIMED: asip_obs::Counter = asip_obs::Counter::new("cache.disk.tmp_reclaimed");
 
 /// The persistent disk tier. See the [module docs](self).
-pub struct DiskStore {
+pub(crate) struct DiskStore {
     config: DiskTierConfig,
     inner: Mutex<DiskInner>,
     hits: AtomicU64,
@@ -64,10 +68,14 @@ pub struct DiskStore {
     tmp_reclaimed: AtomicU64,
 }
 
+/// The directory's size, approximate between rescans: other processes may
+/// share it, so every eviction pass re-scans for ground truth first.
+#[derive(Default)]
 struct DiskInner {
-    /// Approximate total bytes of entry files (ground truth is re-scanned
-    /// before any eviction pass).
+    /// Total bytes of entry files.
     resident_bytes: u64,
+    /// Number of entry files.
+    entries: u64,
 }
 
 /// Process-wide sequence for unique temporary file names. Tmp names embed
@@ -81,17 +89,16 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 impl DiskStore {
     /// Open (or create) the store at `config.dir`.
     ///
-    /// Scans existing entries to seed the size accounting, purges entries
-    /// older than `config.max_age_secs` (when set), and evicts
+    /// Scans existing entries to seed the size accounting and evicts
     /// oldest-first down to `config.byte_budget`. All I/O failures leave
     /// an inert store that misses on every load.
-    pub fn open(config: DiskTierConfig) -> DiskStore {
-        for stage in StageKind::CACHEABLE {
+    pub(crate) fn open(config: DiskTierConfig) -> DiskStore {
+        for stage in StageKind::ALL {
             let _ = fs::create_dir_all(config.dir.join(stage.name()));
         }
         let store = DiskStore {
             config,
-            inner: Mutex::new(DiskInner { resident_bytes: 0 }),
+            inner: Mutex::new(DiskInner::default()),
             hits: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -103,9 +110,10 @@ impl DiskStore {
         store
     }
 
-    /// The directory this store persists into.
-    pub fn dir(&self) -> &Path {
-        &self.config.dir
+    fn lock(&self) -> std::sync::MutexGuard<'_, DiskInner> {
+        self.inner
+            .lock()
+            .expect("no holder of the disk-tier lock panics")
     }
 
     fn path_for(&self, stage: StageKind, key: &[u8]) -> PathBuf {
@@ -120,7 +128,7 @@ impl DiskStore {
     /// Every entry file with its byte size and modification time.
     fn scan(&self) -> Vec<(PathBuf, u64, SystemTime)> {
         let mut out = Vec::new();
-        for stage in StageKind::CACHEABLE {
+        for stage in StageKind::ALL {
             let Ok(dir) = fs::read_dir(self.config.dir.join(stage.name())) else {
                 continue;
             };
@@ -137,7 +145,7 @@ impl DiskStore {
         out
     }
 
-    /// Age purge + size eviction at open time, plus reclamation of
+    /// Size accounting and eviction at open time, plus reclamation of
     /// temporary files leaked by a crashed writer. Live writers hold a
     /// `.tmp-*` file only for the instant between write and rename, so
     /// anything older than a minute is an orphan; racing a genuinely live
@@ -161,34 +169,15 @@ impl DiskStore {
                 }
             }
         }
-        let mut files = self.scan();
-        if let Some(max_age) = self.config.max_age_secs {
-            let cutoff = SystemTime::now()
-                .checked_sub(Duration::from_secs(max_age))
-                .unwrap_or(SystemTime::UNIX_EPOCH);
-            files.retain(|(path, _, mtime)| {
-                if *mtime < cutoff {
-                    if fs::remove_file(path).is_ok() {
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                        OBS_EVICTIONS.add(1);
-                    }
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        let total: u64 = files.iter().map(|(_, len, _)| *len).sum();
-        self.inner.lock().unwrap().resident_bytes = total;
-        if total > self.config.byte_budget {
-            self.evict_oldest(files);
-        }
+        self.evict_oldest(self.scan());
     }
 
-    /// Delete oldest-first until the total fits the budget.
+    /// Take `files` as the directory's contents, then delete oldest-first
+    /// until the total fits the budget.
     fn evict_oldest(&self, mut files: Vec<(PathBuf, u64, SystemTime)>) {
         files.sort_by_key(|(_, _, mtime)| *mtime);
         let mut total: u64 = files.iter().map(|(_, len, _)| *len).sum();
+        let mut entries = files.len() as u64;
         let mut evicted = 0u64;
         for (path, len, _) in files {
             if total <= self.config.byte_budget {
@@ -196,44 +185,40 @@ impl DiskStore {
             }
             if fs::remove_file(&path).is_ok() {
                 total -= len;
+                entries -= 1;
                 evicted += 1;
             }
         }
-        self.inner.lock().unwrap().resident_bytes = total;
+        *self.lock() = DiskInner {
+            resident_bytes: total,
+            entries,
+        };
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
             OBS_EVICTIONS.add(evicted);
         }
     }
 
-    /// Remove a rejected entry file, accounting for its bytes.
+    /// Delete a rejected entry file, accounting for its `len` bytes.
     fn drop_stale(&self, path: &Path, len: u64) {
-        let _ = fs::remove_file(path);
-        let mut inner = self.inner.lock().unwrap();
-        inner.resident_bytes = inner.resident_bytes.saturating_sub(len);
-        drop(inner);
+        let mut span = asip_obs::span("cache", "disk");
+        span.note("stale-drop");
+        if fs::remove_file(path).is_ok() {
+            let mut inner = self.lock();
+            inner.resident_bytes = inner.resident_bytes.saturating_sub(len);
+            inner.entries = inner.entries.saturating_sub(1);
+        }
         self.stale_drops.fetch_add(1, Ordering::Relaxed);
         OBS_STALE_DROPS.add(1);
     }
-}
 
-impl std::fmt::Debug for DiskStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DiskStore")
-            .field("dir", &self.config.dir)
-            .field("budget", &self.config.byte_budget)
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-impl CacheStore for DiskStore {
-    fn label(&self) -> &'static str {
-        "disk"
-    }
-
-    fn load(&self, stage: StageKind, key: &[u8]) -> Option<Arc<[u8]>> {
+    /// Look up the payload stored for (stage, key); `None` on a miss or an
+    /// entry that fails verification.
+    pub(crate) fn load(&self, stage: StageKind, key: &[u8]) -> Option<Arc<[u8]>> {
+        OBS_LOADS.add(1);
         self.loads.fetch_add(1, Ordering::Relaxed);
+        let mut span = asip_obs::span("cache", "disk");
+        span.note("load");
         let path = self.path_for(stage, key);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
@@ -241,11 +226,12 @@ impl CacheStore for DiskStore {
         };
         match decode_entry(&bytes, stage, key) {
             Ok(payload) => {
-                // Re-touch so age eviction approximates LRU. Best-effort.
+                // Re-touch so eviction approximates LRU. Best-effort.
                 if let Ok(f) = fs::File::options().write(true).open(&path) {
                     let _ = f.set_modified(SystemTime::now());
                 }
                 self.hits.fetch_add(1, Ordering::Relaxed);
+                OBS_HITS.add(1);
                 Some(Arc::from(payload))
             }
             Err(_) => {
@@ -257,7 +243,11 @@ impl CacheStore for DiskStore {
         }
     }
 
-    fn store(&self, stage: StageKind, key: &[u8], payload: &Arc<[u8]>) {
+    /// Store a payload for (stage, key), replacing any entry already there.
+    pub(crate) fn store(&self, stage: StageKind, key: &[u8], payload: &[u8]) {
+        OBS_STORES.add(1);
+        let mut span = asip_obs::span("cache", "disk");
+        span.note("store");
         let entry = encode_entry(stage, key, payload);
         if entry.len() as u64 > self.config.byte_budget {
             // An entry that can never fit is not persisted at all.
@@ -275,18 +265,19 @@ impl CacheStore for DiskStore {
             let _ = fs::remove_file(&tmp);
             return;
         }
-        let replaced = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
+        let replaced = fs::metadata(&path).ok().map(|m| m.len());
         if fs::rename(&tmp, &path).is_err() {
             let _ = fs::remove_file(&tmp);
             return;
         }
         self.stores.fetch_add(1, Ordering::Relaxed);
         let over = {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = self.lock();
             inner.resident_bytes = inner
                 .resident_bytes
-                .saturating_sub(replaced)
+                .saturating_sub(replaced.unwrap_or(0))
                 .saturating_add(entry.len() as u64);
+            inner.entries += u64::from(replaced.is_none());
             inner.resident_bytes > self.config.byte_budget
         };
         if over {
@@ -296,17 +287,20 @@ impl CacheStore for DiskStore {
         }
     }
 
-    fn invalidate(&self, stage: StageKind, key: &[u8]) {
+    /// Delete the entry for (stage, key) as stale: its container verified,
+    /// but its payload did not decode.
+    pub(crate) fn invalidate(&self, stage: StageKind, key: &[u8]) {
         let path = self.path_for(stage, key);
         let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         self.drop_stale(&path, len);
     }
 
-    fn clear(&self) {
+    /// Delete every entry and reset the tier's counters.
+    pub(crate) fn clear(&self) {
         for (path, _, _) in self.scan() {
             let _ = fs::remove_file(path);
         }
-        self.inner.lock().unwrap().resident_bytes = 0;
+        *self.lock() = DiskInner::default();
         for c in [
             &self.hits,
             &self.loads,
@@ -319,7 +313,10 @@ impl CacheStore for DiskStore {
         }
     }
 
-    fn stats(&self) -> TierStats {
+    /// This tier's counters. Reads no directory: the byte and entry
+    /// counts are kept as the store changes them.
+    pub(crate) fn stats(&self) -> TierStats {
+        let inner = self.lock();
         TierStats {
             hits: self.hits.load(Ordering::Relaxed),
             loads: self.loads.load(Ordering::Relaxed),
@@ -327,23 +324,9 @@ impl CacheStore for DiskStore {
             stale_drops: self.stale_drops.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             tmp_reclaimed: self.tmp_reclaimed.load(Ordering::Relaxed),
-            resident_bytes: self.inner.lock().unwrap().resident_bytes,
-            entries: self.stage_entries().iter().sum(),
+            resident_bytes: inner.resident_bytes,
+            entries: inner.entries,
         }
-    }
-
-    fn stage_entries(&self) -> [u64; 5] {
-        let mut out = [0u64; 5];
-        for (path, _, _) in self.scan() {
-            if let Some(stage) = StageKind::CACHEABLE.iter().find(|s| {
-                path.parent()
-                    .and_then(|p| p.file_name())
-                    .is_some_and(|d| d == s.name())
-            }) {
-                out[*stage as usize] += 1;
-            }
-        }
-        out
     }
 }
 
@@ -406,42 +389,28 @@ mod tests {
         let s = DiskStore::open(DiskTierConfig {
             dir: dir.clone(),
             byte_budget: 3 * unit + unit / 2,
-            max_age_secs: None,
         });
         for i in 0..6 {
             let key = format!("k{i:02}");
             s.store(StageKind::Parse, key.as_bytes(), &payload(b"xxxxxxxx"));
+            // Each store adds an entry, until eviction keeps three.
+            assert_eq!(s.stats().entries, (i + 1).min(3), "{}", s.stats());
             // mtime granularity: space the writes out.
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
         let t = s.stats();
         assert!(t.evictions >= 2, "{t}");
         assert!(t.resident_bytes <= 3 * unit + unit / 2, "{t}");
+        // A store to a resident key replaces its entry.
+        s.store(StageKind::Parse, b"k05", &payload(b"xxxxxxxx"));
+        assert_eq!(s.stats().entries, 3);
+        // A stale drop deletes one.
+        fs::write(s.path_for(StageKind::Parse, b"k04"), b"garbage").unwrap();
+        assert!(s.load(StageKind::Parse, b"k04").is_none());
+        assert_eq!(s.stats().entries, 2);
         // The newest entry survived; the oldest did not.
         assert!(s.load(StageKind::Parse, b"k05").is_some());
         assert!(s.load(StageKind::Parse, b"k00").is_none());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn max_age_purges_at_open() {
-        let dir = tmp_dir("age");
-        let s = DiskStore::open(DiskTierConfig::new(&dir));
-        s.store(StageKind::Parse, b"old", &payload(b"payload"));
-        // Backdate the entry far beyond any cutoff.
-        let path = s.path_for(StageKind::Parse, b"old");
-        let f = fs::File::options().write(true).open(&path).unwrap();
-        f.set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(1))
-            .unwrap();
-        drop(f);
-        drop(s);
-        let s = DiskStore::open(DiskTierConfig {
-            dir: dir.clone(),
-            byte_budget: DiskTierConfig::new(&dir).byte_budget,
-            max_age_secs: Some(3600),
-        });
-        assert_eq!(s.load(StageKind::Parse, b"old"), None);
-        assert_eq!(s.stats().evictions, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

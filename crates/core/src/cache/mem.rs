@@ -1,4 +1,4 @@
-//! Tier 0: the in-process, LRU byte-budgeted [`CacheStore`].
+//! The memory tier: the in-process, LRU byte-budgeted store.
 //!
 //! Payloads are shared `Arc<[u8]>` buffers in buckets indexed by the
 //! key's 64-bit hash (computed eight bytes at a time, then masked by
@@ -6,19 +6,17 @@
 //! keeps its key bytes, compared exactly on every probe, so a hash
 //! collision degrades to a bucket scan, never a wrong artifact. A hit
 //! clones the `Arc` under the lock, not the bytes. One global
-//! least-recently-used queue across all cacheable stages enforces the byte
-//! budget. An entry larger than the whole budget is never admitted —
-//! flushing every resident entry for an artifact that cannot stay would be
-//! pure churn — but still counts as an eviction so the non-retention shows
-//! up in [`TierStats`].
+//! least-recently-used queue across all stages enforces the byte budget.
+//! An entry larger than the whole budget is never admitted — flushing
+//! every resident entry for an artifact that cannot stay would be pure
+//! churn — but still counts as an eviction so the non-retention shows up
+//! in [`TierStats`].
 //!
-//! Each entry also records whether its payload is **verified**: stored by
-//! the owning [`ArtifactCache`](super::ArtifactCache), which writes only
-//! bytes it encoded or decode-checked. The cache serves verified payloads
-//! without decoding them first; bytes stored through the public
-//! [`CacheStore::store`] are not verified.
+//! Only the owning [`ArtifactCache`](super::ArtifactCache) writes this
+//! tier, and only bytes it encoded or decode-checked, so the cache serves
+//! a hit without decoding it.
 
-use super::{hash64, CacheStore, StageKind, TierStats, KEY_SEED};
+use super::{hash64, StageKind, TierStats, KEY_SEED};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -26,17 +24,18 @@ use std::sync::{Arc, Mutex};
 /// Fixed per-entry bookkeeping overhead added to every size estimate.
 pub(crate) const ENTRY_OVERHEAD: u64 = 96;
 
-/// Observability mirrors of the retention counters (the authoritative
-/// values stay in [`TierStats`]; these feed the metrics exposition).
+/// Observability mirrors of the tier counters (the authoritative values
+/// stay in [`TierStats`]; these feed the metrics exposition).
+/// `cache.mem.stores` counts every store call, admitted or not.
+static OBS_LOADS: asip_obs::Counter = asip_obs::Counter::new("cache.mem.loads");
+static OBS_HITS: asip_obs::Counter = asip_obs::Counter::new("cache.mem.hits");
+static OBS_STORES: asip_obs::Counter = asip_obs::Counter::new("cache.mem.stores");
 static OBS_EVICTIONS: asip_obs::Counter = asip_obs::Counter::new("cache.mem.evictions");
-static OBS_STALE_DROPS: asip_obs::Counter = asip_obs::Counter::new("cache.mem.stale_drops");
 
 struct Entry {
     /// The key bytes, compared exactly on every bucket probe.
     key: Box<[u8]>,
     payload: Arc<[u8]>,
-    /// Stored by the owning cache (see the [module docs](self)).
-    verified: bool,
     id: u64,
 }
 
@@ -135,21 +134,20 @@ impl Inner {
 }
 
 /// The in-process memory tier. See the [module docs](self).
-pub struct MemoryStore {
+pub(crate) struct MemoryStore {
     byte_budget: u64,
     hash_mask: u64,
     inner: Mutex<Inner>,
     hits: AtomicU64,
     loads: AtomicU64,
     stores: AtomicU64,
-    stale_drops: AtomicU64,
     evictions: AtomicU64,
 }
 
 impl MemoryStore {
     /// An empty store bounded to `byte_budget` resident bytes, hashing keys
     /// under `hash_mask` (use `!0` outside of collision tests).
-    pub fn new(byte_budget: u64, hash_mask: u64) -> MemoryStore {
+    pub(crate) fn new(byte_budget: u64, hash_mask: u64) -> MemoryStore {
         MemoryStore {
             byte_budget,
             hash_mask,
@@ -157,7 +155,6 @@ impl MemoryStore {
             hits: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             stores: AtomicU64::new(0),
-            stale_drops: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
     }
@@ -166,49 +163,41 @@ impl MemoryStore {
         hash64(key, KEY_SEED) & self.hash_mask
     }
 
-    fn find_loc(inner: &Inner, stage: StageKind, hash: u64, key: &[u8]) -> Option<Loc> {
-        let e = inner.maps[stage as usize].find(hash, key)?;
-        let bytes = key.len() as u64 + e.payload.len() as u64 + ENTRY_OVERHEAD;
-        Some(Loc {
-            stage: stage as usize,
-            hash,
-            id: e.id,
-            bytes,
-        })
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner
+            .lock()
+            .expect("no holder of the memory-tier lock panics")
     }
 
-    /// Look up (stage, key): the payload, and whether it is verified.
-    pub(crate) fn load_verified(&self, stage: StageKind, key: &[u8]) -> Option<(Arc<[u8]>, bool)> {
+    /// Look up the payload stored for (stage, key); `None` on miss.
+    pub(crate) fn load(&self, stage: StageKind, key: &[u8]) -> Option<Arc<[u8]>> {
+        OBS_LOADS.add(1);
         self.loads.fetch_add(1, Ordering::Relaxed);
+        let mut span = asip_obs::span("cache", "mem");
+        span.note("load");
         let hash = self.hash(key);
-        let mut inner = self
-            .inner
-            .lock()
-            .expect("no holder of the memory-tier lock panics");
-        let found = inner.maps[stage as usize]
+        let mut inner = self.lock();
+        let (id, payload) = inner.maps[stage as usize]
             .find(hash, key)
-            .map(|e| (e.id, e.payload.clone(), e.verified));
-        let (id, payload, verified) = found?;
+            .map(|e| (e.id, e.payload.clone()))?;
         inner.touch(id);
         drop(inner);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some((payload, verified))
+        OBS_HITS.add(1);
+        Some(payload)
     }
 
-    /// Store a payload the owning cache encoded or decode-checked.
-    pub(crate) fn store_verified(&self, stage: StageKind, key: &[u8], payload: &Arc<[u8]>) {
-        self.insert(stage, key, payload, true);
-    }
-
-    fn insert(&self, stage: StageKind, key: &[u8], payload: &Arc<[u8]>, verified: bool) {
+    /// Store a payload for (stage, key): bytes the owning cache encoded or
+    /// decode-checked.
+    pub(crate) fn store(&self, stage: StageKind, key: &[u8], payload: &Arc<[u8]>) {
+        OBS_STORES.add(1);
+        let mut span = asip_obs::span("cache", "mem");
+        span.note("store");
         let hash = self.hash(key);
         let bytes = key.len() as u64 + payload.len() as u64 + ENTRY_OVERHEAD;
-        let mut inner = self
-            .inner
-            .lock()
-            .expect("no holder of the memory-tier lock panics");
+        let mut inner = self.lock();
         // First insert wins: a racing worker (or a promotion racing a
-        // write-through) may have stored this key already; the payloads
+        // computed store) may have stored this key already; the payloads
         // are identical deterministic encodings, so keep the resident one.
         if let Some(e) = inner.maps[stage as usize].find(hash, key) {
             let id = e.id;
@@ -232,7 +221,6 @@ impl MemoryStore {
             Entry {
                 key: key.into(),
                 payload: payload.clone(),
-                verified,
                 id,
             },
         );
@@ -252,78 +240,33 @@ impl MemoryStore {
             OBS_EVICTIONS.add(evicted);
         }
     }
-}
 
-impl std::fmt::Debug for MemoryStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MemoryStore")
-            .field("budget", &self.byte_budget)
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-impl CacheStore for MemoryStore {
-    fn label(&self) -> &'static str {
-        "mem"
-    }
-
-    fn load(&self, stage: StageKind, key: &[u8]) -> Option<Arc<[u8]>> {
-        self.load_verified(stage, key).map(|(payload, _)| payload)
-    }
-
-    fn store(&self, stage: StageKind, key: &[u8], payload: &Arc<[u8]>) {
-        self.insert(stage, key, payload, false);
-    }
-
-    fn invalidate(&self, stage: StageKind, key: &[u8]) {
-        let hash = self.hash(key);
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(loc) = Self::find_loc(&inner, stage, hash, key) {
-            if let Some(tick) = inner.tick_of.get(&loc.id).copied() {
-                inner.lru.remove(&tick);
-            }
-            inner.remove(loc);
-            drop(inner);
-            self.stale_drops.fetch_add(1, Ordering::Relaxed);
-            OBS_STALE_DROPS.add(1);
-        }
-    }
-
-    fn clear(&self) {
-        *self.inner.lock().unwrap() = Inner::default();
-        for c in [
-            &self.hits,
-            &self.loads,
-            &self.stores,
-            &self.stale_drops,
-            &self.evictions,
-        ] {
+    /// Drop every entry and reset the tier's counters.
+    pub(crate) fn clear(&self) {
+        *self.lock() = Inner::default();
+        for c in [&self.hits, &self.loads, &self.stores, &self.evictions] {
             c.store(0, Ordering::Relaxed);
         }
     }
 
-    fn stats(&self) -> TierStats {
-        let inner = self.inner.lock().unwrap();
+    /// This tier's counters.
+    pub(crate) fn stats(&self) -> TierStats {
+        let inner = self.lock();
         TierStats {
             hits: self.hits.load(Ordering::Relaxed),
             loads: self.loads.load(Ordering::Relaxed),
             stores: self.stores.load(Ordering::Relaxed),
-            stale_drops: self.stale_drops.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            tmp_reclaimed: 0, // no staging area in memory
             resident_bytes: inner.resident_bytes,
             entries: inner.maps.iter().map(|m| m.len() as u64).sum(),
+            ..TierStats::default()
         }
     }
 
-    fn stage_entries(&self) -> [u64; 5] {
-        let inner = self.inner.lock().unwrap();
-        let mut out = [0u64; 5];
-        for (i, m) in inner.maps.iter().enumerate() {
-            out[i] = m.len() as u64;
-        }
-        out
+    /// Entries currently held, per stage (indexed by `StageKind as usize`).
+    pub(crate) fn stage_entries(&self) -> [u64; 5] {
+        let inner = self.lock();
+        std::array::from_fn(|i| inner.maps[i].len() as u64)
     }
 }
 
@@ -336,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn store_load_and_invalidate() {
+    fn store_load_and_clear() {
         let s = MemoryStore::new(u64::MAX, !0);
         assert_eq!(s.load(StageKind::Parse, b"k"), None);
         s.store(StageKind::Parse, b"k", &payload(b"payload"));
@@ -346,10 +289,9 @@ mod tests {
         );
         // Same key, different stage: distinct entries.
         assert_eq!(s.load(StageKind::Compile, b"k"), None);
-        s.invalidate(StageKind::Parse, b"k");
+        s.clear();
         assert_eq!(s.load(StageKind::Parse, b"k"), None);
         let t = s.stats();
-        assert_eq!(t.stale_drops, 1);
         assert_eq!(t.entries, 0);
         assert_eq!(t.resident_bytes, 0);
     }
@@ -365,15 +307,11 @@ mod tests {
     }
 
     #[test]
-    fn only_owner_stores_are_verified_and_hits_share_the_payload() {
+    fn hits_share_the_stored_payload() {
         let s = MemoryStore::new(u64::MAX, !0);
         let p = payload(b"bytes");
-        s.store(StageKind::Parse, b"public", &p);
-        s.store_verified(StageKind::Parse, b"owned", &p);
-        let (public, verified) = s.load_verified(StageKind::Parse, b"public").unwrap();
-        assert!(!verified);
-        assert!(Arc::ptr_eq(&public, &p), "a hit shares the stored buffer");
-        let (_, verified) = s.load_verified(StageKind::Parse, b"owned").unwrap();
-        assert!(verified);
+        s.store(StageKind::Parse, b"k", &p);
+        let hit = s.load(StageKind::Parse, b"k").unwrap();
+        assert!(Arc::ptr_eq(&hit, &p), "a hit shares the stored buffer");
     }
 }

@@ -5,9 +5,9 @@
 //! Processors"* (Fisher, DAC 1999) describes:
 //!
 //! * a **builder-configured [`Session`]** ([`session`]): the single family
-//!   view — one object that owns a **tiered** [`ArtifactCache`] ([`cache`]:
-//!   an LRU byte-budgeted memory tier plus an optional persistent disk
-//!   tier for cross-process warm starts) and a worker pool, and evaluates
+//!   view — one object that owns a **two-tier** [`ArtifactCache`]
+//!   ([`cache`]: an LRU byte-budgeted memory tier plus an optional
+//!   persistent disk tier for cross-process warm starts) and a worker pool, and evaluates
 //!   any batch of (workload × machine) cells through
 //!   [`Session::eval_batch`] with deterministic, request-ordered results;
 //! * the **staged pipeline engine** ([`pipeline`]): the explicit
@@ -69,8 +69,7 @@ pub mod pipeline;
 pub mod session;
 
 pub use cache::{
-    ArtifactCache, CacheConfig, CacheStats, CacheStore, DiskStore, DiskTierConfig, MemoryStore,
-    StageKind, StageStats, StageTimes, TierStats,
+    ArtifactCache, CacheConfig, CacheStats, DiskTierConfig, StageKind, StageStats, TierStats,
 };
 pub use flight::SingleFlight;
 pub use pipeline::{CompiledArtifact, Toolchain, ToolchainError, WorkloadRun};

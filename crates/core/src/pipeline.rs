@@ -80,14 +80,15 @@
 //! return decoded values; they build the same keys by encoding their
 //! arguments, so both paths share every cache entry.
 //!
-//! The cache is **tiered** (see [`crate::cache`]): an LRU byte-budgeted
+//! The cache has two tiers (see [`crate::cache`]): an LRU byte-budgeted
 //! memory tier, plus an optional persistent disk tier that lets a fresh
 //! process warm-start the whole pipeline. [`Toolchain::cache_stats`]
-//! exposes per-stage hit/miss and per-tier counters and
-//! [`Toolchain::stage_times`] cumulative per-stage execution time.
+//! exposes per-stage hit/miss and per-tier counters; each stage call's
+//! self time goes to its `stage.<name>.self_ns` histogram in
+//! [`asip_obs`].
 
 use crate::cache::Staged;
-pub use crate::cache::{ArtifactCache, CacheConfig, CacheStats, StageKind, StageStats, StageTimes};
+pub use crate::cache::{ArtifactCache, CacheConfig, CacheStats, StageKind, StageStats};
 use asip_backend::{
     compile_module, compile_module_scalar, BackendOptions, BackendStats, CompiledProgram,
     CompiledScalarProgram,
@@ -429,10 +430,16 @@ impl Toolchain {
         }
     }
 
-    /// This configuration with a new, empty, unshared artifact cache (same
-    /// byte budget and hashing configuration).
+    /// This configuration with a new, empty, unshared, memory-only
+    /// artifact cache (same byte budget and hash mask). A disk tier is
+    /// never carried over: the fresh cache neither reads the current
+    /// cache's directory nor deletes it on [`ArtifactCache::clear`].
     pub fn fresh_cache(&self) -> Toolchain {
-        self.with_cache(Arc::new(ArtifactCache::with_config(self.cache.config())))
+        let config = CacheConfig {
+            disk: None,
+            ..self.cache.config()
+        };
+        self.with_cache(Arc::new(ArtifactCache::with_config(config)))
     }
 
     /// This configuration backed by `cache` instead of its current one.
@@ -456,11 +463,6 @@ impl Toolchain {
         self.cache.stats()
     }
 
-    /// Cumulative per-stage execution times (cache hits cost nothing).
-    pub fn stage_times(&self) -> StageTimes {
-        self.cache.stage_times()
-    }
-
     /// **Parse stage**: TinyC source → unoptimized IR module. Cached by
     /// source text.
     ///
@@ -475,8 +477,8 @@ impl Toolchain {
         let mut key = Writer::new();
         key.put_str(source);
         self.cache
-            .get_or_compute(StageKind::Parse, &key.into_bytes(), |t| {
-                Ok(t.time(|| asip_tinyc::compile(source))?)
+            .get_or_compute(StageKind::Parse, &key.into_bytes(), || {
+                Ok(asip_tinyc::compile(source)?)
             })
     }
 
@@ -495,10 +497,10 @@ impl Toolchain {
         self.opt.encode(&mut key);
         key.put_str(source);
         self.cache
-            .get_or_compute(StageKind::Optimize, &key.into_bytes(), |t| {
+            .get_or_compute(StageKind::Optimize, &key.into_bytes(), || {
                 // Parse times itself under its own stage.
                 let mut module = self.parse_stage(source)?.into_value();
-                t.time(|| optimize(&mut module, &self.opt));
+                optimize(&mut module, &self.opt);
                 Ok(module)
             })
     }
@@ -529,16 +531,13 @@ impl Toolchain {
         module.put(&mut key);
         put_run_inputs(&mut key, inputs, args);
         self.cache
-            .get_or_compute(StageKind::Profile, &key.into_bytes(), |t| {
-                let module = module.get();
-                t.time(|| {
-                    let mut interp = Interp::new(module, InterpOptions::default());
-                    for (name, data) in inputs {
-                        interp.write_global(name, data);
-                    }
-                    let r = interp.run("main", args).map_err(ToolchainError::Profile)?;
-                    Ok(r.profile)
-                })
+            .get_or_compute(StageKind::Profile, &key.into_bytes(), || {
+                let mut interp = Interp::new(module.get(), InterpOptions::default());
+                for (name, data) in inputs {
+                    interp.write_global(name, data);
+                }
+                let r = interp.run("main", args).map_err(ToolchainError::Profile)?;
+                Ok(r.profile)
             })
     }
 
@@ -565,22 +564,22 @@ impl Toolchain {
             }
         }
         self.cache
-            .get_or_compute(StageKind::Compile, &key.into_bytes(), |t| {
+            .get_or_compute(StageKind::Compile, &key.into_bytes(), || {
                 let module = module.get();
                 let profile = profile.as_ref().map(Input::get);
-                t.time(|| match flavor {
-                    TargetKind::Vliw => Ok(CompiledArtifact::Vliw(compile_module(
+                Ok(match flavor {
+                    TargetKind::Vliw => CompiledArtifact::Vliw(compile_module(
                         module,
                         machine,
                         profile,
                         &self.backend,
-                    )?)),
-                    TargetKind::Scalar => Ok(CompiledArtifact::Scalar(compile_module_scalar(
+                    )?),
+                    TargetKind::Scalar => CompiledArtifact::Scalar(compile_module_scalar(
                         module,
                         machine,
                         profile,
                         &self.backend,
-                    )?)),
+                    )?),
                 })
             })
     }
@@ -707,9 +706,9 @@ impl Toolchain {
         put_run_inputs(&mut key, &w.inputs, &w.args);
         let entry = self
             .cache
-            .get_or_compute(StageKind::Simulate, &key.into_bytes(), |t| {
+            .get_or_compute(StageKind::Simulate, &key.into_bytes(), || {
                 let program = compiled.program();
-                let sim = t.time(|| self.simulate(w, machine, program))?;
+                let sim = self.simulate(w, machine, program)?;
                 self.cache.record_sim_cycles(sim.cycles);
                 Ok(SimEntry {
                     sim,
@@ -1030,25 +1029,6 @@ mod tests {
         assert_eq!(stats.compile.misses, 2);
         assert_eq!(stats.parse.misses, 1);
         assert_eq!(stats.parse.hits, 1);
-    }
-
-    #[test]
-    fn stage_times_accumulate_only_on_execution() {
-        let tc = Toolchain::default();
-        let w = asip_workloads::by_name("fir").unwrap();
-        let m = MachineDescription::ember4();
-        tc.run_workload(&w, &m).unwrap();
-        let t1 = tc.stage_times();
-        for s in StageKind::ALL {
-            assert!(t1.get(s) > 0, "stage {s} should have recorded time");
-        }
-        tc.run_workload(&w, &m).unwrap();
-        let t2 = tc.stage_times();
-        // Cached stages record no new time — Simulate included, now that
-        // the measurement itself is memoized.
-        assert_eq!(t2.get(StageKind::Compile), t1.get(StageKind::Compile));
-        assert_eq!(t2.get(StageKind::Optimize), t1.get(StageKind::Optimize));
-        assert_eq!(t2.get(StageKind::Simulate), t1.get(StageKind::Simulate));
     }
 
     #[test]

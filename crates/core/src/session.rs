@@ -6,7 +6,7 @@
 //! grid ([`crate::nxm`]), design-space exploration ([`crate::dse`]) and ISE
 //! budget sweeps ([`crate::ise::sweep_budgets`]) are all thin layers over
 //! the same batched evaluation service, so every search loop shares one
-//! tiered [`ArtifactCache`] (LRU-bounded memory, plus a persistent disk
+//! two-tier [`ArtifactCache`] (LRU-bounded memory, plus a persistent disk
 //! tier via [`SessionBuilder::cache_dir`] / `ASIP_CACHE_DIR` for
 //! cross-process warm starts) and one parallelism policy.
 //!
@@ -40,7 +40,7 @@
 
 use crate::cache::{
     default_cache_bytes, default_cache_dir, ArtifactCache, CacheConfig, CacheStats, DiskTierConfig,
-    StageTimes, DEFAULT_DISK_CACHE_BYTES,
+    DEFAULT_DISK_CACHE_BYTES,
 };
 use crate::flight::SingleFlight;
 use crate::ise::{extend, IseConfig, IseReport};
@@ -232,7 +232,6 @@ impl SessionBuilder {
                 .map(|dir| DiskTierConfig {
                     dir,
                     byte_budget: self.disk_cache_bytes.unwrap_or(DEFAULT_DISK_CACHE_BYTES),
-                    max_age_secs: None,
                 });
             Arc::new(ArtifactCache::with_config(CacheConfig {
                 byte_budget: self.cache_bytes.unwrap_or_else(default_cache_bytes),
@@ -398,9 +397,10 @@ impl Session {
         }
     }
 
-    /// This session with a new, empty, unshared cache (same configuration).
-    /// The single-flight map is fresh too: coalesced results always come
-    /// from this session's own cache.
+    /// This session with a new, empty, unshared, memory-only cache (same
+    /// byte budget and hash mask; see [`Toolchain::fresh_cache`]). The
+    /// single-flight map is fresh too: coalesced results always come from
+    /// this session's own cache.
     pub fn fresh_cache(&self) -> Session {
         Session {
             tc: self.tc.fresh_cache(),
@@ -417,11 +417,6 @@ impl Session {
     /// Cache hit/miss/eviction counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.tc.cache_stats()
-    }
-
-    /// Cumulative per-stage execution times.
-    pub fn stage_times(&self) -> StageTimes {
-        self.tc.stage_times()
     }
 
     /// Convenience: run one workload on one machine with default options
@@ -669,6 +664,39 @@ mod tests {
         assert!(s.cache_stats().optimize.hits > 0, "the module was shared");
         let fresh = Session::builder().build().eval(&plain).result;
         assert_eq!(after_ise, fresh.expect("plain eval runs"));
+    }
+
+    #[test]
+    fn fresh_cache_of_a_disk_session_is_memory_only() {
+        let dir = std::env::temp_dir().join(format!("asip-fresh-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let s = Session::builder().cache_dir(&dir).threads(1).build();
+        let w = asip_workloads::by_name("fir").unwrap();
+        let req = EvalRequest::new(w, MachineDescription::ember4());
+        assert!(s.eval(&req).is_ok());
+        let entries = s.cache_stats().disk.entries;
+        assert_eq!(entries, 5, "one entry per stage");
+
+        // The fresh cache never reads the directory: every stage misses.
+        let fresh = s.fresh_cache();
+        assert!(fresh.eval(&req).is_ok());
+        let stats = fresh.cache_stats();
+        assert!(!stats.has_disk, "{stats}");
+        assert_eq!(stats.hits(), 0, "{stats}");
+        for stage in [
+            stats.parse,
+            stats.optimize,
+            stats.profile,
+            stats.compile,
+            stats.simulate,
+        ] {
+            assert_eq!(stage.misses, 1, "{stats}");
+        }
+        // ...and clearing it leaves the directory's entries in place.
+        fresh.cache().clear();
+        let reopened = Session::builder().cache_dir(&dir).build();
+        assert_eq!(reopened.cache_stats().disk.entries, entries);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

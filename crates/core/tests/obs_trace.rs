@@ -1,6 +1,8 @@
 //! Span recording end to end: an evaluated cell yields spans for all five
-//! pipeline stages and both cache tiers, every per-thread stream is
-//! well-nested, and the Chrome trace export is valid JSON.
+//! pipeline stages and both cache tiers, a second session on the same
+//! directory moves the disk tier's counters, every per-thread stream is
+//! well-nested, and the Chrome trace export is valid JSON. The metrics are
+//! process-global, so this binary holds this one test.
 
 use asip_core::session::EvalRequest;
 use asip_core::{Session, StageKind};
@@ -171,6 +173,16 @@ fn trace_covers_stages_and_tiers_and_exports_valid_json() {
     let req = EvalRequest::new(w, MachineDescription::ember4());
     assert!(s.eval(&req).is_ok()); // cold: every stage misses, stores to both tiers
     assert!(s.eval(&req).is_ok()); // warm: memory hits
+    let cold_dir = Session::builder()
+        .threads(1)
+        .cache_dir(dir.join("cache"))
+        .build();
+    assert!(cold_dir.eval(&req).is_ok()); // new memory tier: disk hits
+
+    let snap = asip_obs::snapshot();
+    for name in ["cache.disk.stores", "cache.disk.loads", "cache.disk.hits"] {
+        assert!(snap.counter(name) > 0, "{name} is zero");
+    }
 
     let events = asip_obs::events();
 
@@ -192,6 +204,9 @@ fn trace_covers_stages_and_tiers_and_exports_valid_json() {
     assert!(events.iter().any(|e| e.cat == "stage" && e.note == "miss"));
     assert!(events.iter().any(|e| e.cat == "stage" && e.note == "hit"));
     assert!(events.iter().any(|e| e.cat == "cache" && e.note == "store"));
+    assert!(events
+        .iter()
+        .any(|e| e.cat == "cache" && e.name == "disk" && e.note == "load"));
     assert!(events.iter().any(|e| e.cat == "cell" && e.name == "eval"));
     assert!(events
         .iter()

@@ -44,8 +44,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    counter, histogram, snapshot, Counter, CounterSnapshot, Histogram, HistogramSnapshot, Snapshot,
-    BUCKETS,
+    snapshot, Counter, CounterSnapshot, Histogram, HistogramSnapshot, Snapshot, BUCKETS,
 };
 pub use trace::{
     chrome_trace_json, flush_trace, init_from_env, set_trace_path, trace_path, TRACE_ENV,

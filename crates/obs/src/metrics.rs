@@ -16,9 +16,8 @@
 //! Recording is allocation-free: a counter add is one relaxed atomic add;
 //! a histogram record is three (count, sum, one bucket). Statics register
 //! themselves in the global registry on first use via a [`Once`] whose
-//! steady-state cost is a single atomic load. Call sites whose metric name
-//! is only known at runtime (cache tier labels, …) intern a `'static`
-//! metric once via [`counter`]/[`histogram`] and hold the reference.
+//! steady-state cost is a single atomic load. Every metric is such a
+//! static, so every name is known at compile time.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -131,8 +130,6 @@ impl Histogram {
 struct Registry {
     counters: Mutex<Vec<&'static Counter>>,
     histograms: Mutex<Vec<&'static Histogram>>,
-    interned_counters: Mutex<HashMap<String, &'static Counter>>,
-    interned_histograms: Mutex<HashMap<String, &'static Histogram>>,
 }
 
 fn registry() -> &'static Registry {
@@ -140,41 +137,7 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(|| Registry {
         counters: Mutex::new(Vec::new()),
         histograms: Mutex::new(Vec::new()),
-        interned_counters: Mutex::new(HashMap::new()),
-        interned_histograms: Mutex::new(HashMap::new()),
     })
-}
-
-/// The counter named `name`, interned (and leaked) on first request so
-/// call sites with runtime-built names — cache tier labels, shard ids —
-/// resolve once and record through a plain `&'static Counter` thereafter.
-pub fn counter(name: &str) -> &'static Counter {
-    let mut map = registry().interned_counters.lock().unwrap();
-    if let Some(c) = map.get(name) {
-        return c;
-    }
-    let leaked: &'static Counter = Box::leak(Box::new(Counter::new(Box::leak(
-        String::from(name).into_boxed_str(),
-    ))));
-    leaked.registered.call_once(|| ());
-    registry().counters.lock().unwrap().push(leaked);
-    map.insert(String::from(name), leaked);
-    leaked
-}
-
-/// The histogram named `name`, interned like [`counter`].
-pub fn histogram(name: &str) -> &'static Histogram {
-    let mut map = registry().interned_histograms.lock().unwrap();
-    if let Some(h) = map.get(name) {
-        return h;
-    }
-    let leaked: &'static Histogram = Box::leak(Box::new(Histogram::new(Box::leak(
-        String::from(name).into_boxed_str(),
-    ))));
-    leaked.registered.call_once(|| ());
-    registry().histograms.lock().unwrap().push(leaked);
-    map.insert(String::from(name), leaked);
-    leaked
 }
 
 /// Point-in-time value of one counter.
@@ -385,24 +348,13 @@ mod tests {
     }
 
     #[test]
-    fn interned_metrics_are_stable_references() {
-        let a = counter("test.metrics.interned");
-        let b = counter("test.metrics.interned");
-        assert!(std::ptr::eq(a, b));
-        a.add(7);
-        assert_eq!(b.get(), 7);
-        let ha = histogram("test.metrics.interned_hist");
-        let hb = histogram("test.metrics.interned_hist");
-        assert!(std::ptr::eq(ha, hb));
-        ha.record(5);
-        assert_eq!(hb.count(), 1);
-    }
-
-    #[test]
     fn exposition_is_sorted_and_parseable() {
-        counter("test.expo.b").add(1);
-        counter("test.expo.a").add(2);
-        histogram("test.expo.h").record(3);
+        static B: Counter = Counter::new("test.expo.b");
+        static A: Counter = Counter::new("test.expo.a");
+        static H: Histogram = Histogram::new("test.expo.h");
+        B.add(1);
+        A.add(2);
+        H.record(3);
         let text = snapshot().exposition();
         let a = text.find("counter test.expo.a 2").expect("a line");
         let b = text.find("counter test.expo.b 1").expect("b line");
