@@ -18,10 +18,11 @@
 //! request-ordered outcomes — two invocations (local vs sharded, or
 //! sharded with a worker killed) must print the same digest.
 
+use asip_core::nxm::Grid;
 use asip_core::session::{EvalOutcome, EvalRequest};
 use asip_isa::codec::Codec;
 use asip_serve::shard::{format_shard_table, run_sharded_metrics};
-use asip_serve::{Client, ShardMode, ShardPlan, WorkerPool};
+use asip_serve::{ShardMode, ShardPlan, WorkerPool};
 use std::sync::{Arc, Mutex};
 
 /// FNV-1a over the request-ordered encoded outcomes: the byte-identity
@@ -122,14 +123,7 @@ fn main() {
                 counter("serve.shard.local_fallback"),
                 faults,
             );
-            let mut disk_hits = 0u64;
-            for addr in &addrs {
-                if let Ok(mut c) = Client::connect(addr) {
-                    if let Ok(s) = c.stats() {
-                        disk_hits += s.cache.disk.hits;
-                    }
-                }
-            }
+            let disk_hits: u64 = metrics.iter().flatten().map(|m| m.cache.disk.hits).sum();
             println!("[serve] disk hits across workers: {disk_hits}");
             if let Some(p) = pool.lock().unwrap().take() {
                 p.shutdown();
@@ -138,7 +132,7 @@ fn main() {
         }
     };
 
-    let grid = asip_serve::grid_from_outcomes(&machines, &workloads, outcomes.clone(), 1);
+    let grid = Grid::from_outcomes(&machines, &workloads, outcomes.clone(), 1);
     println!("{grid}");
     println!(
         "[serve] grid digest: {:016x} ({} cells, {} failures, {mode_name})",

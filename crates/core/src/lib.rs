@@ -62,7 +62,6 @@
 pub mod cache;
 mod codec;
 pub mod dse;
-pub mod flight;
 pub mod ise;
 pub mod nxm;
 pub mod pipeline;
@@ -71,6 +70,5 @@ pub mod session;
 pub use cache::{
     ArtifactCache, CacheConfig, CacheStats, DiskTierConfig, StageKind, StageStats, TierStats,
 };
-pub use flight::SingleFlight;
 pub use pipeline::{CompiledArtifact, Toolchain, ToolchainError, WorkloadRun};
 pub use session::{EvalOptions, EvalOutcome, EvalRequest, EvalRun, Session, SessionBuilder};

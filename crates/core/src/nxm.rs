@@ -14,7 +14,7 @@
 //! it), and report through the typed
 //! [`ToolchainError`](crate::pipeline::ToolchainError).
 
-use crate::session::{EvalRequest, Session};
+use crate::session::{EvalOutcome, EvalRequest, Session};
 use asip_isa::MachineDescription;
 use asip_workloads::Workload;
 use std::collections::HashMap;
@@ -35,9 +35,9 @@ pub struct Cell {
 ///
 /// Cells are stored row-major (machine-major) and indexed by name maps, so
 /// [`Grid::cell`] and [`Grid::cycles`] are O(1). Grids are assembled
-/// through [`Grid::from_cells`] (which builds the index); cell outcomes may
-/// be mutated in place, but the machine/workload layout is fixed at
-/// construction.
+/// through [`Grid::from_cells`] or [`Grid::from_outcomes`] (which build the
+/// index); cell outcomes may be mutated in place, but the machine/workload
+/// layout is fixed at construction.
 #[derive(Debug, Clone)]
 pub struct Grid {
     /// Machine names (rows).
@@ -84,6 +84,30 @@ impl Grid {
             machine_index,
             workload_index,
         }
+    }
+
+    /// Assemble a grid from outcomes in [`EvalRequest::grid`] order, however
+    /// they were evaluated (one session's batch, or merged from shards).
+    pub fn from_outcomes(
+        machines: &[MachineDescription],
+        workloads: &[Workload],
+        outcomes: Vec<EvalOutcome>,
+        parallelism: usize,
+    ) -> Grid {
+        let cells = outcomes
+            .into_iter()
+            .map(|o| Cell {
+                machine: o.machine,
+                workload: o.workload,
+                outcome: o.result.map(|r| r.run.sim.cycles),
+            })
+            .collect();
+        Grid::from_cells(
+            machines.iter().map(|m| m.name.clone()).collect(),
+            workloads.iter().map(|w| w.name.clone()).collect(),
+            cells,
+            parallelism,
+        )
     }
 
     /// Whether every cell passed.
@@ -137,12 +161,6 @@ impl fmt::Display for Grid {
     }
 }
 
-/// Default worker count (see [`crate::session::default_threads`]).
-#[deprecated(note = "use asip_core::session::default_threads")]
-pub fn default_parallelism() -> usize {
-    crate::session::default_threads()
-}
-
 /// Run the full grid on the session's worker pool.
 pub fn run_grid(
     session: &Session,
@@ -150,22 +168,8 @@ pub fn run_grid(
     workloads: &[Workload],
 ) -> Grid {
     let reqs = EvalRequest::grid(machines, workloads);
-    let n = reqs.len();
-    let outcomes = session.eval_batch(&reqs);
-    let cells = outcomes
-        .into_iter()
-        .map(|o| Cell {
-            machine: o.machine,
-            workload: o.workload,
-            outcome: o.result.map(|r| r.run.sim.cycles),
-        })
-        .collect();
-    Grid::from_cells(
-        machines.iter().map(|m| m.name.clone()).collect(),
-        workloads.iter().map(|w| w.name.clone()).collect(),
-        cells,
-        session.threads().min(n).max(1),
-    )
+    let parallelism = session.threads().min(reqs.len()).max(1);
+    Grid::from_outcomes(machines, workloads, session.eval_batch(&reqs), parallelism)
 }
 
 /// Run the full grid on `threads` workers (clamped to the cell count; `0`

@@ -632,32 +632,6 @@ impl Toolchain {
         }
     }
 
-    /// **Compile stage**, scalar flavor: IR module → linear scalar program.
-    /// Cached like [`Toolchain::compile_for`].
-    ///
-    /// # Errors
-    ///
-    /// [`ToolchainError::Backend`].
-    pub fn compile_scalar(
-        &self,
-        module: &Module,
-        machine: &MachineDescription,
-        profile: Option<&Profile>,
-    ) -> Result<CompiledScalarProgram, ToolchainError> {
-        let staged = self.compile_stage(
-            TargetKind::Scalar,
-            Input::Value(module),
-            machine,
-            profile.map(Input::Value),
-        )?;
-        match staged.into_value() {
-            CompiledArtifact::Scalar(p) => Ok(p),
-            CompiledArtifact::Vliw(_) => {
-                unreachable!("scalar-flavored keys hold scalar artifacts")
-            }
-        }
-    }
-
     /// Full stage graph for one workload on one machine, checking the
     /// golden output. Every stage is served from the artifact cache when
     /// possible, and each stage's result reaches the next as its cached
@@ -804,23 +778,6 @@ impl Toolchain {
         compiled: &CompiledProgram,
     ) -> Result<WorkloadRun, ToolchainError> {
         let program = ProgramRef::Vliw(compiled);
-        self.simulate_stage(w, machine, ArtifactInput::Program(program))
-    }
-
-    /// **Simulate stage**, scalar flavor: run an already-compiled scalar
-    /// workload on the in-order pipeline model. Memoized like
-    /// [`Toolchain::run_compiled`].
-    ///
-    /// # Errors
-    ///
-    /// [`ToolchainError::Sim`] or [`ToolchainError::WrongOutput`].
-    pub fn run_compiled_scalar(
-        &self,
-        w: &Workload,
-        machine: &MachineDescription,
-        compiled: &CompiledScalarProgram,
-    ) -> Result<WorkloadRun, ToolchainError> {
-        let program = ProgramRef::Scalar(compiled);
         self.simulate_stage(w, machine, ArtifactInput::Program(program))
     }
 

@@ -42,7 +42,6 @@ use crate::cache::{
     default_cache_bytes, default_cache_dir, ArtifactCache, CacheConfig, CacheStats, DiskTierConfig,
     DEFAULT_DISK_CACHE_BYTES,
 };
-use crate::flight::SingleFlight;
 use crate::ise::{extend, IseConfig, IseReport};
 use crate::pipeline::{ArtifactInput, Input, Toolchain, ToolchainError, WorkloadRun};
 use asip_backend::BackendOptions;
@@ -250,7 +249,6 @@ impl SessionBuilder {
         Session {
             tc,
             threads: self.threads.unwrap_or_else(default_threads),
-            flights: Arc::new(SingleFlight::new()),
         }
     }
 }
@@ -353,7 +351,6 @@ impl EvalOutcome {
 pub struct Session {
     tc: Toolchain,
     threads: usize,
-    flights: Arc<SingleFlight<EvalOutcome>>,
 }
 
 impl Default for Session {
@@ -374,7 +371,6 @@ impl Session {
         Session {
             tc,
             threads: default_threads(),
-            flights: Arc::new(SingleFlight::new()),
         }
     }
 
@@ -393,19 +389,15 @@ impl Session {
         Session {
             tc: self.tc.clone(),
             threads: threads.max(1),
-            flights: Arc::clone(&self.flights),
         }
     }
 
     /// This session with a new, empty, unshared, memory-only cache (same
-    /// byte budget and hash mask; see [`Toolchain::fresh_cache`]). The
-    /// single-flight map is fresh too: coalesced results always come from
-    /// this session's own cache.
+    /// byte budget and hash mask; see [`Toolchain::fresh_cache`]).
     pub fn fresh_cache(&self) -> Session {
         Session {
             tc: self.tc.fresh_cache(),
             threads: self.threads,
-            flights: Arc::new(SingleFlight::new()),
         }
     }
 
@@ -456,23 +448,6 @@ impl Session {
         out
     }
 
-    /// Evaluate one request, **coalescing** with any identical request
-    /// currently in flight on this session (or its `with_threads`/`clone`
-    /// derivatives): one caller computes, concurrent duplicates block and
-    /// clone the result. Returns the outcome plus whether this call *led*
-    /// the computation — the evaluation server uses the flag for
-    /// per-client attribution. Keyed by the codec-rendered request, so
-    /// coalescing can never conflate distinct cells.
-    ///
-    /// Unlike the artifact cache this dedups only *concurrent* work:
-    /// sequential repeats recompute (and are then served by the cache), so
-    /// plain [`Session::eval`]/[`Session::eval_batch`] counters are
-    /// unaffected by this path existing.
-    pub fn eval_coalesced(&self, req: &EvalRequest) -> (EvalOutcome, bool) {
-        use asip_isa::codec::Codec;
-        self.flights.run(req.encode_to_vec(), || self.eval(req))
-    }
-
     /// The stage calls of one cell. Each stage's result reaches the next
     /// as its cached payload, so a fully warm cell decodes only its
     /// Simulate entry.
@@ -519,9 +494,9 @@ impl Session {
         Ok(EvalRun { run, machine, ise })
     }
 
-    /// Evaluate a batch of cells on the worker pool ([`par_map`]): the
-    /// returned vector is request-ordered and identical for any thread
-    /// count.
+    /// Evaluate a batch of cells on a pool of [`Session::threads`] joined
+    /// worker threads: the returned vector is request-ordered and
+    /// identical for any thread count.
     pub fn eval_batch(&self, reqs: &[EvalRequest]) -> Vec<EvalOutcome> {
         par_map(self.threads, reqs, |r| self.eval(r))
     }
@@ -537,13 +512,8 @@ impl Session {
 /// the threads may still be exiting and holding their glibc malloc arenas;
 /// the next pool's workers then attach new arenas, and how many a process
 /// ends up keeping resident would depend on thread timing. Joined, every
-/// pool reuses the same arenas. [`Session::eval_batch`] and the evaluation
-/// server's coalescing batches both run on this pool.
-pub fn par_map<T: Sync, R: Send>(
-    threads: usize,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
+/// pool reuses the same arenas.
+fn par_map<T: Sync, R: Send>(threads: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let n = items.len();
     let threads = threads.min(n).max(1);
     if threads <= 1 {

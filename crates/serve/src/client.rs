@@ -3,7 +3,7 @@
 //! on every operation — connect, read and write all carry timeouts, so no
 //! client call can block indefinitely on a hung or black-holed peer.
 
-use crate::wire::{read_frame, write_frame, Message, MetricsReply, ProtocolError, StatsReply};
+use crate::wire::{read_frame, write_frame, Message, MetricsReply, ProtocolError};
 use asip_core::session::{EvalOutcome, EvalRequest};
 use std::fmt;
 use std::io::{self, BufReader, BufWriter};
@@ -275,21 +275,10 @@ impl Client {
         }
     }
 
-    /// Fetch the server's cache counters and per-client attribution table.
-    ///
-    /// # Errors
-    ///
-    /// Any [`ServeError::Protocol`] or an unexpected reply.
-    pub fn stats(&mut self) -> Result<StatsReply, ServeError> {
-        match self.call(&Message::Stats)? {
-            Message::StatsReply(s) => Ok(*s),
-            other => Err(ServeError::Unexpected { got: other.name() }),
-        }
-    }
-
     /// Fetch the server process's metrics snapshot (counters, latency
     /// histograms, cache counters) — what the shard coordinator scrapes
-    /// for its per-shard table.
+    /// for its per-shard table, and the one way to read a server's cache
+    /// counters.
     ///
     /// # Errors
     ///

@@ -11,8 +11,8 @@
 //!   [`ProtocolError`]s — never a panic, never a hang.
 //! - [`server`] / [`client`] — a long-running front-end over one shared
 //!   session: thread-per-connection TCP, bounded admission control
-//!   (overload answers a typed `Busy`), in-flight coalescing of identical
-//!   cells, and per-client cache-hit attribution via the `Stats` RPC.
+//!   (overload answers a typed `Busy`), and the `Metrics` RPC that reports
+//!   the process's counters, histograms and cache stats.
 //! - [`shard`] / [`worker`] — a coordinator that partitions a grid
 //!   deterministically across N spawned worker processes sharing one
 //!   `ASIP_CACHE_DIR`, merges request-ordered results byte-identical with
@@ -58,9 +58,8 @@ pub use client::{Client, ServeError, Timeouts, TIMEOUT_ENV};
 pub use faults::{FaultPlan, FaultSpecError, FAULTS_ENV};
 pub use server::{EvalServer, ServerConfig};
 pub use shard::{
-    default_shard_mode, format_shard_table, grid_from_outcomes, run_grid, run_sharded,
-    run_sharded_metrics, run_sharded_with, LocalFallback, RetryPolicy, ShardMode, ShardPlan,
-    WorkerPool, SHARDS_ENV,
+    default_shard_mode, format_shard_table, run_grid, run_sharded, run_sharded_metrics,
+    run_sharded_with, LocalFallback, RetryPolicy, ShardMode, ShardPlan, WorkerPool, SHARDS_ENV,
 };
-pub use wire::{read_frame, write_frame, ClientStats, Message, ProtocolError, StatsReply};
+pub use wire::{read_frame, write_frame, Message, ProtocolError};
 pub use worker::{serve_worker, try_worker_main, worker_main, worker_requested, WORKER_FLAG};

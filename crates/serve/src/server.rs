@@ -1,19 +1,15 @@
 //! The long-running evaluation server: a TCP listener over one shared
-//! [`Session`], one thread per connection, with bounded admission control,
-//! in-flight coalescing and per-client attribution.
+//! [`Session`], one thread per connection, with bounded admission control.
 //!
 //! * **Admission control** — the server tracks cells in flight across all
 //!   connections; an `Eval` batch that would push the total past the
 //!   configured limit is answered with a typed [`Message::Busy`] instead of
 //!   queueing unboundedly. The client retries; nothing blocks.
-//! * **Coalescing** — cells evaluate through
-//!   [`Session::eval_coalesced`], so identical cells requested concurrently
-//!   by different clients dedup to one computation (the cache-key seam:
-//!   flights are keyed by the codec-rendered request).
-//! * **Attribution** — every connection accumulates [`ClientStats`]:
-//!   requests, cells, led vs coalesced computations, busy rejections, and
-//!   the cache-counter delta around the cells it led. The `Stats` RPC
-//!   returns the global [`CacheStats`] plus the per-client table.
+//! * **Evaluation** — an admitted batch runs through
+//!   [`Session::eval_batch`] on the shared session, whose artifact cache
+//!   serves any cell another connection already computed.
+//! * **Metrics** — the `Metrics` RPC returns the process's counters and
+//!   histograms plus the session's cache counters ([`MetricsReply`]).
 //! * **Deadlines** — accepted connections carry the configured
 //!   [`Timeouts`]: a client that stops producing bytes mid-frame (or a
 //!   stalled injected read) expires instead of pinning its thread forever.
@@ -24,9 +20,8 @@
 
 use crate::client::Timeouts;
 use crate::faults;
-use crate::wire::{read_frame, write_frame, ClientStats, Message, MetricsReply, StatsReply};
-use asip_core::cache::CacheStats;
-use asip_core::session::{par_map, EvalOutcome, EvalRequest, Session};
+use crate::wire::{read_frame, write_frame, Message, MetricsReply};
+use asip_core::session::Session;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -43,8 +38,6 @@ static OBS_BUSY: asip_obs::Counter = asip_obs::Counter::new("serve.busy_rejectio
 /// dispatch rounds plus the metrics scrape) over one connection, so this
 /// stays far below `serve.requests`.
 static OBS_CONNECTIONS: asip_obs::Counter = asip_obs::Counter::new("serve.connections");
-/// Per-cell wall latency through the server's coalescing batch executor.
-static OBS_EVAL_CELL_NS: asip_obs::Histogram = asip_obs::Histogram::new("serve.eval_cell_ns");
 /// Server-side deadline expiries (name-merged with the client's counter
 /// of the same name in metrics snapshots).
 static OBS_TIMEOUTS: asip_obs::Counter = asip_obs::Counter::new("serve.timeouts");
@@ -69,73 +62,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Fieldwise counter difference `after - before` (saturating), used for
-/// per-client attribution snapshots.
-fn stats_delta(after: &CacheStats, before: &CacheStats) -> CacheStats {
-    use asip_core::cache::{StageStats, TierStats};
-    let stage = |a: &StageStats, b: &StageStats| StageStats {
-        hits: a.hits.saturating_sub(b.hits),
-        misses: a.misses.saturating_sub(b.misses),
-    };
-    let tier = |a: &TierStats, b: &TierStats| TierStats {
-        hits: a.hits.saturating_sub(b.hits),
-        loads: a.loads.saturating_sub(b.loads),
-        stores: a.stores.saturating_sub(b.stores),
-        stale_drops: a.stale_drops.saturating_sub(b.stale_drops),
-        evictions: a.evictions.saturating_sub(b.evictions),
-        tmp_reclaimed: a.tmp_reclaimed.saturating_sub(b.tmp_reclaimed),
-        resident_bytes: a.resident_bytes, // a level, not a counter
-        entries: a.entries,
-    };
-    CacheStats {
-        parse: stage(&after.parse, &before.parse),
-        optimize: stage(&after.optimize, &before.optimize),
-        profile: stage(&after.profile, &before.profile),
-        compile: stage(&after.compile, &before.compile),
-        simulate: stage(&after.simulate, &before.simulate),
-        evictions: after.evictions.saturating_sub(before.evictions),
-        resident_bytes: after.resident_bytes,
-        mem: tier(&after.mem, &before.mem),
-        disk: tier(&after.disk, &before.disk),
-        has_disk: after.has_disk,
-    }
-}
-
-/// Fieldwise counter sum `into += add` for accumulating attribution deltas.
-fn stats_accumulate(into: &mut CacheStats, add: &CacheStats) {
-    use asip_core::cache::{StageStats, TierStats};
-    let stage = |i: &mut StageStats, a: &StageStats| {
-        i.hits += a.hits;
-        i.misses += a.misses;
-    };
-    let tier = |i: &mut TierStats, a: &TierStats| {
-        i.hits += a.hits;
-        i.loads += a.loads;
-        i.stores += a.stores;
-        i.stale_drops += a.stale_drops;
-        i.evictions += a.evictions;
-        i.tmp_reclaimed += a.tmp_reclaimed;
-        i.resident_bytes = a.resident_bytes;
-        i.entries = a.entries;
-    };
-    stage(&mut into.parse, &add.parse);
-    stage(&mut into.optimize, &add.optimize);
-    stage(&mut into.profile, &add.profile);
-    stage(&mut into.compile, &add.compile);
-    stage(&mut into.simulate, &add.simulate);
-    into.evictions += add.evictions;
-    into.resident_bytes = add.resident_bytes;
-    tier(&mut into.mem, &add.mem);
-    tier(&mut into.disk, &add.disk);
-    into.has_disk = add.has_disk;
-}
-
 struct ServerShared {
     session: Session,
     limit: u64,
     in_flight: AtomicU64,
     stopping: AtomicBool,
-    clients: Mutex<BTreeMap<String, ClientStats>>,
     /// Live connection read-halves, keyed by connection id. The drain
     /// path shuts each read half down so idle readers wake with EOF;
     /// each connection thread removes its own entry on exit.
@@ -206,17 +137,6 @@ impl ServerShared {
             }
         }
     }
-
-    fn with_client<R>(&self, id: &str, f: impl FnOnce(&mut ClientStats) -> R) -> R {
-        let mut clients = self.clients.lock().unwrap();
-        let entry = clients
-            .entry(id.to_string())
-            .or_insert_with(|| ClientStats {
-                client: id.to_string(),
-                ..ClientStats::default()
-            });
-        f(entry)
-    }
 }
 
 /// A bound evaluation server. Create with [`EvalServer::bind`], then either
@@ -245,7 +165,6 @@ impl EvalServer {
                 limit: config.max_in_flight_cells,
                 in_flight: AtomicU64::new(0),
                 stopping: AtomicBool::new(false),
-                clients: Mutex::new(BTreeMap::new()),
                 conns: Mutex::new(BTreeMap::new()),
                 next_conn_id: AtomicU64::new(0),
             }),
@@ -303,22 +222,6 @@ impl EvalServer {
     }
 }
 
-/// Evaluate a batch through [`Session::eval_coalesced`] on the pool
-/// [`Session::eval_batch`] uses ([`par_map`], which joins its workers), so
-/// results are request-ordered and thread-count-invariant, but concurrent
-/// identical cells (across *all* server connections) dedup to one
-/// computation. Returns the outcomes plus how many cells this caller led.
-fn eval_batch_coalesced(session: &Session, reqs: &[EvalRequest]) -> (Vec<EvalOutcome>, u64) {
-    let runs = par_map(session.threads(), reqs, |r| {
-        let t0 = std::time::Instant::now();
-        let out = session.eval_coalesced(r);
-        OBS_EVAL_CELL_NS.record(t0.elapsed().as_nanos() as u64);
-        out
-    });
-    let led = runs.iter().map(|&(_, led)| u64::from(led)).sum();
-    (runs.into_iter().map(|(o, _)| o).collect(), led)
-}
-
 fn handle_connection(stream: TcpStream, shared: &ServerShared) {
     let conn_id = shared.register_conn(&stream);
     handle_connection_inner(stream, shared);
@@ -326,10 +229,6 @@ fn handle_connection(stream: TcpStream, shared: &ServerShared) {
 }
 
 fn handle_connection_inner(stream: TcpStream, shared: &ServerShared) {
-    let client_id = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_else(|_| "unknown".to_string());
     let mut reader = io::BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -383,10 +282,6 @@ fn handle_connection_inner(stream: TcpStream, shared: &ServerShared) {
                         admit_span.note("busy");
                         drop(admit_span);
                         OBS_BUSY.add(1);
-                        shared.with_client(&client_id, |c| {
-                            c.requests += 1;
-                            c.busy_rejections += 1;
-                        });
                         Message::Busy {
                             in_flight,
                             limit: shared.limit,
@@ -398,32 +293,14 @@ fn handle_connection_inner(stream: TcpStream, shared: &ServerShared) {
                         OBS_CELLS.add(cells);
                         let mut eval_span = asip_obs::span("serve", "eval");
                         if eval_span.is_recording() {
-                            eval_span.detail(format!("{cells} cells from {client_id}"));
+                            eval_span.detail(format!("{cells} cells"));
                         }
-                        let before = shared.session.cache_stats();
-                        let (outcomes, led) = eval_batch_coalesced(&shared.session, &reqs);
-                        let after = shared.session.cache_stats();
+                        let outcomes = shared.session.eval_batch(&reqs);
                         drop(eval_span);
                         drop(admission);
-                        shared.with_client(&client_id, |c| {
-                            c.requests += 1;
-                            c.cells += cells;
-                            c.led += led;
-                            c.coalesced += cells - led;
-                            if led > 0 {
-                                stats_accumulate(&mut c.attributed, &stats_delta(&after, &before));
-                            }
-                        });
                         Message::Outcomes(outcomes)
                     }
                 }
-            }
-            Message::Stats => {
-                let clients = shared.clients.lock().unwrap().values().cloned().collect();
-                Message::StatsReply(Box::new(StatsReply {
-                    cache: shared.session.cache_stats(),
-                    clients,
-                }))
             }
             Message::Metrics => Message::MetricsReply(Box::new(MetricsReply::from_process(
                 shared.session.cache_stats(),
@@ -451,7 +328,6 @@ fn handle_connection_inner(stream: TcpStream, shared: &ServerShared) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asip_core::cache::StageStats;
 
     #[test]
     fn admission_is_a_bounded_counter() {
@@ -460,7 +336,6 @@ mod tests {
             limit: 10,
             in_flight: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
-            clients: Mutex::new(BTreeMap::new()),
             conns: Mutex::new(BTreeMap::new()),
             next_conn_id: AtomicU64::new(0),
         };
@@ -471,24 +346,5 @@ mod tests {
         drop(a);
         drop(b);
         assert_eq!(shared.in_flight.load(Ordering::Acquire), 0, "RAII release");
-    }
-
-    #[test]
-    fn stats_delta_and_accumulate_are_fieldwise() {
-        let before = CacheStats {
-            parse: StageStats { hits: 1, misses: 2 },
-            ..CacheStats::default()
-        };
-        let mut after = before;
-        after.parse.hits = 5;
-        after.simulate.misses = 3;
-        let d = stats_delta(&after, &before);
-        assert_eq!(d.parse, StageStats { hits: 4, misses: 0 });
-        assert_eq!(d.simulate, StageStats { hits: 0, misses: 3 });
-        let mut acc = CacheStats::default();
-        stats_accumulate(&mut acc, &d);
-        stats_accumulate(&mut acc, &d);
-        assert_eq!(acc.parse.hits, 8);
-        assert_eq!(acc.simulate.misses, 6);
     }
 }

@@ -13,6 +13,11 @@
 //! hits, and every cell is a deterministic function of its request — a
 //! re-dispatched cell returns the same bytes the dead worker would have.
 //!
+//! Each round sends every pending cell to exactly one shard and joins all
+//! of its dispatches before the next round starts, so a re-dispatched cell
+//! reaches a worker only after its earlier dispatch has returned; the
+//! workers' artifact caches serve such repeats.
+//!
 //! # Failure model
 //!
 //! A worker that dies, hangs past its deadline, or stays busy past the
@@ -30,9 +35,8 @@
 //!   (`serve.shard.revived`) rejoins the partition.
 //! * **Local fallback** — when every shard is quarantined and re-probing
 //!   revives none, a caller-supplied local evaluator (see
-//!   [`run_sharded_with`]; [`run_grid`] wires the session in
-//!   automatically unless [`ShardPlan::fallback_local`] is off) completes
-//!   the pending cells in-process (`serve.shard.local_fallback`) —
+//!   [`run_sharded_with`]; [`run_grid`] passes its session) completes the
+//!   pending cells in-process (`serve.shard.local_fallback`) —
 //!   byte-identical, because evaluation is deterministic.
 //! * **Typed failure** — with no fallback, the run fails with
 //!   [`ServeError::ShardFailed`] once [`ShardPlan::retries`] consecutive
@@ -41,7 +45,7 @@
 
 use crate::client::{Client, ServeError, Timeouts};
 use crate::wire::MetricsReply;
-use asip_core::nxm::{Cell, Grid};
+use asip_core::nxm::Grid;
 use asip_core::session::{EvalOutcome, EvalRequest, Session};
 use asip_isa::MachineDescription;
 use asip_workloads::Workload;
@@ -131,8 +135,7 @@ impl RetryPolicy {
 }
 
 /// Execution plan for a sharded (or local) grid run: mode, retry budget,
-/// backoff policy, quarantine threshold, deadlines, and the local-fallback
-/// switch.
+/// backoff policy, quarantine threshold and deadlines.
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     mode: Option<ShardMode>,
@@ -145,10 +148,6 @@ pub struct ShardPlan {
     /// the rotation (default 2). Quarantined shards are re-probed with a
     /// `Ping` at every round start and revived on answer.
     pub quarantine_after: u32,
-    /// Whether [`run_grid`] completes the grid in-process when every
-    /// shard is quarantined (default true). [`run_sharded`] has no
-    /// session; pass an evaluator to [`run_sharded_with`] to opt in.
-    pub fallback_local: bool,
     /// Backoff policy for busy retries and reconnects.
     pub retry: RetryPolicy,
     /// Deadline for one dispatch round (default 60 s): a chunk still
@@ -173,7 +172,6 @@ impl ShardPlan {
             mode: None,
             retries: 2,
             quarantine_after: 2,
-            fallback_local: true,
             retry: RetryPolicy::default(),
             round_deadline: Duration::from_secs(60),
             timeouts: Timeouts::default(),
@@ -208,13 +206,6 @@ impl ShardPlan {
     #[must_use]
     pub fn quarantine_after(mut self, n: u32) -> ShardPlan {
         self.quarantine_after = n.max(1);
-        self
-    }
-
-    /// Builder-style local-fallback switch.
-    #[must_use]
-    pub fn fallback_local(mut self, on: bool) -> ShardPlan {
-        self.fallback_local = on;
         self
     }
 
@@ -441,7 +432,8 @@ pub fn run_sharded_metrics(
 /// the per-shard summary table `exp_serve` prints: cells evaluated, busy
 /// rejections, per-cell eval latency p50/p99, the cache hit ratio over the
 /// five pipeline stages, and (when nonzero) injected-fault and timeout
-/// tallies.
+/// tallies. The latency is the worker's `cell.eval_ns` histogram, which
+/// [`Session::eval`] records for every cell.
 pub fn format_shard_table(metrics: &[Option<MetricsReply>]) -> String {
     let mut out = String::new();
     for (shard, m) in metrics.iter().enumerate() {
@@ -454,7 +446,7 @@ pub fn format_shard_table(metrics: &[Option<MetricsReply>]) -> String {
         let cells = m.counter("serve.cells");
         let busy = m.counter("serve.busy_rejections");
         let (p50, p99) = m
-            .histogram("serve.eval_cell_ns")
+            .histogram("cell.eval_ns")
             .map_or((0, 0), |h| (h.quantile_ns(0.5), h.quantile_ns(0.99)));
         let stages = [
             &m.cache.parse,
@@ -667,38 +659,13 @@ fn run_sharded_inner(
     Ok((outs, healthy))
 }
 
-/// Assemble a [`Grid`] from grid-ordered outcomes (the shape
-/// [`EvalRequest::grid`] produces).
-pub fn grid_from_outcomes(
-    machines: &[MachineDescription],
-    workloads: &[Workload],
-    outcomes: Vec<EvalOutcome>,
-    parallelism: usize,
-) -> Grid {
-    let cells = outcomes
-        .into_iter()
-        .map(|o| Cell {
-            machine: o.machine,
-            workload: o.workload,
-            outcome: o.result.map(|r| r.run.sim.cycles),
-        })
-        .collect();
-    Grid::from_cells(
-        machines.iter().map(|m| m.name.clone()).collect(),
-        workloads.iter().map(|w| w.name.clone()).collect(),
-        cells,
-        parallelism,
-    )
-}
-
 /// Run the N×M grid under `plan`: [`ShardMode::Local`] is exactly
 /// [`asip_core::nxm::run_grid`]; [`ShardMode::Sharded`] spawns that many
 /// `--worker` copies of the **current executable** (which must dispatch to
 /// [`crate::worker::try_worker_main`] at startup, as `exp_serve` and
 /// `exp_nxm` do), fans the grid out, and merges byte-identical,
-/// request-ordered results. When [`ShardPlan::fallback_local`] is on (the
-/// default), total worker loss degrades to in-process evaluation on
-/// `session` instead of failing the run.
+/// request-ordered results. Total worker loss degrades to in-process
+/// evaluation on `session` instead of failing the run.
 ///
 /// # Errors
 ///
@@ -718,14 +685,9 @@ pub fn run_grid(
             let pool = WorkerPool::spawn(&exe, &[], &[], n)?;
             let reqs = EvalRequest::grid(machines, workloads);
             let eval_local = |batch: &[EvalRequest]| session.eval_batch(batch);
-            let fallback: Option<LocalFallback<'_>> = if plan.fallback_local {
-                Some(&eval_local)
-            } else {
-                None
-            };
-            let outcomes = run_sharded_with(pool.addrs(), &reqs, plan, fallback)?;
+            let outcomes = run_sharded_with(pool.addrs(), &reqs, plan, Some(&eval_local))?;
             pool.shutdown();
-            Ok(grid_from_outcomes(machines, workloads, outcomes, n))
+            Ok(Grid::from_outcomes(machines, workloads, outcomes, n))
         }
     }
 }

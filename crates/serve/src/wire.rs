@@ -1,5 +1,7 @@
 //! The wire protocol: length-prefixed, version-stamped, checksummed binary
 //! frames carrying [`Message`]s between clients, servers and shard workers.
+//! A client sends `Eval`, `Metrics`, `Ping` or `Shutdown`; the server
+//! answers with `Outcomes` or `Busy`, `MetricsReply`, or `Pong`.
 //!
 //! # Frame layout
 //!
@@ -33,8 +35,10 @@ pub const MAGIC: [u8; 8] = *b"ASIPSRV\0";
 /// mismatch is a typed [`ProtocolError::BadVersion`], never a misparse.
 /// Version 2 added the `Metrics`/`MetricsReply` kinds; version 3 added
 /// `TierStats::tmp_reclaimed` to every stats-carrying payload; version 4
-/// dropped the prepared-engine counters from `CacheStats`.
-pub const WIRE_VERSION: u32 = 4;
+/// dropped the prepared-engine counters from `CacheStats`; version 5
+/// retired kinds 1 and 18 (the `Stats` request and its reply), which now
+/// decode as [`ProtocolError::BadKind`].
+pub const WIRE_VERSION: u32 = 5;
 
 /// Upper bound on a frame payload (64 MiB). A declared length beyond this
 /// is rejected before any allocation — a garbage length field cannot make
@@ -118,82 +122,12 @@ impl From<CodecError> for ProtocolError {
     }
 }
 
-/// Per-client request accounting, attributed by the server and surfaced in
-/// the `Stats` RPC.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClientStats {
-    /// Client identity (peer address).
-    pub client: String,
-    /// Eval RPCs received.
-    pub requests: u64,
-    /// Cells evaluated (across all Eval RPCs).
-    pub cells: u64,
-    /// Cells this client's connection *led*: it ran the computation.
-    pub led: u64,
-    /// Cells coalesced onto another client's identical in-flight cell.
-    pub coalesced: u64,
-    /// Eval RPCs rejected with [`Message::Busy`].
-    pub busy_rejections: u64,
-    /// Cache activity attributed to this client: the [`CacheStats`] delta
-    /// measured around the cells it led. Concurrent leaders on one shared
-    /// cache can interleave, so treat this as attribution, not an exact
-    /// partition.
-    pub attributed: CacheStats,
-}
-
-impl Codec for ClientStats {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.client);
-        w.put_u64(self.requests);
-        w.put_u64(self.cells);
-        w.put_u64(self.led);
-        w.put_u64(self.coalesced);
-        w.put_u64(self.busy_rejections);
-        self.attributed.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ClientStats {
-            client: r.get_str()?,
-            requests: r.get_u64()?,
-            cells: r.get_u64()?,
-            led: r.get_u64()?,
-            coalesced: r.get_u64()?,
-            busy_rejections: r.get_u64()?,
-            attributed: Codec::decode(r)?,
-        })
-    }
-}
-
-/// The `Stats` RPC response body.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatsReply {
-    /// The server session's global cache counters.
-    pub cache: CacheStats,
-    /// Per-client attribution, sorted by client identity.
-    pub clients: Vec<ClientStats>,
-}
-
-impl Codec for StatsReply {
-    fn encode(&self, w: &mut Writer) {
-        self.cache.encode(w);
-        self.clients.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(StatsReply {
-            cache: Codec::decode(r)?,
-            clients: Vec::decode(r)?,
-        })
-    }
-}
-
 /// One named counter in a [`MetricsReply`] (the wire mirror of
 /// `asip_obs::CounterSnapshot`; the protocol crate keeps its own types so
 /// the observability spine never grows a wire dependency).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WireCounter {
-    /// Dotted metric name (`"cache.mem.evictions"`, `"flight.leader"`, …).
+    /// Dotted metric name (`"cache.mem.evictions"`, `"serve.cells"`, …).
     pub name: String,
     /// Current value.
     pub value: u64,
@@ -217,7 +151,7 @@ impl Codec for WireCounter {
 /// `asip_obs::HistogramSnapshot`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WireHistogram {
-    /// Dotted metric name (`"cell.eval_ns"`, `"serve.eval_cell_ns"`, …).
+    /// Dotted metric name (`"cell.eval_ns"`, `"stage.compile.self_ns"`, …).
     pub name: String,
     /// Total recorded values.
     pub count: u64,
@@ -357,13 +291,12 @@ impl Codec for MetricsReply {
 
 /// Every message the protocol carries, requests and responses alike.
 ///
-/// Stable kind bytes — never renumber: requests are 0–15, responses 16+.
+/// Stable kind bytes — never renumber or reuse: requests are 0–15,
+/// responses 16+. Kinds 1 and 18 are retired (see [`WIRE_VERSION`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Request: evaluate a batch of cells, outcomes in request order.
     Eval(Vec<EvalRequest>),
-    /// Request: report cache + per-client statistics.
-    Stats,
     /// Request: liveness probe.
     Ping,
     /// Request: stop accepting connections and exit the serve loop.
@@ -380,12 +313,10 @@ pub enum Message {
         /// The server's admission limit.
         limit: u64,
     },
-    /// Response to `Stats` (boxed: the stats body dwarfs every other
-    /// variant).
-    StatsReply(Box<StatsReply>),
     /// Response to `Ping` and `Shutdown`.
     Pong,
-    /// Response to `Metrics` (boxed for the same reason as `StatsReply`).
+    /// Response to `Metrics` (boxed: the metrics body dwarfs every other
+    /// variant).
     MetricsReply(Box<MetricsReply>),
 }
 
@@ -394,13 +325,11 @@ impl Message {
     pub fn kind(&self) -> u8 {
         match self {
             Message::Eval(_) => 0,
-            Message::Stats => 1,
             Message::Ping => 2,
             Message::Shutdown => 3,
             Message::Metrics => 4,
             Message::Outcomes(_) => 16,
             Message::Busy { .. } => 17,
-            Message::StatsReply(_) => 18,
             Message::Pong => 19,
             Message::MetricsReply(_) => 20,
         }
@@ -410,13 +339,11 @@ impl Message {
     pub fn name(&self) -> &'static str {
         match self {
             Message::Eval(_) => "Eval",
-            Message::Stats => "Stats",
             Message::Ping => "Ping",
             Message::Shutdown => "Shutdown",
             Message::Metrics => "Metrics",
             Message::Outcomes(_) => "Outcomes",
             Message::Busy { .. } => "Busy",
-            Message::StatsReply(_) => "StatsReply",
             Message::Pong => "Pong",
             Message::MetricsReply(_) => "MetricsReply",
         }
@@ -431,13 +358,8 @@ impl Message {
                 w.put_u64(*in_flight);
                 w.put_u64(*limit);
             }
-            Message::StatsReply(s) => s.encode(&mut w),
             Message::MetricsReply(m) => m.encode(&mut w),
-            Message::Stats
-            | Message::Ping
-            | Message::Shutdown
-            | Message::Metrics
-            | Message::Pong => {}
+            Message::Ping | Message::Shutdown | Message::Metrics | Message::Pong => {}
         }
         w.into_bytes()
     }
@@ -446,7 +368,6 @@ impl Message {
         let mut r = Reader::new(payload);
         let msg = match kind {
             0 => Message::Eval(Vec::decode(&mut r)?),
-            1 => Message::Stats,
             2 => Message::Ping,
             3 => Message::Shutdown,
             4 => Message::Metrics,
@@ -455,7 +376,6 @@ impl Message {
                 in_flight: r.get_u64()?,
                 limit: r.get_u64()?,
             },
-            18 => Message::StatsReply(Box::new(StatsReply::decode(&mut r)?)),
             19 => Message::Pong,
             20 => Message::MetricsReply(Box::new(MetricsReply::decode(&mut r)?)),
             kind => return Err(ProtocolError::BadKind { kind }),
@@ -637,25 +557,12 @@ mod tests {
         let req = EvalRequest::new(fir, MachineDescription::ember2()).with_ise(8.0);
         roundtrip(&Message::Eval(vec![req.clone(), req]));
         roundtrip(&Message::Eval(vec![]));
-        roundtrip(&Message::Stats);
         roundtrip(&Message::Ping);
         roundtrip(&Message::Shutdown);
         roundtrip(&Message::Busy {
             in_flight: 7,
             limit: 4,
         });
-        roundtrip(&Message::StatsReply(Box::new(StatsReply {
-            cache: CacheStats::default(),
-            clients: vec![ClientStats {
-                client: "127.0.0.1:5".into(),
-                requests: 1,
-                cells: 9,
-                led: 8,
-                coalesced: 1,
-                busy_rejections: 0,
-                attributed: CacheStats::default(),
-            }],
-        })));
         roundtrip(&Message::Pong);
         roundtrip(&Message::Metrics);
         roundtrip(&Message::MetricsReply(Box::new(MetricsReply {
@@ -704,16 +611,22 @@ mod tests {
             Message::from_frame(&bad),
             Err(ProtocolError::BadVersion { got: 99 })
         ));
-        // Unknown kind (checksum re-stamped so the kind check is reached).
-        let mut bad = good.clone();
-        bad[12] = 200;
-        let body_end = bad.len() - 8;
-        let sum = fnv1a(&bad[..body_end]).to_le_bytes();
-        bad[body_end..].copy_from_slice(&sum);
-        assert!(matches!(
-            Message::from_frame(&bad),
-            Err(ProtocolError::BadKind { kind: 200 })
-        ));
+        // Unknown kinds, retired ones included (checksum re-stamped so the
+        // kind check is reached).
+        for kind in [1, 18, 200] {
+            let mut bad = good.clone();
+            bad[12] = kind;
+            let body_end = bad.len() - 8;
+            let sum = fnv1a(&bad[..body_end]).to_le_bytes();
+            bad[body_end..].copy_from_slice(&sum);
+            assert!(
+                matches!(
+                    Message::from_frame(&bad),
+                    Err(ProtocolError::BadKind { kind: k }) if k == kind
+                ),
+                "kind {kind}"
+            );
+        }
         // Flipped payload/checksum byte.
         let mut bad = good.clone();
         let at = bad.len() - 1;
@@ -742,7 +655,7 @@ mod tests {
     fn clean_eof_is_closed_mid_frame_is_truncated() {
         let mut empty = io::Cursor::new(Vec::<u8>::new());
         assert!(matches!(read_frame(&mut empty), Err(ProtocolError::Closed)));
-        let frame = Message::Stats.to_frame();
+        let frame = Message::Ping.to_frame();
         let mut cut = io::Cursor::new(frame[..10].to_vec());
         assert!(matches!(read_frame(&mut cut), Err(ProtocolError::Io(_))));
     }

@@ -69,7 +69,7 @@ fn sharded_grid_is_byte_identical_with_local() {
         .iter()
         .map(|addr| {
             let mut c = Client::connect(addr).expect("worker reachable");
-            c.stats().expect("stats").cache.disk.hits
+            c.metrics().expect("metrics").cache.disk.hits
         })
         .sum();
     assert!(
@@ -109,6 +109,10 @@ fn coordinator_reuses_worker_connections() {
         m.counter("serve.requests") >= 1,
         "the eval RPC rode the pooled connection"
     );
+    // The fresh worker evaluated every cell, each timed by `Session::eval`:
+    // the histogram behind the shard table's latency column.
+    let cell_ns = m.histogram("cell.eval_ns").expect("cell latency recorded");
+    assert_eq!(cell_ns.count, reqs.len() as u64);
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&cache_dir);
 }

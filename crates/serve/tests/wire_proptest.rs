@@ -44,18 +44,16 @@ fn message_for(seed: u64) -> Message {
         let w = workloads[(s as usize / 7) % workloads.len()].clone();
         EvalRequest::new(w, m).with_ise((s % 33) as f64)
     };
-    match seed % 9 {
+    match seed % 7 {
         0 => Message::Eval((0..seed % 4).map(|i| req(seed.wrapping_add(i))).collect()),
-        1 => Message::Stats,
-        2 => Message::Ping,
-        3 => Message::Shutdown,
-        4 => Message::Busy {
+        1 => Message::Ping,
+        2 => Message::Shutdown,
+        3 => Message::Busy {
             in_flight: seed.rotate_left(17),
             limit: seed.rotate_right(9),
         },
-        5 => Message::StatsReply(Box::default()),
-        6 => Message::Metrics,
-        7 => Message::MetricsReply(Box::new(MetricsReply {
+        4 => Message::Metrics,
+        5 => Message::MetricsReply(Box::new(MetricsReply {
             counters: (0..seed % 5)
                 .map(|i| WireCounter {
                     name: format!("c.{i}"),
