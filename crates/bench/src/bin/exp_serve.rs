@@ -115,13 +115,14 @@ fn main() {
                 .map(|c| c.value)
                 .sum();
             println!(
-                "[serve] resilience: retries={} timeouts={} quarantined={} revived={} local-fallback={} faults={}",
+                "[serve] resilience: retries={} timeouts={} quarantined={} revived={} local-fallback={} faults={} redispatched={}",
                 counter("serve.retries"),
                 counter("serve.timeouts"),
                 counter("serve.shard.quarantined"),
                 counter("serve.shard.revived"),
                 counter("serve.shard.local_fallback"),
                 faults,
+                counter("serve.redispatched"),
             );
             let disk_hits: u64 = metrics.iter().flatten().map(|m| m.cache.disk.hits).sum();
             println!("[serve] disk hits across workers: {disk_hits}");

@@ -9,35 +9,38 @@
 //! finally **rewritten** into the IR as [`asip_isa::Opcode::Custom`]
 //! operations. The machine description is extended with the same definitions
 //! so compiler, simulator and hardware models stay consistent.
+//!
+//! The enumeration reads dense tables built once per block (operands,
+//! reaching definitions, consumers, ancestor bitsets), so visiting a node
+//! set costs the same whatever the block's length, and each distinct
+//! datapath shape is turned into a definition once, however many instances
+//! it has.
 
 use asip_ir::inst::{BlockId, FuncId, Inst, VReg, Val};
 use asip_ir::interp::Profile;
-use asip_ir::Module;
+use asip_ir::{Block, Module};
 use asip_isa::custom::{CustomOpDef, PatNode, PatRef, MAX_CUSTOM_INPUTS, MAX_CUSTOM_OUTPUTS};
 use asip_isa::{MachineDescription, Opcode};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap, HashSet};
+
+/// Maximum nodes per candidate subgraph.
+const MAX_NODES: usize = 6;
+/// Maximum valid candidates enumerated per block (guards the exponential).
+const MAX_CANDIDATES_PER_BLOCK: usize = 300;
+/// Maximum number of distinct custom operations selected.
+const MAX_OPS: usize = 8;
 
 /// ISE engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct IseConfig {
     /// Area budget in adder-equivalents for all selected datapaths.
     pub area_budget: f64,
-    /// Maximum nodes per candidate subgraph.
-    pub max_nodes: usize,
-    /// Maximum candidates enumerated per block (guards the exponential).
-    pub max_candidates_per_block: usize,
-    /// Maximum number of distinct custom operations selected.
-    pub max_ops: usize,
 }
 
 impl Default for IseConfig {
     fn default() -> Self {
-        IseConfig {
-            area_budget: 24.0,
-            max_nodes: 6,
-            max_candidates_per_block: 300,
-            max_ops: 8,
-        }
+        IseConfig { area_budget: 24.0 }
     }
 }
 
@@ -64,19 +67,17 @@ pub struct IseReport {
 }
 
 /// A candidate instance: a set of instruction indices inside one block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Instance {
     func: FuncId,
     block: BlockId,
-    nodes: Vec<usize>, // instruction indices, ascending
+    nodes: NodeSet,
 }
 
 /// A candidate pattern: definition + all its instances.
 #[derive(Debug, Clone)]
 struct Candidate {
     def: CustomOpDef,
-    #[allow(dead_code)] // kept for debugging dumps
-    signature: String,
     instances: Vec<Instance>,
     saved_per_exec: f64,
     exec_weight: u64,
@@ -95,30 +96,29 @@ pub fn extend(
     cfg: &IseConfig,
 ) -> (MachineDescription, IseReport) {
     // 1. Enumerate candidates in every block of every function.
-    let mut by_sig: BTreeMap<String, Candidate> = BTreeMap::new();
+    let mut search = Search::default();
     for (fi, func) in module.funcs.iter().enumerate() {
         for (bi, block) in func.blocks.iter().enumerate() {
-            let weight = profile.count(FuncId(fi as u32), BlockId(bi as u32)).max(1);
-            enumerate_block(
-                &block.insts,
-                FuncId(fi as u32),
-                BlockId(bi as u32),
-                weight,
-                machine,
-                cfg,
-                &mut by_sig,
-            );
+            let (func, block_id) = (FuncId(fi as u32), BlockId(bi as u32));
+            let weight = profile.count(func, block_id).max(1);
+            search.block(&block.insts, func, block_id, weight, machine);
         }
     }
-
-    let mut candidates: Vec<Candidate> = by_sig.into_values().collect();
+    let Search {
+        mut candidates,
+        def_of_use,
+        ..
+    } = search;
+    // Ties in the selection below go to the earlier candidate, so keep the
+    // order of the signature strings.
+    candidates.sort_by_cached_key(|c| signature(&c.def));
     let report_considered = candidates.len();
 
     // 2. Greedy selection by benefit density under the area budget.
     let mut selected: Vec<Candidate> = Vec::new();
     let mut area_used = 0.0f64;
     loop {
-        if selected.len() >= cfg.max_ops {
+        if selected.len() >= MAX_OPS {
             break;
         }
         let mut best: Option<(usize, f64)> = None;
@@ -150,39 +150,34 @@ pub fn extend(
     let mut new_machine = machine.clone();
     // One low-water mark per block, shared across *all* selected ops:
     // every applied rewrite invalidates instruction indices at and above
-    // its first node.
+    // its first node. Below the mark the block is still the one the search
+    // tabled, so its reaching definitions still hold there.
     let mut low_water: BTreeMap<(u32, u32), usize> = BTreeMap::new();
     for cand in selected {
         let id = module.custom_ops.len() as u16;
         module.custom_ops.push(cand.def.clone());
         new_machine.custom_ops.push(cand.def.clone());
         let mut rewritten = 0usize;
-        // Group instances per (func, block) and apply back-to-front so
-        // earlier indices stay valid.
-        let mut per_block: BTreeMap<(u32, u32), Vec<&Instance>> = BTreeMap::new();
-        for inst in &cand.instances {
-            per_block
-                .entry((inst.func.0, inst.block.0))
-                .or_default()
-                .push(inst);
-        }
-        for ((fi, bi), mut insts) in per_block {
-            insts.sort_by_key(|i| std::cmp::Reverse(*i.nodes.last().expect("nonempty")));
-            let block = &mut module.funcs[fi as usize].blocks[bi as usize];
+        // Per (func, block), back to front so earlier indices stay valid;
+        // the sort is stable, so instances ending at the same index keep
+        // their enumeration order.
+        let mut order: Vec<&Instance> = cand.instances.iter().collect();
+        order.sort_by_key(|i| (i.func.0, i.block.0, Reverse(i.nodes.last())));
+        for inst in order {
+            let key = (inst.func.0, inst.block.0);
             // Rewrites remove instructions inside [first, last] of each
             // applied instance, shifting every higher index. Processing in
             // descending `last` order, an instance is only safe if it lies
             // entirely below everything already rewritten in this block —
             // including rewrites made for previously selected ops.
-            let water = low_water.entry((fi, bi)).or_insert(usize::MAX);
-            for inst in insts {
-                if *inst.nodes.last().expect("nonempty") >= *water {
-                    continue; // indices potentially stale after earlier rewrite
-                }
-                if rewrite_instance(block, inst, &cand.def, id) {
-                    *water = (*water).min(inst.nodes[0]);
-                    rewritten += 1;
-                }
+            let water = low_water.entry(key).or_insert(usize::MAX);
+            if inst.nodes.last() >= *water {
+                continue; // indices potentially stale after earlier rewrite
+            }
+            let block = &mut module.funcs[key.0 as usize].blocks[key.1 as usize];
+            if rewrite_instance(block, &def_of_use[&key], &inst.nodes, &cand.def, id) {
+                *water = (*water).min(inst.nodes.first());
+                rewritten += 1;
             }
         }
         report.selected.push(SelectedOp {
@@ -213,391 +208,499 @@ pub fn sweep_budgets(
     session.eval_batch(&reqs)
 }
 
+/// An instruction that can be a custom-datapath node: its opcode,
+/// destination and `arity` operands (`vals[1]` is unused when unary).
+#[derive(Debug, Clone, Copy)]
+struct NodeOp {
+    op: Opcode,
+    dst: VReg,
+    vals: [Val; 2],
+    arity: u8,
+}
+
+impl NodeOp {
+    fn operands(&self) -> &[Val] {
+        &self.vals[..self.arity as usize]
+    }
+}
+
 /// Whether an instruction can be a custom-datapath node.
-fn node_op(inst: &Inst) -> Option<(Opcode, Vec<Val>)> {
-    match inst {
-        Inst::Bin { op, a, b, .. } => {
-            // Div/Rem trap; exclude them from datapaths so custom ops stay
-            // speculation-neutral and cannot fault.
-            if matches!(op, Opcode::Div | Opcode::Rem) {
-                None
-            } else if op.eval2(1, 1).is_ok() {
-                Some((*op, vec![*a, *b]))
-            } else {
-                None
-            }
+fn node_op(inst: &Inst) -> Option<NodeOp> {
+    match *inst {
+        // Div/Rem trap; exclude them from datapaths so custom ops stay
+        // speculation-neutral and cannot fault.
+        Inst::Bin { op, dst, a, b }
+            if !matches!(op, Opcode::Div | Opcode::Rem) && op.eval2(1, 1).is_ok() =>
+        {
+            Some(NodeOp {
+                op,
+                dst,
+                vals: [a, b],
+                arity: 2,
+            })
         }
-        Inst::Un { op, a, .. } => {
-            if *op == Opcode::Mov {
-                None
-            } else {
-                Some((*op, vec![*a]))
-            }
-        }
+        Inst::Un { op, dst, a } if op != Opcode::Mov => Some(NodeOp {
+            op,
+            dst,
+            vals: [a, Val::Imm(0)],
+            arity: 1,
+        }),
         _ => None,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn enumerate_block(
-    insts: &[Inst],
-    func: FuncId,
-    block: BlockId,
-    weight: u64,
-    machine: &MachineDescription,
-    cfg: &IseConfig,
-    by_sig: &mut BTreeMap<String, Candidate>,
-) {
-    let n = insts.len();
-    // def_site[v] = last instruction index defining vreg v (block-local).
-    // For pattern purposes we need, at each use site, the *reaching* def.
-    // We track reaching defs with a forward scan.
-    let mut reaching: BTreeMap<VReg, usize> = BTreeMap::new();
-    let mut def_of_use: Vec<Vec<Option<usize>>> = Vec::with_capacity(n);
-    for (i, inst) in insts.iter().enumerate() {
-        let mut slots = Vec::new();
-        if let Some((_, vals)) = node_op(inst) {
-            for v in vals {
-                slots.push(match v {
-                    Val::Reg(r) => reaching.get(&r).copied(),
-                    Val::Imm(_) => None,
-                });
-            }
-        }
-        def_of_use.push(slots);
-        for d in inst.defs() {
-            reaching.insert(d, i);
-        }
-    }
-    // uses_of[i] = indices of later insts in this block using i's dst before
-    // any redefinition.
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, slots) in def_of_use.iter().enumerate() {
-        for d in slots.iter().flatten() {
-            consumers[*d].push(i);
-        }
+/// A node set: at most [`MAX_NODES`] instruction indices of one block,
+/// ascending. Unused slots stay zero, so equal sets compare and hash equal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct NodeSet {
+    len: u8,
+    idx: [u16; MAX_NODES],
+}
+
+impl NodeSet {
+    fn single(i: u16) -> NodeSet {
+        let mut idx = [0; MAX_NODES];
+        idx[0] = i;
+        NodeSet { len: 1, idx }
     }
 
-    let mut emitted = 0usize;
-    // Seed-and-grow enumeration with dedup on node sets.
-    let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
-    let mut stack: Vec<Vec<usize>> = Vec::new();
-    for (seed, inst) in insts.iter().enumerate() {
-        if node_op(inst).is_some() {
-            stack.push(vec![seed]);
-        }
+    fn members(&self) -> &[u16] {
+        &self.idx[..self.len as usize]
     }
-    while let Some(set) = stack.pop() {
-        if emitted >= cfg.max_candidates_per_block {
-            break;
-        }
-        if seen.contains(&set) {
-            continue;
-        }
-        seen.insert(set.clone());
-        // Validate constraints; build a candidate if viable.
-        if set.len() >= 2 {
-            if let Some((def, saved)) =
-                build_candidate(insts, &set, &def_of_use, &reaching, machine)
-            {
-                let sig = def
-                    .describe()
-                    .split_once(':')
-                    .map(|x| x.1.to_string())
-                    .unwrap_or_default();
-                let entry = by_sig.entry(sig.clone()).or_insert_with(|| Candidate {
-                    def,
-                    signature: sig,
-                    instances: Vec::new(),
-                    saved_per_exec: saved,
-                    exec_weight: 0,
-                });
-                entry.instances.push(Instance {
-                    func,
-                    block,
-                    nodes: set.clone(),
-                });
-                entry.exec_weight += weight;
-                emitted += 1;
-            }
-        }
-        // Grow: add a producer or consumer of any node in the set.
-        if set.len() < cfg.max_nodes {
-            let mut extensions: BTreeSet<usize> = BTreeSet::new();
-            for &i in &set {
-                for d in def_of_use[i].iter().flatten() {
-                    if node_op(&insts[*d]).is_some() {
-                        extensions.insert(*d);
-                    }
-                }
-                for &c in &consumers[i] {
-                    extensions.insert(c);
-                }
-            }
-            for e in extensions {
-                if !set.contains(&e) {
-                    let mut ns = set.clone();
-                    ns.push(e);
-                    ns.sort_unstable();
-                    if !seen.contains(&ns) {
-                        stack.push(ns);
-                    }
-                }
-            }
-        }
+
+    fn contains(&self, i: u16) -> bool {
+        self.members().contains(&i)
+    }
+
+    fn first(&self) -> usize {
+        self.idx[0] as usize
+    }
+
+    fn last(&self) -> usize {
+        self.idx[self.len as usize - 1] as usize
+    }
+
+    /// The set plus `e`, which is not a member; the set is not full.
+    fn with(&self, e: u16) -> NodeSet {
+        let n = self.len as usize;
+        let at = self.members().partition_point(|&m| m < e);
+        let mut out = *self;
+        out.idx.copy_within(at..n, at + 1);
+        out.idx[at] = e;
+        out.len += 1;
+        out
     }
 }
 
-/// Try to turn a node set into a custom-op definition; returns the def and
-/// the estimated cycles saved per execution.
-fn build_candidate(
-    insts: &[Inst],
-    set: &[usize],
-    def_of_use: &[Vec<Option<usize>>],
-    final_def: &BTreeMap<VReg, usize>,
-    machine: &MachineDescription,
-) -> Option<(CustomOpDef, f64)> {
-    let in_set = |i: usize| set.contains(&i);
+/// A candidate's datapath: its nodes in ascending instruction order and its
+/// outputs (`num_inputs` follows from the nodes). Every instance of one
+/// shape yields the same definition, name and benefit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Shape {
+    len: u8,
+    nodes: [PatNode; MAX_NODES],
+    num_inputs: u8,
+    num_outputs: u8,
+    outputs: [PatRef; MAX_CUSTOM_OUTPUTS],
+}
 
-    // Convexity: for every internal edge d -> u (both in set), no outside
-    // node on a path between them. For block-local DFGs built from reaching
-    // defs, it suffices that every node's input that comes from inside the
-    // set is a direct member — which is true by construction — and that no
-    // outside consumer of an internal (non-output) value exists *before*
-    // the last node (checked in rewrite). The classic convexity violation —
-    // set-node → outside → set-node — is checked here:
-    for &u in set {
-        for d in def_of_use[u].iter().flatten() {
-            if !in_set(*d) {
-                // Input produced outside: fine unless it transitively
-                // depends on a set member (that would be a convexity hole).
-                if depends_on_set(*d, set, def_of_use) {
+impl Shape {
+    /// The definition and its estimated cycles saved per execution, or
+    /// `None` when the datapath fails validation.
+    fn candidate(&self, machine: &MachineDescription) -> Option<(CustomOpDef, f64)> {
+        let nodes = &self.nodes[..self.len as usize];
+        let outputs = self.outputs[..self.num_outputs as usize].to_vec();
+        let def =
+            CustomOpDef::new(&op_name(nodes), self.num_inputs, nodes.to_vec(), outputs).ok()?;
+
+        // Benefit: software critical path through the subgraph (machine
+        // latencies) minus the hardware latency of the fused op.
+        let mut depth = [0u32; MAX_NODES];
+        let mut crit = 0u32;
+        for (k, n) in nodes.iter().enumerate() {
+            let base = [n.a, n.b]
+                .iter()
+                .filter_map(|r| match r {
+                    PatRef::Node(j) => Some(depth[*j as usize]),
+                    _ => None,
+                })
+                .max()
+                .unwrap_or(0);
+            depth[k] = base + machine.latency(n.op);
+            crit = crit.max(depth[k]);
+        }
+        // Benefit per execution: latency shortening of the fused datapath plus
+        // the issue-bandwidth reclaimed by collapsing N operations into one
+        // slot (worth roughly half a cycle per op removed on these machines).
+        let lat_saved = crit.saturating_sub(def.latency) as f64;
+        let issue_saved = 0.5 * (nodes.len() as f64 - 1.0);
+        Some((def, lat_saved + issue_saved))
+    }
+}
+
+/// Tiny stable hash for generated op names: the opcodes and the node count.
+fn op_name(nodes: &[PatNode]) -> String {
+    let mut h: u32 = 0x811C_9DC5;
+    for n in nodes {
+        h = h.wrapping_mul(0x0100_0193) ^ (asip_isa::encoding::opcode_id(n.op) as u32);
+        h = h.wrapping_mul(0x0100_0193) ^ (nodes.len() as u32);
+    }
+    format!("ise{}", h % 100_000)
+}
+
+/// The structural signature candidates are ordered by: the datapath
+/// listing without the name.
+fn signature(def: &CustomOpDef) -> String {
+    def.describe()
+        .split_once(':')
+        .map(|x| x.1.to_string())
+        .unwrap_or_default()
+}
+
+/// One block's dataflow, in dense tables indexed by instruction.
+struct Dfg {
+    /// Each instruction's node-op view (`None`: not a datapath node).
+    ops: Vec<Option<NodeOp>>,
+    /// Per node-op operand, the in-block instruction whose definition
+    /// reaches it (`None`: an immediate or a value from outside the block).
+    def_of_use: Vec<[Option<u16>; 2]>,
+    /// `consumers[consumers_at[i]..consumers_at[i + 1]]`: the node ops
+    /// reading instruction `i`'s definition, ascending, once per operand.
+    consumers_at: Vec<u32>,
+    consumers: Vec<u16>,
+    /// Whether a node's value may be read after the block: it is the
+    /// block's final definition of its register or has no in-block reader.
+    live_out: Vec<bool>,
+    /// `words` words per instruction: the bitset of producers reachable
+    /// from it backwards through node ops.
+    ancestors: Vec<u64>,
+    words: usize,
+}
+
+impl Dfg {
+    /// `reaching` is scratch indexed by register number.
+    fn new(insts: &[Inst], reaching: &mut Vec<Option<u16>>) -> Dfg {
+        let n = insts.len();
+        let ops: Vec<Option<NodeOp>> = insts.iter().map(node_op).collect();
+        fn define(reaching: &mut Vec<Option<u16>>, r: VReg, i: usize) {
+            let r = r.0 as usize;
+            if r >= reaching.len() {
+                reaching.resize(r + 1, None);
+            }
+            reaching[r] = Some(i as u16);
+        }
+        reaching.clear();
+        let mut def_of_use = Vec::with_capacity(n);
+        for (i, (inst, op)) in insts.iter().zip(&ops).enumerate() {
+            let mut slots = [None; 2];
+            match op {
+                Some(op) => {
+                    for (slot, v) in slots.iter_mut().zip(op.operands()) {
+                        if let Val::Reg(r) = v {
+                            *slot = reaching.get(r.0 as usize).copied().flatten();
+                        }
+                    }
+                    define(reaching, op.dst, i);
+                }
+                None => {
+                    for d in inst.defs() {
+                        define(reaching, d, i);
+                    }
+                }
+            }
+            def_of_use.push(slots);
+        }
+
+        let mut consumers_at = vec![0u32; n + 1];
+        for d in def_of_use.iter().flatten().flatten() {
+            consumers_at[*d as usize + 1] += 1;
+        }
+        for i in 0..n {
+            consumers_at[i + 1] += consumers_at[i];
+        }
+        let mut consumers = vec![0u16; consumers_at[n] as usize];
+        let mut next = consumers_at.clone();
+        for (i, slots) in def_of_use.iter().enumerate() {
+            for d in slots.iter().flatten() {
+                let at = &mut next[*d as usize];
+                consumers[*at as usize] = i as u16;
+                *at += 1;
+            }
+        }
+
+        let live_out = ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| {
+                op.is_some_and(|op| {
+                    reaching[op.dst.0 as usize] == Some(i as u16)
+                        || consumers_at[i] == consumers_at[i + 1]
+                })
+            })
+            .collect();
+
+        let words = n.div_ceil(64);
+        let mut ancestors = vec![0u64; n * words];
+        for (i, slots) in def_of_use.iter().enumerate() {
+            for d in slots.iter().flatten() {
+                let d = *d as usize;
+                // d < i: a reaching definition precedes its use.
+                let (done, row) = ancestors.split_at_mut(i * words);
+                let row = &mut row[..words];
+                for (w, a) in row.iter_mut().zip(&done[d * words..(d + 1) * words]) {
+                    *w |= a;
+                }
+                row[d / 64] |= 1 << (d % 64);
+            }
+        }
+
+        Dfg {
+            ops,
+            def_of_use,
+            consumers_at,
+            consumers,
+            live_out,
+            ancestors,
+            words,
+        }
+    }
+
+    fn consumers(&self, i: usize) -> &[u16] {
+        &self.consumers[self.consumers_at[i] as usize..self.consumers_at[i + 1] as usize]
+    }
+
+    fn is_ancestor(&self, a: u16, of: u16) -> bool {
+        let a = a as usize;
+        self.ancestors[of as usize * self.words + a / 64] >> (a % 64) & 1 != 0
+    }
+
+    /// The datapath of a node set, or `None` when the set breaks a
+    /// constraint: convexity, input or output ports, or no output at all.
+    fn shape(&self, set: &NodeSet) -> Option<Shape> {
+        // Convexity: no input produced outside the set may depend on a set
+        // member (set-node → outside → set-node would be a hole).
+        for &u in set.members() {
+            for d in self.def_of_use[u as usize].iter().flatten() {
+                if !set.contains(*d) && set.members().iter().any(|&m| self.is_ancestor(m, *d)) {
                     return None;
                 }
             }
         }
-    }
 
-    // Assemble nodes in ascending index order (valid topological order).
-    let mut node_index: BTreeMap<usize, u16> = BTreeMap::new();
-    let mut inputs: Vec<(VReg, usize)> = Vec::new(); // (vreg, defining idx or MAX)
-    let mut nodes: Vec<PatNode> = Vec::new();
-    for &i in set {
-        let (op, vals) = node_op(&insts[i])?;
-        let mut refs: Vec<PatRef> = Vec::with_capacity(2);
-        for (k, v) in vals.iter().enumerate() {
-            let r = match v {
-                Val::Imm(c) => PatRef::Const(*c),
-                Val::Reg(reg) => match def_of_use[i][k] {
-                    Some(d) if in_set(d) => PatRef::Node(node_index[&d]),
-                    other => {
-                        // External input: dedup by (vreg, def site).
-                        let key = (*reg, other.unwrap_or(usize::MAX));
-                        let pos = inputs.iter().position(|x| *x == key).unwrap_or_else(|| {
-                            inputs.push(key);
-                            inputs.len() - 1
-                        });
-                        if pos >= MAX_CUSTOM_INPUTS {
-                            return None;
+        // Nodes in ascending index order (valid topological order); external
+        // inputs are deduplicated by (vreg, reaching definition).
+        let mut shape = Shape {
+            len: set.len,
+            nodes: [PatNode {
+                op: Opcode::Nop,
+                a: PatRef::Const(0),
+                b: PatRef::Const(0),
+            }; MAX_NODES],
+            num_inputs: 0,
+            num_outputs: 0,
+            outputs: [PatRef::Const(0); MAX_CUSTOM_OUTPUTS],
+        };
+        let mut inputs = [(VReg(0), None); MAX_CUSTOM_INPUTS];
+        for (k, &i) in set.members().iter().enumerate() {
+            let op = self.ops[i as usize]?;
+            let mut refs = [PatRef::Const(0); 2];
+            for (s, (r, v)) in refs.iter_mut().zip(op.operands()).enumerate() {
+                *r = match *v {
+                    Val::Imm(c) => PatRef::Const(c),
+                    Val::Reg(reg) => match self.def_of_use[i as usize][s] {
+                        Some(d) if set.contains(d) => {
+                            PatRef::Node(set.members().iter().position(|&m| m == d)? as u16)
                         }
-                        PatRef::Input(pos as u8)
-                    }
-                },
+                        from => {
+                            let n = shape.num_inputs as usize;
+                            let pos = inputs[..n]
+                                .iter()
+                                .position(|&x| x == (reg, from))
+                                .unwrap_or(n);
+                            if pos == n {
+                                if n == MAX_CUSTOM_INPUTS {
+                                    return None;
+                                }
+                                inputs[n] = (reg, from);
+                                shape.num_inputs += 1;
+                            }
+                            PatRef::Input(pos as u8)
+                        }
+                    },
+                };
+            }
+            shape.nodes[k] = PatNode {
+                op: op.op,
+                a: refs[0],
+                b: refs[1],
             };
-            refs.push(r);
         }
-        let a = refs[0];
-        let b = refs.get(1).copied().unwrap_or(PatRef::Const(0));
-        node_index.insert(i, nodes.len() as u16);
-        nodes.push(PatNode { op, a, b });
-    }
 
-    // Outputs: set nodes whose value is visible outside the fused op:
-    // (a) read by an in-block instruction outside the set, or
-    // (b) the *last* definition of its register in the block — the value
-    //     may be live out (e.g. a loop-carried accumulator), or
-    // (c) not consumed anywhere in the block (also possibly live out).
-    let mut outputs: Vec<PatRef> = Vec::new();
-    let mut out_count = 0;
-    for &i in set {
-        let dst = insts[i].defs().first().copied()?;
-        let is_last_def = final_def.get(&dst) == Some(&i);
-        let consumed_inside_only = {
-            // Find consumers through def_of_use.
-            let mut any_outside = false;
-            let mut any_inside = false;
-            for (j, slots) in def_of_use.iter().enumerate() {
-                for d in slots.iter().flatten() {
-                    if *d == i {
-                        if in_set(j) {
-                            any_inside = true;
-                        } else {
-                            any_outside = true;
-                        }
+        // Outputs: set nodes whose value is visible outside the fused op:
+        // read by an in-block instruction outside the set, or possibly live
+        // out of the block (see `live_out`).
+        for (k, &i) in set.members().iter().enumerate() {
+            let i = i as usize;
+            if self.live_out[i] || self.consumers(i).iter().any(|&c| !set.contains(c)) {
+                let n = shape.num_outputs as usize;
+                if n == MAX_CUSTOM_OUTPUTS {
+                    return None;
+                }
+                shape.outputs[n] = PatRef::Node(k as u16);
+                shape.num_outputs += 1;
+            }
+        }
+        (shape.num_outputs > 0).then_some(shape)
+    }
+}
+
+/// The candidate search: the distinct shapes found so far with their
+/// instances, plus scratch reused from block to block.
+#[derive(Default)]
+struct Search {
+    /// Each shape's index in `candidates`, or `None` when its definition
+    /// fails validation.
+    shapes: HashMap<Shape, Option<usize>>,
+    candidates: Vec<Candidate>,
+    /// The reaching definitions of each block with an instance, which the
+    /// rewrite reads.
+    def_of_use: BTreeMap<(u32, u32), Vec<[Option<u16>; 2]>>,
+    seen: HashSet<NodeSet>,
+    stack: Vec<NodeSet>,
+    grow: Vec<u16>,
+    reaching: Vec<Option<u16>>,
+}
+
+impl Search {
+    /// Seed-and-grow enumeration of one block, deduplicated on node sets.
+    fn block(
+        &mut self,
+        insts: &[Inst],
+        func: FuncId,
+        block: BlockId,
+        weight: u64,
+        machine: &MachineDescription,
+    ) {
+        // Node indices are u16; a longer block is not searched.
+        if insts.len() > usize::from(u16::MAX) {
+            return;
+        }
+        let dfg = Dfg::new(insts, &mut self.reaching);
+        self.seen.clear();
+        self.stack.clear();
+        self.stack.extend(
+            (0..insts.len())
+                .filter(|&i| dfg.ops[i].is_some())
+                .map(|i| NodeSet::single(i as u16)),
+        );
+        let mut emitted = 0usize;
+        while let Some(set) = self.stack.pop() {
+            if emitted >= MAX_CANDIDATES_PER_BLOCK {
+                break;
+            }
+            if !self.seen.insert(set) {
+                continue;
+            }
+            if set.len >= 2 {
+                if let Some(shape) = dfg.shape(&set) {
+                    let candidates = &mut self.candidates;
+                    let entry = *self.shapes.entry(shape).or_insert_with(|| {
+                        let (def, saved_per_exec) = shape.candidate(machine)?;
+                        candidates.push(Candidate {
+                            def,
+                            instances: Vec::new(),
+                            saved_per_exec,
+                            exec_weight: 0,
+                        });
+                        Some(candidates.len() - 1)
+                    });
+                    if let Some(c) = entry {
+                        let c = &mut self.candidates[c];
+                        c.instances.push(Instance {
+                            func,
+                            block,
+                            nodes: set,
+                        });
+                        c.exec_weight += weight;
+                        emitted += 1;
                     }
                 }
             }
-            if is_last_def || (!any_inside && !any_outside) {
-                false
-            } else {
-                !any_outside
-            }
-        };
-        if !consumed_inside_only {
-            out_count += 1;
-            if out_count > MAX_CUSTOM_OUTPUTS {
-                return None;
-            }
-            outputs.push(PatRef::Node(node_index[&i]));
-        }
-    }
-    if outputs.is_empty() {
-        return None;
-    }
-
-    let name = format!("ise{}", fxhash(set, insts));
-    let def = CustomOpDef::new(&name, inputs.len() as u8, nodes, outputs).ok()?;
-
-    // Benefit: software critical path through the subgraph (machine
-    // latencies) minus the hardware latency of the fused op.
-    let mut depth: BTreeMap<usize, u32> = BTreeMap::new();
-    let mut crit = 0u32;
-    for &i in set {
-        let mut base = 0u32;
-        for d in def_of_use[i].iter().flatten() {
-            if in_set(*d) {
-                base = base.max(depth[d]);
+            // Grow: add a producer or consumer of any node in the set.
+            if (set.len as usize) < MAX_NODES {
+                self.grow.clear();
+                for &i in set.members() {
+                    let i = i as usize;
+                    let producers = dfg.def_of_use[i].into_iter().flatten();
+                    self.grow
+                        .extend(producers.filter(|&d| dfg.ops[d as usize].is_some()));
+                    self.grow.extend_from_slice(dfg.consumers(i));
+                }
+                self.grow.sort_unstable();
+                self.grow.dedup();
+                for &e in &self.grow {
+                    if !set.contains(e) {
+                        self.stack.push(set.with(e));
+                    }
+                }
             }
         }
-        let (op, _) = node_op(&insts[i])?;
-        let d = base + machine.latency(op);
-        depth.insert(i, d);
-        crit = crit.max(d);
-    }
-    // Benefit per execution: latency shortening of the fused datapath plus
-    // the issue-bandwidth reclaimed by collapsing N operations into one
-    // slot (worth roughly half a cycle per op removed on these machines).
-    let lat_saved = crit.saturating_sub(def.latency) as f64;
-    let issue_saved = 0.5 * (set.len() as f64 - 1.0);
-    Some((def, lat_saved + issue_saved))
-}
-
-/// Does instruction `i`'s dataflow (within the block) reach back into `set`?
-fn depends_on_set(i: usize, set: &[usize], def_of_use: &[Vec<Option<usize>>]) -> bool {
-    let mut stack = vec![i];
-    let mut seen = BTreeSet::new();
-    while let Some(x) = stack.pop() {
-        if !seen.insert(x) {
-            continue;
-        }
-        if set.contains(&x) {
-            return true;
-        }
-        for d in def_of_use[x].iter().flatten() {
-            stack.push(*d);
+        if emitted > 0 {
+            self.def_of_use.insert((func.0, block.0), dfg.def_of_use);
         }
     }
-    false
-}
-
-/// Tiny stable hash for generated op names.
-fn fxhash(set: &[usize], insts: &[Inst]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &i in set {
-        if let Some((op, _)) = node_op(&insts[i]) {
-            h = h.wrapping_mul(0x0100_0193) ^ (asip_isa::encoding::opcode_id(op) as u32);
-        }
-        h = h.wrapping_mul(0x0100_0193) ^ (set.len() as u32);
-    }
-    h % 100_000
 }
 
 /// Rewrite one instance: remove the member instructions, insert the custom
 /// op at the last member's position. Returns false (leaving the block
-/// untouched) if safety checks fail.
+/// untouched) if safety checks fail. `def_of_use` is the block's table
+/// from the search, valid up to the instance's last member.
 fn rewrite_instance(
-    block: &mut asip_ir::Block,
-    inst: &Instance,
+    block: &mut Block,
+    def_of_use: &[[Option<u16>; 2]],
+    set: &NodeSet,
     def: &CustomOpDef,
     id: u16,
 ) -> bool {
-    let set = &inst.nodes;
-    let first = *set.first().expect("nonempty");
-    let last = *set.last().expect("nonempty");
-    let in_set = |i: usize| set.contains(&i);
-
-    // Recompute reaching defs for safety checks.
+    let (first, last) = (set.first(), set.last());
     let insts = &block.insts;
-    // Collect per-node (op, vals, dst).
-    let mut dsts: BTreeMap<usize, VReg> = BTreeMap::new();
-    for &i in set {
-        let d = insts[i].defs();
-        if d.len() != 1 {
+    let mut ops = Vec::with_capacity(MAX_NODES);
+    for &i in set.members() {
+        let Some(op) = node_op(&insts[i as usize]) else {
             return false;
-        }
-        dsts.insert(i, d[0]);
+        };
+        ops.push(op);
     }
 
     // Safety: between first and last, outside instructions must not
     // (a) define any register the subgraph reads or writes, or
     // (b) read any subgraph-defined register.
-    let mut reads: BTreeSet<VReg> = BTreeSet::new();
-    for &i in set {
-        for u in insts[i].uses() {
-            reads.insert(u);
-        }
-    }
-    let writes: BTreeSet<VReg> = dsts.values().copied().collect();
+    let writes = |r: VReg| ops.iter().any(|op| op.dst == r);
+    let reads = |r: VReg| ops.iter().any(|op| op.operands().contains(&Val::Reg(r)));
     for (j, other) in insts.iter().enumerate().take(last + 1).skip(first) {
-        if in_set(j) {
+        if set.contains(j as u16) {
             continue;
         }
-        for d in other.defs() {
-            if reads.contains(&d) || writes.contains(&d) {
-                return false;
-            }
-        }
-        for u in other.uses() {
-            if writes.contains(&u) {
-                return false;
-            }
+        if other.defs().into_iter().any(|d| reads(d) || writes(d))
+            || other.uses().into_iter().any(writes)
+        {
+            return false;
         }
     }
 
-    // Map inputs: reproduce build_candidate's dedup order by rescanning.
-    let mut reaching: BTreeMap<VReg, usize> = BTreeMap::new();
-    let mut def_site: Vec<Vec<Option<usize>>> = Vec::with_capacity(insts.len());
-    for (i, ins) in insts.iter().enumerate() {
-        let mut slots = Vec::new();
-        if let Some((_, vals)) = node_op(ins) {
-            for v in vals {
-                slots.push(match v {
-                    Val::Reg(r) => reaching.get(&r).copied(),
-                    Val::Imm(_) => None,
-                });
-            }
-        }
-        def_site.push(slots);
-        for d in ins.defs() {
-            reaching.insert(d, i);
-        }
-    }
-    let mut inputs: Vec<(VReg, usize)> = Vec::new();
-    let mut args: Vec<Val> = Vec::new();
-    for &i in set {
-        let Some((_, vals)) = node_op(&insts[i]) else {
-            return false;
-        };
-        for (k, v) in vals.iter().enumerate() {
-            if let Val::Reg(reg) = v {
-                let from = def_site[i][k];
-                if from.map(&in_set).unwrap_or(false) {
+    // Map inputs in the search's dedup order.
+    let mut inputs: Vec<(VReg, Option<u16>)> = Vec::with_capacity(MAX_CUSTOM_INPUTS);
+    let mut args: Vec<Val> = Vec::with_capacity(MAX_CUSTOM_INPUTS);
+    for (op, &i) in ops.iter().zip(set.members()) {
+        for (s, v) in op.operands().iter().enumerate() {
+            if let Val::Reg(reg) = *v {
+                let from = def_of_use[i as usize][s];
+                if from.is_some_and(|d| set.contains(d)) {
                     continue; // internal edge
                 }
-                let key = (*reg, from.unwrap_or(usize::MAX));
-                if !inputs.contains(&key) {
-                    inputs.push(key);
-                    args.push(Val::Reg(*reg));
+                if !inputs.contains(&(reg, from)) {
+                    inputs.push((reg, from));
+                    args.push(Val::Reg(reg));
                 }
             }
         }
@@ -608,20 +711,14 @@ fn rewrite_instance(
 
     // Outputs: nodes listed in def.outputs (PatRef::Node indices map to the
     // k-th member of `set`).
-    let mut out_dsts: Vec<VReg> = Vec::new();
+    let mut out_dsts: Vec<VReg> = Vec::with_capacity(def.outputs.len());
     for o in &def.outputs {
         match o {
-            PatRef::Node(k) => {
-                let node_i = set[*k as usize];
-                out_dsts.push(dsts[&node_i]);
-            }
+            PatRef::Node(k) => out_dsts.push(ops[*k as usize].dst),
             _ => return false,
         }
     }
-    let mut dedup = out_dsts.clone();
-    dedup.sort();
-    dedup.dedup();
-    if dedup.len() != out_dsts.len() {
+    if (1..out_dsts.len()).any(|k| out_dsts[..k].contains(&out_dsts[k])) {
         return false; // two outputs share a destination register
     }
 
@@ -632,16 +729,10 @@ fn rewrite_instance(
         dsts: out_dsts,
         args,
     };
-    let mut removed_before_last = 0usize;
-    for &i in set.iter().rev() {
-        if i != last {
-            block.insts.remove(i);
-            if i < last {
-                removed_before_last += 1;
-            }
-        }
+    for &i in set.members().iter().rev().skip(1) {
+        block.insts.remove(i as usize);
     }
-    block.insts[last - removed_before_last] = custom;
+    block.insts[last + 1 - set.len as usize] = custom;
     true
 }
 
@@ -717,15 +808,50 @@ mod tests {
         }
     }
 
+    /// 40 unrolled rounds of a three-statement recurrence: one straight-line
+    /// block of about 200 instructions, where the search visits thousands
+    /// of node sets before the per-block cap stops it.
+    fn chain_source() -> String {
+        let mut src = String::from("void main(int s, int i) {\n");
+        for _ in 0..40 {
+            src.push_str("    s = s * 3 + i; s = s ^ (s >> 1); i = i + s;\n");
+        }
+        src.push_str("    emit(s + i);\n}\n");
+        src
+    }
+
+    #[test]
+    fn long_chain_block_selects_the_recorded_ops() {
+        let (module, profile) = profiled(&chain_source(), &[3, 5]);
+        let machine = MachineDescription::ember4();
+        for (budget, ops, instances) in [(32.0, 7, 41), (8.0, 4, 40)] {
+            let mut m = module.clone();
+            let cfg = IseConfig {
+                area_budget: budget,
+            };
+            let (_, report) = extend(&mut m, &machine, &profile, &cfg);
+            let rewritten: usize = report.selected.iter().map(|s| s.instances).sum();
+            assert_eq!(
+                (
+                    report.candidates_considered,
+                    report.selected.len(),
+                    rewritten
+                ),
+                (7, ops, instances),
+                "budget {budget}"
+            );
+            let a = run_module(&module, "main", &[3, 5]).unwrap();
+            let b = run_module(&m, "main", &[3, 5]).unwrap();
+            assert_eq!(a.output, b.output, "budget {budget}");
+        }
+    }
+
     #[test]
     fn budget_zero_selects_nothing() {
         let src = "void main(int a, int b) { emit(a * b + a - b); }";
         let (mut module, profile) = profiled(src, &[3, 4]);
         let machine = MachineDescription::ember4();
-        let cfg = IseConfig {
-            area_budget: 0.0,
-            ..Default::default()
-        };
+        let cfg = IseConfig { area_budget: 0.0 };
         let (m2, report) = extend(&mut module, &machine, &profile, &cfg);
         assert!(report.selected.is_empty());
         assert_eq!(m2.custom_ops.len(), machine.custom_ops.len());
@@ -743,7 +869,6 @@ mod tests {
             let mut m = module.clone();
             let cfg = IseConfig {
                 area_budget: budget,
-                ..Default::default()
             };
             let (_, report) = extend(&mut m, &machine, &profile, &cfg);
             counts.push(report.selected.len());

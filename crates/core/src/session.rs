@@ -467,13 +467,21 @@ impl Session {
         let (compiled, machine, ise) = if wants_ise {
             let cfg = IseConfig {
                 area_budget: req.options.ise_budget,
-                ..Default::default()
             };
             // `extend` rewrites an owned, freshly decoded module: the
             // cache holds only bytes, so no cached artifact changes.
             let mut module = module.into_value();
             let profile = profile.as_ref().expect("profiled for ISE").get();
+            let mut span = asip_obs::span("ise", "extend");
             let (machine, report) = extend(&mut module, &req.machine, profile, &cfg);
+            if span.is_recording() {
+                span.detail(format!(
+                    "{} ops selected of {} candidates",
+                    report.selected.len(),
+                    report.candidates_considered
+                ));
+            }
+            drop(span);
             let compiled = tc.compile_stage(
                 machine.target,
                 Input::Value(&module),

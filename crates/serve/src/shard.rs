@@ -244,6 +244,9 @@ static OBS_SHARD_CONNECTS: asip_obs::Counter = asip_obs::Counter::new("serve.sha
 /// Dispatch retries: busy backoffs slept plus stale-connection reconnect
 /// attempts.
 static OBS_RETRIES: asip_obs::Counter = asip_obs::Counter::new("serve.retries");
+/// Cells sent again in a later dispatch round because the round that last
+/// carried them did not complete them.
+static OBS_REDISPATCHED: asip_obs::Counter = asip_obs::Counter::new("serve.redispatched");
 /// Shards quarantined out of the rotation after consecutive failures.
 static OBS_QUARANTINED: asip_obs::Counter = asip_obs::Counter::new("serve.shard.quarantined");
 /// Quarantined shards revived by a successful re-probe.
@@ -587,9 +590,9 @@ fn run_sharded_inner(
             });
         }
         if attempts > 0 {
-            // Every cell that survived into a later round is a retry: its
-            // first dispatch failed and it is going back on the wire.
-            OBS_RETRIES.add(pending.len() as u64);
+            // Every cell that survived into a later round goes back on the
+            // wire: its last dispatch did not complete it.
+            OBS_REDISPATCHED.add(pending.len() as u64);
         }
         attempts += 1;
         let deadline = Instant::now() + plan.round_deadline;

@@ -126,12 +126,19 @@ fn killed_worker_cells_are_redispatched() {
     let mut pool = spawn_pool(2, &cache_dir);
     // Kill shard 0 outright; its cells must fail over to the survivor.
     pool.kill(0);
+    let redispatched = || asip_obs::snapshot().counter("serve.redispatched");
+    let before = redispatched();
     let sharded = run_sharded(pool.addrs(), &reqs, &ShardPlan::new())
         .expect("survivor absorbs the dead shard");
     assert_eq!(
         encode_all(&sharded),
         local_bytes,
         "failover must not perturb order or bytes"
+    );
+    // Counters only grow, so other tests in this process cannot hide it.
+    assert!(
+        redispatched() > before,
+        "the dead shard's cells went out again in a later round"
     );
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&cache_dir);

@@ -51,10 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut module,
         &best.machine,
         &profile,
-        &IseConfig {
-            area_budget: 16.0,
-            ..Default::default()
-        },
+        &IseConfig { area_budget: 16.0 },
     );
     println!(
         "\nISE for {} selected {} ops (area {:.1} adders):",

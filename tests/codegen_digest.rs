@@ -6,6 +6,11 @@
 //! `CompiledArtifact` codec bytes into FNV-1a digests. A backend change
 //! that claims identical codegen must leave the constants as they are; one
 //! that changes codegen on purpose records new ones and says why.
+//!
+//! A second digest pins `ise::extend` itself: the extended module, the
+//! extended machine and the `IseReport` at budgets 8, 16 and 32 on the same
+//! 16-register machines, so a faster search must select and rewrite exactly
+//! as before.
 
 use asip::core::ise::{extend, IseConfig};
 use asip::core::Toolchain;
@@ -16,6 +21,9 @@ use asip::isa::{FuKind, MachineDescription};
 const GRID_DIGEST: u64 = 0x5058_bca5_304f_130e;
 /// Digest of the ISE-extended 16-register artifacts, kernel-major.
 const ISE_DIGEST: u64 = 0xb52c_bacf_7a1a_2182;
+/// Digest of `extend`'s outputs (module, machine, report) on the
+/// 16-register machines at budgets 8, 16 and 32, kernel-major.
+const EXTEND_DIGEST: u64 = 0xdbb7_24c4_f632_8d28;
 
 /// Incremental 64-bit FNV-1a.
 struct Fnv(u64);
@@ -33,10 +41,8 @@ impl Fnv {
     }
 }
 
-#[test]
-fn codegen_is_byte_identical_to_the_recorded_digests() {
-    let tc = Toolchain::default();
-    let presets = MachineDescription::all_presets();
+/// A 16-register derivation of every preset with a custom unit.
+fn r16_machines(presets: &[MachineDescription]) -> Vec<MachineDescription> {
     let r16: Vec<MachineDescription> = presets
         .iter()
         .filter(|m| m.has_fu(FuKind::Custom))
@@ -44,10 +50,15 @@ fn codegen_is_byte_identical_to_the_recorded_digests() {
         .filter(|m| m.validate().is_ok())
         .collect();
     assert!(!r16.is_empty(), "some preset hosts a custom unit");
-    let ise_cfg = IseConfig {
-        area_budget: 32.0,
-        ..IseConfig::default()
-    };
+    r16
+}
+
+#[test]
+fn codegen_is_byte_identical_to_the_recorded_digests() {
+    let tc = Toolchain::default();
+    let presets = MachineDescription::all_presets();
+    let r16 = r16_machines(&presets);
+    let ise_cfg = IseConfig { area_budget: 32.0 };
 
     let (mut grid, mut ise) = (Fnv::new(), Fnv::new());
     let mut ise_ops = 0;
@@ -77,5 +88,37 @@ fn codegen_is_byte_identical_to_the_recorded_digests() {
         "codegen changed: grid {:016x}, ise {:016x}",
         grid.0,
         ise.0
+    );
+}
+
+#[test]
+fn ise_extend_outputs_are_byte_identical_to_the_recorded_digest() {
+    let tc = Toolchain::default();
+    let r16 = r16_machines(&MachineDescription::all_presets());
+    let mut digest = Fnv::new();
+    let mut ise_ops = 0;
+    for w in asip::workloads::all() {
+        let module = tc.frontend(&w.source).expect("frontend");
+        let profile = tc.profile(&module, &w.inputs, &w.args).expect("profile");
+        for m in &r16 {
+            for area_budget in [8.0, 16.0, 32.0] {
+                let mut extended = module.clone();
+                let cfg = IseConfig { area_budget };
+                let (m2, report) = extend(&mut extended, m, &profile, &cfg);
+                ise_ops += report.selected.len();
+                digest.write(&extended.encode_to_vec());
+                digest.write(&m2.encode_to_vec());
+                digest.write(&report.encode_to_vec());
+            }
+        }
+    }
+    assert!(
+        ise_ops > 0,
+        "the budget ladder selects custom ops somewhere"
+    );
+    assert_eq!(
+        digest.0, EXTEND_DIGEST,
+        "extend's outputs changed: {:016x}",
+        digest.0
     );
 }
