@@ -12,7 +12,10 @@
 //! * `--shards N` — explicit shard count (overrides `ASIP_SHARDS`; `0`/`1`
 //!   mean local).
 //! * `--small` — a reduced 2×3 grid for smoke runs.
-//! * `--kill-one` — kill worker 0 mid-run; the grid must still complete.
+//! * `--kill-one` — kill worker 0 once the pool is up, before any cell is
+//!   dispatched; its cells must fail over to the survivors and the grid
+//!   must still complete (the resilience line then reads
+//!   `redispatched > 0`).
 //!
 //! The `[serve] grid digest:` line is a checksum over the codec-encoded,
 //! request-ordered outcomes — two invocations (local vs sharded, or
@@ -23,7 +26,6 @@ use asip_core::session::{EvalOutcome, EvalRequest};
 use asip_isa::codec::Codec;
 use asip_serve::shard::{format_shard_table, run_sharded_metrics};
 use asip_serve::{ShardMode, ShardPlan, WorkerPool};
-use std::sync::{Arc, Mutex};
 
 /// FNV-1a over the request-ordered encoded outcomes: the byte-identity
 /// digest CI compares across execution modes.
@@ -76,28 +78,18 @@ fn main() {
         ShardMode::Sharded(n) => {
             println!("[serve] mode: sharded over {n} workers");
             let exe = std::env::current_exe().expect("current exe");
-            let pool = WorkerPool::spawn(&exe, &[], &[], n).expect("workers spawn");
+            let mut pool = WorkerPool::spawn(&exe, &[], &[], n).expect("workers spawn");
+            if kill_one {
+                pool.kill(0);
+                println!("[serve] killed worker 0 before dispatch");
+            }
             let addrs: Vec<String> = pool.addrs().to_vec();
-            let pool = Arc::new(Mutex::new(Some(pool)));
-            let killer = kill_one.then(|| {
-                let pool = Arc::clone(&pool);
-                std::thread::spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(150));
-                    if let Some(p) = pool.lock().unwrap().as_mut() {
-                        p.kill(0);
-                        println!("[serve] killed worker 0 mid-run");
-                    }
-                })
-            });
             let session = asip_bench::session();
             let eval_local = |batch: &[EvalRequest]| session.eval_batch(batch);
             let run_plan = plan.clone().retries(3);
             let (outcomes, metrics) =
                 run_sharded_metrics(&addrs, &reqs, &run_plan, Some(&eval_local))
                     .expect("sharded grid completes");
-            if let Some(k) = killer {
-                let _ = k.join();
-            }
             print!("{}", format_shard_table(&metrics));
             // Coordinator-side resilience tally, grep-able by the chaos CI
             // job: nonzero retries/faults prove the injection was live.
@@ -126,9 +118,7 @@ fn main() {
             );
             let disk_hits: u64 = metrics.iter().flatten().map(|m| m.cache.disk.hits).sum();
             println!("[serve] disk hits across workers: {disk_hits}");
-            if let Some(p) = pool.lock().unwrap().take() {
-                p.shutdown();
-            }
+            pool.shutdown();
             ("sharded", outcomes)
         }
     };

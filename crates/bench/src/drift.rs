@@ -3,6 +3,7 @@
 //! native recompile.
 
 use crate::util::{f2, Table};
+use asip_core::CompiledArtifact;
 use asip_dbt::{CodeCache, TRANSLATION_CYCLES_PER_OP};
 use asip_isa::MachineDescription;
 use asip_sim::Simulator;
@@ -56,10 +57,11 @@ pub fn isa_drift(workloads: &[Workload]) -> String {
         // Build once for A.
         let module = tc.frontend(&w.source).expect("frontend");
         let profile = tc.profile(&module, &w.inputs, &w.args).expect("profile");
-        let prog_a = tc
-            .compile(&module, &a, Some(&profile))
-            .expect("compile A")
-            .program;
+        let compiled = tc.compile_for(&module, &a, Some(&profile));
+        let Ok(CompiledArtifact::Vliw(prog_a)) = compiled else {
+            panic!("compile A: {compiled:?}");
+        };
+        let prog_a = prog_a.program;
         let native_a = run_image(w, &a, &prog_a).expect("run A");
 
         for b in &drifted {
@@ -73,12 +75,11 @@ pub fn isa_drift(workloads: &[Workload]) -> String {
             };
             tprog.validate(b).expect("translated validates");
             let translated = run_image(w, b, &tprog).expect("run translated");
-            let recompiled = {
-                let p = tc
-                    .compile(&module, b, Some(&profile))
-                    .expect("recompile")
-                    .program;
-                run_image(w, b, &p).expect("run recompiled")
+            let recompiled = match tc.compile_for(&module, b, Some(&profile)) {
+                Ok(CompiledArtifact::Vliw(p)) => {
+                    run_image(w, b, &p.program).expect("run recompiled")
+                }
+                other => panic!("recompile for {}: {other:?}", b.name),
             };
             let ratio = translated as f64 / recompiled as f64;
             worst_ratio = worst_ratio.max(ratio);

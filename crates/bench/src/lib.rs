@@ -42,10 +42,10 @@ pub fn session() -> &'static Session {
 /// simulation-throughput line, plus one line per cache tier (memory, and
 /// disk when `ASIP_CACHE_DIR` is active).
 ///
-/// Throughput is the session's simulated cycles over the process's
-/// Simulate self time (the `stage.simulate.self_ns` sum): every Simulate
-/// call's own wall time, cache probes, decodes and stores on either tier
-/// included.
+/// Throughput is the session's simulated cycles over the summed wall time
+/// of the simulation runs that produced them (the `sim.run_ns`
+/// histogram). Program preparation, cache probes, decodes and stores on
+/// either tier are outside it, so a disk tier leaves the figure alone.
 pub fn session_summary() -> String {
     use asip_core::StageKind;
     let s = session();
@@ -53,7 +53,9 @@ pub fn session_summary() -> String {
     let snap = asip_obs::snapshot();
     let self_ns = |stage: StageKind| snap.histogram(&format!("stage.{}.self_ns", stage.name()));
     let sim_cycles = s.cache().sim_cycles();
-    let sim_secs = self_ns(StageKind::Simulate).map_or(0.0, |h| h.sum_ns as f64 / 1e9);
+    let sim_secs = snap
+        .histogram("sim.run_ns")
+        .map_or(0.0, |h| h.sum_ns as f64 / 1e9);
     let mips = if sim_secs > 0.0 {
         sim_cycles as f64 / sim_secs / 1e6
     } else {
@@ -63,7 +65,7 @@ pub fn session_summary() -> String {
         "[session] {} workers | engine {} | cache budget {} KiB | {} evictions, {} KiB resident\n\
          [session] stages: parse {}/{} optimize {}/{} profile {}/{} compile {}/{} \
          simulate {}/{} (hits/misses)\n\
-         [session] simulate throughput: {} cycles in {:.3}s host time ({:.0} MIPS; \
+         [session] simulate throughput: {} cycles in {:.3}s of simulation runs ({:.0} MIPS; \
          cache hits re-measure nothing)\n\
          [session] mem tier: {}",
         s.threads(),

@@ -27,7 +27,9 @@ use asip_isa::codec::{CodecError, Reader, Writer};
 /// container changes incompatibly; old entries then read as stale and are
 /// recomputed. Version 2: byte keys built from codec encodings, and
 /// Simulate entries that carry the compile statistics and code size.
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 3: Compile keys no longer lead with a target byte (the
+/// machine's own encoding carries its target).
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic bytes opening every entry file.
 const MAGIC: [u8; 8] = *b"ASIPART\0";

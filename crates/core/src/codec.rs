@@ -13,39 +13,28 @@
 use crate::cache::{CacheStats, StageStats, TierStats};
 use crate::ise::{IseReport, SelectedOp};
 use crate::pipeline::{ToolchainError, WorkloadRun};
-use crate::session::{EvalOptions, EvalOutcome, EvalRequest, EvalRun};
+use crate::session::{EvalOutcome, EvalRequest, EvalRun};
 use asip_isa::codec::{Codec, CodecError, Reader, Writer};
-
-impl Codec for EvalOptions {
-    fn encode(&self, w: &mut Writer) {
-        w.put_f64(self.ise_budget);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(EvalOptions {
-            ise_budget: r.get_f64()?,
-        })
-    }
-}
 
 impl Codec for EvalRequest {
     fn encode(&self, w: &mut Writer) {
         self.workload.encode(w);
         self.machine.encode(w);
-        self.options.encode(w);
+        w.put_f64(self.ise_budget);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(EvalRequest {
             workload: Codec::decode(r)?,
             machine: Codec::decode(r)?,
-            options: Codec::decode(r)?,
+            ise_budget: r.get_f64()?,
         })
     }
 }
 
 /// Stable wire tags: 0 = `Frontend`, 1 = `Backend`, 2 = `Sim`,
-/// 3 = `Profile`, 4 = `WrongOutput`. Never renumber.
+/// 3 = `Profile`, 4 = `WrongOutput`, 5 = `InvalidMachine`. Never
+/// renumber.
 impl Codec for ToolchainError {
     fn encode(&self, w: &mut Writer) {
         match self {
@@ -77,6 +66,10 @@ impl Codec for ToolchainError {
                 expected.encode(w);
                 actual.encode(w);
             }
+            ToolchainError::InvalidMachine(e) => {
+                w.put_u8(5);
+                w.put_str(e);
+            }
         }
     }
 
@@ -92,6 +85,7 @@ impl Codec for ToolchainError {
                 expected: Vec::decode(r)?,
                 actual: Vec::decode(r)?,
             },
+            5 => ToolchainError::InvalidMachine(r.get_str()?),
             tag => {
                 return Err(CodecError::BadTag {
                     what: "ToolchainError",
@@ -313,6 +307,7 @@ mod tests {
                 expected: vec![1, 2],
                 actual: vec![1, 3],
             },
+            ToolchainError::from(asip_isa::MachineError::NoClusters),
         ];
         roundtrip(&errs);
         assert!(matches!(

@@ -739,7 +739,7 @@ fn rewrite_instance(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::Toolchain;
+    use crate::pipeline::{CompiledArtifact, Toolchain};
     use asip_ir::interp::run_module;
 
     fn profiled(src: &str, args: &[i32]) -> (Module, Profile) {
@@ -910,16 +910,10 @@ mod tests {
             !report.selected.is_empty(),
             "yuv2rgb should yield fused ops"
         );
-        let compiled = tc.compile(&module, &machine2, Some(&profile)).unwrap();
-        let mut sim =
-            asip_sim::Simulator::new(&machine2, &compiled.program, Default::default()).unwrap();
-        for (name, data) in &w.inputs {
-            sim.write_global(name, data);
-        }
-        let result = sim.run(&w.args).unwrap();
-        assert_eq!(
-            result.output, w.expected,
-            "custom-op build must stay correct"
-        );
+        let compiled = tc.compile_for(&module, &machine2, Some(&profile)).unwrap();
+        assert!(matches!(compiled, CompiledArtifact::Vliw(_)));
+        let run = tc.run_artifact(&w, &machine2, &compiled);
+        let run = run.expect("custom-op build must stay correct");
+        assert_eq!(run.sim.output, w.expected);
     }
 }

@@ -71,4 +71,4 @@ pub use cache::{
     ArtifactCache, CacheConfig, CacheStats, DiskTierConfig, StageKind, StageStats, TierStats,
 };
 pub use pipeline::{CompiledArtifact, Toolchain, ToolchainError, WorkloadRun};
-pub use session::{EvalOptions, EvalOutcome, EvalRequest, EvalRun, Session, SessionBuilder};
+pub use session::{EvalOutcome, EvalRequest, EvalRun, Session, SessionBuilder};

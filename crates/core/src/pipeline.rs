@@ -1,5 +1,5 @@
 //! The end-to-end toolchain pipeline: TinyC → IR → optimization → profile →
-//! backend → simulation, with golden-model checking.
+//! (ISE) → backend → simulation, with golden-model checking.
 //!
 //! This is the engine under the "single family view" the paper's §3.1
 //! promises programmers. Most callers should hold a configured
@@ -22,7 +22,9 @@
 //! compile to bundled programs and simulate on the bundle-issue model;
 //! scalar tables compile to linear [`asip_isa::ScalarProgram`]s and
 //! simulate on the in-order pipeline model ([`asip_sim::scalar`]). Both
-//! flavors flow through the same stages, caches and error currency.
+//! flavors flow through the same stages, caches and error currency, and
+//! one chain runs them: [`Session::eval`](crate::session::Session::eval)
+//! and [`Toolchain::run_workload`] are the same stage calls.
 //!
 //! # Memoized stages and their keys
 //!
@@ -35,14 +37,19 @@
 //! | Parse | source |
 //! | Optimize | [`OptConfig`], source |
 //! | Profile | optimized module payload, inputs, args |
-//! | Compile | target, module payload, machine, [`BackendOptions`], profile payload or a "none" tag |
+//! | Compile | module payload, machine, [`BackendOptions`], profile payload or a "none" tag |
 //! | Simulate | machine, [`SimOptions::max_cycles`], compiled-artifact payload, inputs, args |
 //!
 //! A parent artifact enters its child's key as its cached payload bytes,
 //! so the keys chain: a cell's Compile key holds the exact module its
-//! Optimize stage produced. The target leads the Compile key and the
-//! artifact payload opens with its target tag, so the two target flavors
-//! can never alias.
+//! Optimize stage produced. The machine's encoding carries its target, so
+//! a VLIW and a scalar compile of otherwise equal tables never alias, and
+//! the artifact payload opens with its own target tag.
+//!
+//! A Compile miss first checks the machine with
+//! [`MachineDescription::validate`]: a table the toolchain cannot target
+//! is a [`ToolchainError::InvalidMachine`], never a panic further down.
+//! Errors are never cached, so a warm cell pays nothing for the check.
 //!
 //! [`Simulate`](StageKind::Simulate) is memoized too: both cycle-level
 //! engines are deterministic functions of its key, so a repeated identical
@@ -70,13 +77,12 @@
 //!
 //! # Decoding only what is read
 //!
-//! [`Toolchain::run_workload`] and
-//! [`Session::eval`](crate::session::Session::eval) pass each stage's
-//! result to the next as a handle holding the cached payload, which is
-//! decoded only when a stage misses and must compute. A fully warm cell
-//! therefore hashes its keys and decodes only its Simulate entry. The
-//! public stage methods ([`Toolchain::frontend`],
-//! [`Toolchain::compile_for`], [`Toolchain::run_artifact`], …) take and
+//! The stage chain passes each stage's result to the next as a handle
+//! holding the cached payload, which is decoded only when a stage misses
+//! and must compute. A fully warm cell therefore hashes its keys and
+//! decodes only its Simulate entry. The public stage methods
+//! ([`Toolchain::frontend`], [`Toolchain::profile`],
+//! [`Toolchain::compile_for`], [`Toolchain::run_artifact`]) take and
 //! return decoded values; they build the same keys by encoding their
 //! arguments, so both paths share every cache entry.
 //!
@@ -85,10 +91,12 @@
 //! process warm-start the whole pipeline. [`Toolchain::cache_stats`]
 //! exposes per-stage hit/miss and per-tier counters; each stage call's
 //! self time goes to its `stage.<name>.self_ns` histogram in
-//! [`asip_obs`].
+//! [`asip_obs`], and each simulation run's wall time to `sim.run_ns`.
 
 use crate::cache::Staged;
 pub use crate::cache::{ArtifactCache, CacheConfig, CacheStats, StageKind, StageStats};
+use crate::ise::{extend, IseConfig};
+use crate::session::EvalRun;
 use asip_backend::{
     compile_module, compile_module_scalar, BackendOptions, BackendStats, CompiledProgram,
     CompiledScalarProgram,
@@ -97,11 +105,18 @@ use asip_ir::interp::{Interp, InterpOptions, Profile};
 use asip_ir::passes::{optimize, OptConfig};
 use asip_ir::Module;
 use asip_isa::codec::{Codec, CodecError, Reader, Writer};
-use asip_isa::{MachineDescription, TargetKind};
-use asip_sim::{ScalarSimulator, SimOptions, SimResult, Simulator};
+use asip_isa::{FuKind, MachineDescription, MachineError, TargetKind};
+use asip_sim::{ScalarSimulator, SimError, SimOptions, SimResult, Simulator};
 use asip_workloads::Workload;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
+
+/// Wall time of each successful simulation run, from its first cycle to
+/// its last: the denominator of the session's simulate throughput, beside
+/// [`ArtifactCache::sim_cycles`]. Program preparation, cache probes and
+/// stores are outside it.
+static SIM_RUN_NS: asip_obs::Histogram = asip_obs::Histogram::new("sim.run_ns");
 
 /// Toolchain failure at any stage.
 ///
@@ -129,6 +144,9 @@ pub enum ToolchainError {
         /// Actual prefix.
         actual: Vec<i32>,
     },
+    /// The machine table failed [`MachineDescription::validate`]; the
+    /// payload is the [`MachineError`]'s message.
+    InvalidMachine(String),
 }
 
 impl fmt::Display for ToolchainError {
@@ -149,6 +167,7 @@ impl fmt::Display for ToolchainError {
                 &expected[..expected.len().min(4)],
                 &actual[..actual.len().min(4)]
             ),
+            ToolchainError::InvalidMachine(e) => write!(f, "invalid machine: {e}"),
         }
     }
 }
@@ -173,6 +192,12 @@ impl From<asip_sim::SimError> for ToolchainError {
     }
 }
 
+impl From<MachineError> for ToolchainError {
+    fn from(e: MachineError) -> Self {
+        ToolchainError::InvalidMachine(e.to_string())
+    }
+}
+
 /// The configured toolchain engine.
 ///
 /// Cloning is cheap and shares the [`ArtifactCache`]; use
@@ -187,7 +212,7 @@ pub struct Toolchain {
     pub backend: BackendOptions,
     /// Use interpreter profiles to guide superblock formation.
     pub profile_guided: bool,
-    /// Simulation limits applied to every [`Toolchain::run_compiled`].
+    /// Simulation engine and limits applied to every Simulate stage.
     pub sim: SimOptions,
     cache: Arc<ArtifactCache>,
 }
@@ -207,9 +232,7 @@ impl Default for Toolchain {
 /// A compiled program for either target kind.
 ///
 /// The Compile stage produces (and caches) one of these; which variant
-/// depends on the machine's [`TargetKind`]. Cache keys carry the target
-/// flavor, so a VLIW and a scalar compile of the same (module, machine
-/// table) can never alias.
+/// depends on the machine's [`TargetKind`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompiledArtifact {
     /// An exposed-pipeline VLIW program.
@@ -224,7 +247,16 @@ pub enum CompiledArtifact {
 /// what a Simulate key holds.
 impl Codec for CompiledArtifact {
     fn encode(&self, w: &mut Writer) {
-        self.as_program().encode(w);
+        match self {
+            CompiledArtifact::Vliw(p) => {
+                w.put_u8(0);
+                p.encode(w);
+            }
+            CompiledArtifact::Scalar(p) => {
+                w.put_u8(1);
+                p.encode(w);
+            }
+        }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
@@ -242,75 +274,19 @@ impl Codec for CompiledArtifact {
 impl CompiledArtifact {
     /// Compile-time statistics, whichever the target.
     pub fn stats(&self) -> BackendStats {
-        self.as_program().stats()
+        match self {
+            CompiledArtifact::Vliw(p) => p.stats,
+            CompiledArtifact::Scalar(p) => p.stats,
+        }
     }
 
     /// Code size in bytes under the machine's own encoding.
     pub fn code_bytes(&self, machine: &MachineDescription) -> u32 {
-        self.as_program().code_bytes(machine)
-    }
-
-    /// The VLIW program, if this is one.
-    pub fn vliw(&self) -> Option<&CompiledProgram> {
         match self {
-            CompiledArtifact::Vliw(p) => Some(p),
-            CompiledArtifact::Scalar(_) => None,
-        }
-    }
-
-    /// The scalar program, if this is one.
-    pub fn scalar(&self) -> Option<&CompiledScalarProgram> {
-        match self {
-            CompiledArtifact::Vliw(_) => None,
-            CompiledArtifact::Scalar(p) => Some(p),
-        }
-    }
-
-    fn as_program(&self) -> ProgramRef<'_> {
-        match self {
-            CompiledArtifact::Vliw(p) => ProgramRef::Vliw(p),
-            CompiledArtifact::Scalar(p) => ProgramRef::Scalar(p),
-        }
-    }
-}
-
-/// A borrowed compiled program of either target kind, so the by-value
-/// Simulate entry points can key and run a program without wrapping it in
-/// a [`CompiledArtifact`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ProgramRef<'a> {
-    Vliw(&'a CompiledProgram),
-    Scalar(&'a CompiledScalarProgram),
-}
-
-impl ProgramRef<'_> {
-    /// The program's [`CompiledArtifact`] encoding.
-    fn encode(self, w: &mut Writer) {
-        match self {
-            ProgramRef::Vliw(p) => {
-                w.put_u8(0);
-                p.encode(w);
-            }
-            ProgramRef::Scalar(p) => {
-                w.put_u8(1);
-                p.encode(w);
-            }
-        }
-    }
-
-    fn stats(self) -> BackendStats {
-        match self {
-            ProgramRef::Vliw(p) => p.stats,
-            ProgramRef::Scalar(p) => p.stats,
-        }
-    }
-
-    fn code_bytes(self, machine: &MachineDescription) -> u32 {
-        match self {
-            ProgramRef::Vliw(p) => {
+            CompiledArtifact::Vliw(p) => {
                 asip_isa::encoding::code_bytes(&p.program, machine, machine.encoding)
             }
-            ProgramRef::Scalar(p) => p.program.code_bytes(machine.encoding),
+            CompiledArtifact::Scalar(p) => p.program.code_bytes(machine.encoding),
         }
     }
 }
@@ -355,7 +331,9 @@ impl Codec for SimEntry {
 }
 
 /// A parent artifact as a stage reads it: its payload goes into the
-/// stage's key, and its value is read only when the stage misses.
+/// stage's key, and its value is read only when the stage misses. Values
+/// a caller holds encode to the same bytes a stage result carries, so
+/// both kinds of input share every cache entry.
 pub(crate) enum Input<'a, V> {
     /// A value the caller holds, encoded into the key.
     Value(&'a V),
@@ -379,29 +357,6 @@ impl<V: Codec> Input<'_, V> {
     }
 }
 
-/// The compiled program a Simulate call reads: one the caller holds, or a
-/// Compile result, decoded only if the Simulate stage misses.
-pub(crate) enum ArtifactInput<'a> {
-    Program(ProgramRef<'a>),
-    Staged(&'a Staged<CompiledArtifact>),
-}
-
-impl ArtifactInput<'_> {
-    fn put(&self, key: &mut Writer) {
-        match self {
-            ArtifactInput::Program(p) => p.encode(key),
-            ArtifactInput::Staged(s) => key.put_raw(s.payload()),
-        }
-    }
-
-    fn program(&self) -> ProgramRef<'_> {
-        match self {
-            ArtifactInput::Program(p) => *p,
-            ArtifactInput::Staged(s) => s.get().as_program(),
-        }
-    }
-}
-
 /// Append a workload's inputs and arguments to a key.
 fn put_run_inputs(key: &mut Writer, inputs: &[(String, Vec<i32>)], args: &[i32]) {
     key.put_u32(inputs.len() as u32);
@@ -416,20 +371,6 @@ fn put_run_inputs(key: &mut Writer, inputs: &[(String, Vec<i32>)], args: &[i32])
 }
 
 impl Toolchain {
-    /// A toolchain with all optimizations off (baseline for ablations).
-    pub fn unoptimized() -> Toolchain {
-        Toolchain {
-            opt: OptConfig::none(),
-            backend: BackendOptions {
-                superblocks: false,
-                ..Default::default()
-            },
-            profile_guided: false,
-            sim: SimOptions::default(),
-            cache: Arc::new(ArtifactCache::new()),
-        }
-    }
-
     /// This configuration with a new, empty, unshared, memory-only
     /// artifact cache (same byte budget and hash mask). A disk tier is
     /// never carried over: the fresh cache neither reads the current
@@ -492,7 +433,7 @@ impl Toolchain {
         self.optimize_stage(source).map(Staged::into_value)
     }
 
-    pub(crate) fn optimize_stage(&self, source: &str) -> Result<Staged<Module>, ToolchainError> {
+    fn optimize_stage(&self, source: &str) -> Result<Staged<Module>, ToolchainError> {
         let mut key = Writer::new();
         self.opt.encode(&mut key);
         key.put_str(source);
@@ -521,7 +462,7 @@ impl Toolchain {
             .map(Staged::into_value)
     }
 
-    pub(crate) fn profile_stage(
+    fn profile_stage(
         &self,
         module: Input<'_, Module>,
         inputs: &[(String, Vec<i32>)],
@@ -541,18 +482,31 @@ impl Toolchain {
             })
     }
 
-    /// **Compile stage** of one target flavor. The key leads with the
-    /// flavor, so a VLIW and a scalar artifact of the same (module,
-    /// machine, options, profile) can never collide in the cache.
-    pub(crate) fn compile_stage(
+    /// **Compile stage**, dispatched on the machine's [`TargetKind`]: IR
+    /// module → VLIW or scalar program (optionally profile-guided). Cached
+    /// by (module, machine, backend options, profile).
+    ///
+    /// # Errors
+    ///
+    /// [`ToolchainError::InvalidMachine`] if the machine does not
+    /// validate, else [`ToolchainError::Backend`].
+    pub fn compile_for(
         &self,
-        flavor: TargetKind,
+        module: &Module,
+        machine: &MachineDescription,
+        profile: Option<&Profile>,
+    ) -> Result<CompiledArtifact, ToolchainError> {
+        self.compile_stage(Input::Value(module), machine, profile.map(Input::Value))
+            .map(Staged::into_value)
+    }
+
+    fn compile_stage(
+        &self,
         module: Input<'_, Module>,
         machine: &MachineDescription,
         profile: Option<Input<'_, Profile>>,
     ) -> Result<Staged<CompiledArtifact>, ToolchainError> {
         let mut key = Writer::new();
-        flavor.encode(&mut key);
         module.put(&mut key);
         machine.encode(&mut key);
         self.backend.encode(&mut key);
@@ -565,9 +519,10 @@ impl Toolchain {
         }
         self.cache
             .get_or_compute(StageKind::Compile, &key.into_bytes(), || {
+                machine.validate()?;
                 let module = module.get();
                 let profile = profile.as_ref().map(Input::get);
-                Ok(match flavor {
+                Ok(match machine.target {
                     TargetKind::Vliw => CompiledArtifact::Vliw(compile_module(
                         module,
                         machine,
@@ -584,58 +539,9 @@ impl Toolchain {
             })
     }
 
-    /// **Compile stage**, dispatched on the machine's [`TargetKind`]: IR
-    /// module → VLIW or scalar program (optionally profile-guided). Cached
-    /// by (target, module, machine, backend options, profile).
-    ///
-    /// # Errors
-    ///
-    /// [`ToolchainError::Backend`].
-    pub fn compile_for(
-        &self,
-        module: &Module,
-        machine: &MachineDescription,
-        profile: Option<&Profile>,
-    ) -> Result<CompiledArtifact, ToolchainError> {
-        self.compile_stage(
-            machine.target,
-            Input::Value(module),
-            machine,
-            profile.map(Input::Value),
-        )
-        .map(Staged::into_value)
-    }
-
-    /// **Compile stage**, VLIW flavor: IR module → VLIW machine program
-    /// regardless of the machine's declared target (the binary-translation
-    /// flows compile arbitrary family tables this way). Cached like
-    /// [`Toolchain::compile_for`].
-    ///
-    /// # Errors
-    ///
-    /// [`ToolchainError::Backend`].
-    pub fn compile(
-        &self,
-        module: &Module,
-        machine: &MachineDescription,
-        profile: Option<&Profile>,
-    ) -> Result<CompiledProgram, ToolchainError> {
-        let staged = self.compile_stage(
-            TargetKind::Vliw,
-            Input::Value(module),
-            machine,
-            profile.map(Input::Value),
-        )?;
-        match staged.into_value() {
-            CompiledArtifact::Vliw(p) => Ok(p),
-            CompiledArtifact::Scalar(_) => unreachable!("vliw-flavored keys hold vliw artifacts"),
-        }
-    }
-
     /// Full stage graph for one workload on one machine, checking the
-    /// golden output. Every stage is served from the artifact cache when
-    /// possible, and each stage's result reaches the next as its cached
-    /// payload, decoded only if the next stage misses.
+    /// golden output: the stage chain of
+    /// [`Session::eval`](crate::session::Session::eval) with no ISE budget.
     ///
     /// # Errors
     ///
@@ -646,32 +552,95 @@ impl Toolchain {
         w: &Workload,
         machine: &MachineDescription,
     ) -> Result<WorkloadRun, ToolchainError> {
+        self.eval_cell(w, machine, 0.0).map(|cell| cell.run)
+    }
+
+    /// The one stage chain: Parse → Optimize → Profile → (ISE) → Compile
+    /// → Simulate for `w` on `machine`, golden-checked. Every stage is
+    /// served from the artifact cache when possible, and each stage's
+    /// result reaches the next as its cached payload, decoded only if the
+    /// next stage misses.
+    ///
+    /// When `ise_budget` is positive and the machine hosts a `Custom`
+    /// slot, the module is extended with automatically selected custom
+    /// operations before compilation (see [`crate::ise`]) and the result
+    /// carries the extended machine and the selection report.
+    pub(crate) fn eval_cell(
+        &self,
+        w: &Workload,
+        machine: &MachineDescription,
+        ise_budget: f64,
+    ) -> Result<EvalRun, ToolchainError> {
         let module = self.optimize_stage(&w.source)?;
-        let profile = if self.profile_guided {
+        let wants_ise = ise_budget > 0.0 && machine.has_fu(FuKind::Custom);
+        // ISE selection needs a profile even when compilation is not
+        // profile-guided.
+        let profile = if self.profile_guided || wants_ise {
             Some(self.profile_stage(Input::Staged(&module), &w.inputs, &w.args)?)
         } else {
             None
         };
-        let compiled = self.compile_stage(
-            machine.target,
-            Input::Staged(&module),
-            machine,
-            profile.as_ref().map(Input::Staged),
-        )?;
-        self.simulate_stage(w, machine, ArtifactInput::Staged(&compiled))
+        let guided = profile.as_ref().filter(|_| self.profile_guided);
+        let (compiled, machine, ise) = if wants_ise {
+            // `extend` rewrites an owned, freshly decoded module: the
+            // cache holds only bytes, so no cached artifact changes.
+            let mut module = module.into_value();
+            let profile = profile.as_ref().expect("profiled for ISE").get();
+            let cfg = IseConfig {
+                area_budget: ise_budget,
+            };
+            let mut span = asip_obs::span("ise", "extend");
+            let (machine, report) = extend(&mut module, machine, profile, &cfg);
+            if span.is_recording() {
+                span.detail(format!(
+                    "{} ops selected of {} candidates",
+                    report.selected.len(),
+                    report.candidates_considered
+                ));
+            }
+            drop(span);
+            let compiled =
+                self.compile_stage(Input::Value(&module), &machine, guided.map(Input::Staged))?;
+            (compiled, machine, Some(report))
+        } else {
+            let compiled =
+                self.compile_stage(Input::Staged(&module), machine, guided.map(Input::Staged))?;
+            (compiled, machine.clone(), None)
+        };
+        let run = self.simulate_stage(w, &machine, Input::Staged(&compiled))?;
+        Ok(EvalRun { run, machine, ise })
     }
 
-    /// **Simulate stage**, keyed by everything that can change the
+    /// **Simulate stage**: run an already-compiled artifact of either
+    /// target kind, on the VLIW or the scalar pipeline model, and check
+    /// the golden output. Memoized like every other stage: a repeated
+    /// identical cell returns the cached [`SimResult`] without simulating,
+    /// and only errors are never cached. The key is built from the
+    /// artifact's encoding; the artifact itself is not copied.
+    ///
+    /// # Errors
+    ///
+    /// [`ToolchainError::Sim`] or [`ToolchainError::WrongOutput`].
+    pub fn run_artifact(
+        &self,
+        w: &Workload,
+        machine: &MachineDescription,
+        compiled: &CompiledArtifact,
+    ) -> Result<WorkloadRun, ToolchainError> {
+        self.simulate_stage(w, machine, Input::Value(compiled))
+    }
+
+    /// The Simulate stage, keyed by everything that can change the
     /// deterministic measurement: the machine tables, the [`SimOptions`]
     /// cycle limit, the compiled artifact, and the workload's inputs and
     /// arguments. The cached entry carries the program's statistics and
     /// code size beside the [`SimResult`], so a hit decodes neither the
     /// program nor anything else; the golden check runs on every call.
-    pub(crate) fn simulate_stage(
+    fn simulate_stage(
         &self,
         w: &Workload,
         machine: &MachineDescription,
-        compiled: ArtifactInput<'_>,
+        compiled: Input<'_, CompiledArtifact>,
     ) -> Result<WorkloadRun, ToolchainError> {
         let mut key = Writer::new();
         machine.encode(&mut key);
@@ -681,17 +650,27 @@ impl Toolchain {
         let entry = self
             .cache
             .get_or_compute(StageKind::Simulate, &key.into_bytes(), || {
-                let program = compiled.program();
-                let sim = self.simulate(w, machine, program)?;
+                let compiled = compiled.get();
+                let sim = match compiled {
+                    CompiledArtifact::Vliw(p) => self.simulate_vliw(w, machine, p)?,
+                    CompiledArtifact::Scalar(p) => self.simulate_scalar(w, machine, p)?,
+                };
                 self.cache.record_sim_cycles(sim.cycles);
                 Ok(SimEntry {
                     sim,
-                    compile: program.stats(),
-                    code_bytes: program.code_bytes(machine),
+                    compile: compiled.stats(),
+                    code_bytes: compiled.code_bytes(machine),
                 })
             })?
             .into_value();
-        Self::check_output(&entry.sim, w, machine)?;
+        if entry.sim.output != w.expected {
+            return Err(ToolchainError::WrongOutput {
+                workload: w.name.clone(),
+                machine: machine.name.clone(),
+                expected: w.expected.clone(),
+                actual: entry.sim.output,
+            });
+        }
         Ok(WorkloadRun {
             workload: w.name.clone(),
             machine: machine.name.clone(),
@@ -699,19 +678,6 @@ impl Toolchain {
             compile: entry.compile,
             code_bytes: entry.code_bytes,
         })
-    }
-
-    /// One measurement on the configured engine, for either target.
-    fn simulate(
-        &self,
-        w: &Workload,
-        machine: &MachineDescription,
-        program: ProgramRef<'_>,
-    ) -> Result<SimResult, ToolchainError> {
-        match program {
-            ProgramRef::Vliw(p) => self.simulate_vliw(w, machine, p),
-            ProgramRef::Scalar(p) => self.simulate_scalar(w, machine, p),
-        }
     }
 
     /// One VLIW measurement: a Simulate miss prepares a [`Simulator`],
@@ -726,7 +692,7 @@ impl Toolchain {
         for (name, data) in &w.inputs {
             sim.write_global(name, data);
         }
-        Ok(sim.run(&w.args)?)
+        timed_run(|| sim.run(&w.args))
     }
 
     /// One scalar measurement, like [`Toolchain::simulate_vliw`] on a
@@ -741,68 +707,25 @@ impl Toolchain {
         for (name, data) in &w.inputs {
             sim.write_global(name, data);
         }
-        Ok(sim.run(&w.args)?)
+        timed_run(|| sim.run(&w.args))
     }
+}
 
-    /// Golden-model output check shared by both Simulate flavors.
-    fn check_output(
-        result: &SimResult,
-        w: &Workload,
-        machine: &MachineDescription,
-    ) -> Result<(), ToolchainError> {
-        if result.output != w.expected {
-            return Err(ToolchainError::WrongOutput {
-                workload: w.name.clone(),
-                machine: machine.name.clone(),
-                expected: w.expected.clone(),
-                actual: result.output.clone(),
-            });
-        }
-        Ok(())
-    }
-
-    /// **Simulate stage**: run an already-compiled workload (used by sweeps
-    /// that vary only the simulation conditions). **Memoized** like every
-    /// other stage: the engines are deterministic functions of the key's
-    /// inputs, so a repeated identical cell across ISE/DSE sweeps — or a
-    /// disk-warm rerun — skips the cycle loop entirely and returns a
-    /// byte-identical [`SimResult`]. Errors are never cached.
-    ///
-    /// # Errors
-    ///
-    /// [`ToolchainError::Sim`] or [`ToolchainError::WrongOutput`].
-    pub fn run_compiled(
-        &self,
-        w: &Workload,
-        machine: &MachineDescription,
-        compiled: &CompiledProgram,
-    ) -> Result<WorkloadRun, ToolchainError> {
-        let program = ProgramRef::Vliw(compiled);
-        self.simulate_stage(w, machine, ArtifactInput::Program(program))
-    }
-
-    /// **Simulate stage** for either artifact kind, on the VLIW or the
-    /// scalar pipeline model, memoized like [`Toolchain::run_compiled`]: a
-    /// repeated identical cell returns the cached [`SimResult`] without
-    /// simulating, and only errors are never cached. The key is built
-    /// from the artifact's encoding; the artifact itself is not copied.
-    ///
-    /// # Errors
-    ///
-    /// [`ToolchainError::Sim`] or [`ToolchainError::WrongOutput`].
-    pub fn run_artifact(
-        &self,
-        w: &Workload,
-        machine: &MachineDescription,
-        compiled: &CompiledArtifact,
-    ) -> Result<WorkloadRun, ToolchainError> {
-        self.simulate_stage(w, machine, ArtifactInput::Program(compiled.as_program()))
-    }
+/// Run one simulation, recording its wall time in [`SIM_RUN_NS`] when it
+/// succeeds (failed runs add no cycles either).
+fn timed_run(
+    run: impl FnOnce() -> Result<SimResult, SimError>,
+) -> Result<SimResult, ToolchainError> {
+    let start = Instant::now();
+    let result = run()?;
+    SIM_RUN_NS.record(start.elapsed().as_nanos() as u64);
+    Ok(result)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
 
     #[test]
     fn fir_runs_and_checks_on_ember4() {
@@ -818,7 +741,7 @@ mod tests {
     #[test]
     fn unoptimized_toolchain_also_correct_but_slower() {
         let opt = Toolchain::default();
-        let unopt = Toolchain::unoptimized();
+        let unopt = Session::builder().unoptimized().build().toolchain().clone();
         let w = asip_workloads::by_name("autocorr").unwrap();
         let m = MachineDescription::ember4();
         let fast = opt.run_workload(&w, &m).unwrap();
@@ -889,6 +812,25 @@ mod tests {
         let after = tc.cache_stats();
         assert_eq!(after.compile.misses, before.compile.misses + 2, "{after}");
         assert_eq!(after.compile.hits, before.compile.hits, "{after}");
+
+        // One module on two machines that differ only in `target`: the
+        // target inside the machine bytes keeps the two apart, and each
+        // compile takes its own backend.
+        let scalar = MachineDescription::scalar1();
+        let mut vliw = scalar.clone();
+        vliw.target = TargetKind::Vliw;
+        let before = tc.cache_stats();
+        let s = tc.compile_for(&module, &scalar, Some(&profile)).unwrap();
+        let v = tc.compile_for(&module, &vliw, Some(&profile)).unwrap();
+        let after = tc.cache_stats();
+        assert_eq!(after.compile.misses, before.compile.misses + 2, "{after}");
+        assert_eq!(after.compile.hits, before.compile.hits, "{after}");
+        assert!(matches!(s, CompiledArtifact::Scalar(_)));
+        assert!(matches!(v, CompiledArtifact::Vliw(_)));
+        for (m, art) in [(&scalar, &s), (&vliw, &v)] {
+            let run = tc.run_artifact(&w, m, art).unwrap();
+            assert_eq!(run.sim.output, w.expected, "{}", m.target);
+        }
 
         // One artifact on two input sets: the input bytes in the Simulate
         // key keep the two apart, and each run reports its own output.
@@ -966,15 +908,11 @@ mod tests {
 
     #[test]
     fn different_opt_configs_do_not_alias() {
-        let opt = Toolchain::default();
         // Same cache, different OptConfig → distinct optimize/compile keys.
-        let mut unopt = opt.clone();
-        unopt.opt = OptConfig::none();
-        unopt.backend = BackendOptions {
-            superblocks: false,
-            ..Default::default()
-        };
-        unopt.profile_guided = false;
+        let cache = Arc::new(ArtifactCache::new());
+        let opt = Toolchain::default().with_cache(Arc::clone(&cache));
+        let unopt = Session::builder().unoptimized().cache(cache).build();
+        let unopt = unopt.toolchain();
         let w = asip_workloads::by_name("autocorr").unwrap();
         let m = MachineDescription::ember4();
         let fast = opt.run_workload(&w, &m).unwrap();

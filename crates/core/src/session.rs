@@ -10,6 +10,15 @@
 //! tier via [`SessionBuilder::cache_dir`] / `ASIP_CACHE_DIR` for
 //! cross-process warm starts) and one parallelism policy.
 //!
+//! Every cell, whichever the target kind or ISE budget, runs the
+//! toolchain's one stage chain (Parse → Optimize → Profile → (ISE) →
+//! Compile → Simulate, see [`crate::pipeline`]):
+//! [`Session::eval`], [`Session::run_workload`] and
+//! [`Toolchain::run_workload`] are the same calls. The builder is the one
+//! configuration path: the cache, the worker count, the simulation engine
+//! and its threshold, span tracing, and the [`SessionBuilder::unoptimized`]
+//! ablation preset.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -42,12 +51,11 @@ use crate::cache::{
     default_cache_bytes, default_cache_dir, ArtifactCache, CacheConfig, CacheStats, DiskTierConfig,
     DEFAULT_DISK_CACHE_BYTES,
 };
-use crate::ise::{extend, IseConfig, IseReport};
-use crate::pipeline::{ArtifactInput, Input, Toolchain, ToolchainError, WorkloadRun};
-use asip_backend::BackendOptions;
+use crate::ise::IseReport;
+use crate::pipeline::{Toolchain, ToolchainError, WorkloadRun};
 use asip_ir::passes::OptConfig;
-use asip_isa::{FuKind, MachineDescription};
-use asip_sim::{SimEngine, SimOptions};
+use asip_isa::MachineDescription;
+use asip_sim::SimEngine;
 use asip_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -84,10 +92,7 @@ pub fn default_threads() -> usize {
 /// [`Session::builder`]; every knob has a sensible default.
 #[derive(Debug, Clone, Default)]
 pub struct SessionBuilder {
-    opt: OptConfig,
-    backend: BackendOptions,
-    sim: SimOptions,
-    profile_guided: Option<bool>,
+    unoptimized: bool,
     cache_bytes: Option<u64>,
     cache_dir: Option<std::path::PathBuf>,
     disk_cache_bytes: Option<u64>,
@@ -99,24 +104,6 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// Set the optimization pipeline configuration.
-    pub fn opt(mut self, opt: OptConfig) -> Self {
-        self.opt = opt;
-        self
-    }
-
-    /// Set the backend configuration.
-    pub fn backend(mut self, backend: BackendOptions) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Set the simulation limits applied to every evaluation.
-    pub fn sim(mut self, sim: SimOptions) -> Self {
-        self.sim = sim;
-        self
-    }
-
     /// Set the simulation engine serving every evaluation: the block
     /// compiler ([`SimEngine::Block`], the default) or the reference
     /// oracle. Engines differ only in speed: results are bit-identical,
@@ -132,12 +119,6 @@ impl SessionBuilder {
     /// changes a measurement, so Simulate cache keys exclude it.
     pub fn sb_threshold(mut self, threshold: u32) -> Self {
         self.sb_threshold = Some(threshold.max(1));
-        self
-    }
-
-    /// Enable or disable profile-guided superblock formation (default on).
-    pub fn profile_guided(mut self, on: bool) -> Self {
-        self.profile_guided = Some(on);
         self
     }
 
@@ -201,14 +182,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Preset: all optimizations off (baseline for ablation studies).
+    /// Preset: all optimizations off (baseline for ablation studies): no
+    /// IR passes, no superblocks, no profile guidance.
     pub fn unoptimized(mut self) -> Self {
-        self.opt = OptConfig::none();
-        self.backend = BackendOptions {
-            superblocks: false,
-            ..Default::default()
-        };
-        self.profile_guided = Some(false);
+        self.unoptimized = true;
         self
     }
 
@@ -239,11 +216,11 @@ impl SessionBuilder {
             }))
         });
         let mut tc = Toolchain::default().with_cache(cache);
-        tc.opt = self.opt;
-        tc.backend = self.backend;
-        tc.profile_guided = self.profile_guided.unwrap_or(true);
-        tc.sim = self.sim;
-        // The dedicated knobs win over whatever `.sim(..)` carried.
+        if self.unoptimized {
+            tc.opt = OptConfig::none();
+            tc.backend.superblocks = false;
+            tc.profile_guided = false;
+        }
         tc.sim.engine = self.engine.unwrap_or(tc.sim.engine);
         tc.sim.sb_threshold = self.sb_threshold.unwrap_or(tc.sim.sb_threshold);
         Session {
@@ -253,9 +230,14 @@ impl SessionBuilder {
     }
 }
 
-/// Per-request evaluation options.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EvalOptions {
+/// One cell of work: run `workload` on `machine`, ISE-extended when
+/// `ise_budget` asks for it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EvalRequest {
+    /// The workload to compile and simulate.
+    pub workload: Workload,
+    /// The family member to target.
+    pub machine: MachineDescription,
     /// ISE area budget in adder-equivalents. When positive and the machine
     /// hosts a `Custom` slot, the module is extended with automatically
     /// selected custom operations before compilation (see [`crate::ise`]),
@@ -264,30 +246,19 @@ pub struct EvalOptions {
     pub ise_budget: f64,
 }
 
-/// One cell of work: run `workload` on `machine` under `options`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvalRequest {
-    /// The workload to compile and simulate.
-    pub workload: Workload,
-    /// The family member to target.
-    pub machine: MachineDescription,
-    /// Per-request options.
-    pub options: EvalOptions,
-}
-
 impl EvalRequest {
-    /// A request with default options.
+    /// A request with no ISE budget.
     pub fn new(workload: Workload, machine: MachineDescription) -> EvalRequest {
         EvalRequest {
             workload,
             machine,
-            options: EvalOptions::default(),
+            ise_budget: 0.0,
         }
     }
 
-    /// This request with an ISE area budget (see [`EvalOptions::ise_budget`]).
+    /// This request with an ISE area budget (see [`EvalRequest::ise_budget`]).
     pub fn with_ise(mut self, area_budget: f64) -> EvalRequest {
-        self.options.ise_budget = area_budget;
+        self.ise_budget = area_budget;
         self
     }
 
@@ -312,7 +283,7 @@ pub struct EvalRun {
     /// The golden-checked run (cycles, stalls, energy activity, code size).
     pub run: WorkloadRun,
     /// The machine actually evaluated: the request's machine, ISE-extended
-    /// when [`EvalOptions::ise_budget`] asked for it.
+    /// when [`EvalRequest::ise_budget`] asked for it.
     pub machine: MachineDescription,
     /// The ISE selection report, when an extension was requested.
     pub ise: Option<IseReport>,
@@ -365,15 +336,6 @@ impl Session {
         SessionBuilder::default()
     }
 
-    /// Wrap an existing engine, keeping its cache ([`default_threads`]
-    /// workers).
-    pub fn from_toolchain(tc: Toolchain) -> Session {
-        Session {
-            tc,
-            threads: default_threads(),
-        }
-    }
-
     /// The underlying stage engine (shared cache).
     pub fn toolchain(&self) -> &Toolchain {
         &self.tc
@@ -411,7 +373,7 @@ impl Session {
         self.tc.cache_stats()
     }
 
-    /// Convenience: run one workload on one machine with default options
+    /// Convenience: run one workload on one machine with no ISE budget
     /// (see [`Toolchain::run_workload`]).
     ///
     /// # Errors
@@ -440,66 +402,14 @@ impl Session {
         let out = EvalOutcome {
             workload: req.workload.name.clone(),
             machine: req.machine.name.clone(),
-            result: self.eval_inner(req),
+            result: self
+                .tc
+                .eval_cell(&req.workload, &req.machine, req.ise_budget),
         };
         span.note(if out.is_ok() { "ok" } else { "err" });
         drop(span);
         CELL_EVAL_NS.record(start.elapsed().as_nanos() as u64);
         out
-    }
-
-    /// The stage calls of one cell. Each stage's result reaches the next
-    /// as its cached payload, so a fully warm cell decodes only its
-    /// Simulate entry.
-    fn eval_inner(&self, req: &EvalRequest) -> Result<EvalRun, ToolchainError> {
-        let tc = &self.tc;
-        let w = &req.workload;
-        let module = tc.optimize_stage(&w.source)?;
-        let wants_ise = req.options.ise_budget > 0.0 && req.machine.has_fu(FuKind::Custom);
-        // ISE selection needs a profile even when compilation is not
-        // profile-guided.
-        let profile = if tc.profile_guided || wants_ise {
-            Some(tc.profile_stage(Input::Staged(&module), &w.inputs, &w.args)?)
-        } else {
-            None
-        };
-        let guided = profile.as_ref().filter(|_| tc.profile_guided);
-        let (compiled, machine, ise) = if wants_ise {
-            let cfg = IseConfig {
-                area_budget: req.options.ise_budget,
-            };
-            // `extend` rewrites an owned, freshly decoded module: the
-            // cache holds only bytes, so no cached artifact changes.
-            let mut module = module.into_value();
-            let profile = profile.as_ref().expect("profiled for ISE").get();
-            let mut span = asip_obs::span("ise", "extend");
-            let (machine, report) = extend(&mut module, &req.machine, profile, &cfg);
-            if span.is_recording() {
-                span.detail(format!(
-                    "{} ops selected of {} candidates",
-                    report.selected.len(),
-                    report.candidates_considered
-                ));
-            }
-            drop(span);
-            let compiled = tc.compile_stage(
-                machine.target,
-                Input::Value(&module),
-                &machine,
-                guided.map(Input::Staged),
-            )?;
-            (compiled, machine, Some(report))
-        } else {
-            let compiled = tc.compile_stage(
-                req.machine.target,
-                Input::Staged(&module),
-                &req.machine,
-                guided.map(Input::Staged),
-            )?;
-            (compiled, req.machine.clone(), None)
-        };
-        let run = tc.simulate_stage(w, &machine, ArtifactInput::Staged(&compiled))?;
-        Ok(EvalRun { run, machine, ise })
     }
 
     /// Evaluate a batch of cells on a pool of [`Session::threads`] joined
@@ -573,7 +483,7 @@ mod tests {
         let s = Session::builder()
             .threads(3)
             .cache_bytes(4096)
-            .profile_guided(false)
+            .unoptimized()
             .build();
         assert_eq!(s.threads(), 3);
         assert_eq!(s.cache().byte_budget(), 4096);

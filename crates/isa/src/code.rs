@@ -205,6 +205,8 @@ pub enum CodeError {
     BadEntry,
     /// A function's entry points outside the instruction stream.
     BadFuncEntry { func: usize, entry: u32 },
+    /// The static data does not fit the machine's data memory.
+    DataTooLarge { data_words: u32, dmem_words: u32 },
 }
 
 impl fmt::Display for CodeError {
@@ -245,11 +247,30 @@ impl fmt::Display for CodeError {
             CodeError::BadFuncEntry { func, entry } => {
                 write!(f, "function {func}: entry @{entry} outside the program")
             }
+            CodeError::DataTooLarge {
+                data_words,
+                dmem_words,
+            } => write!(
+                f,
+                "{data_words} words of static data exceed the {dmem_words}-word data memory"
+            ),
         }
     }
 }
 
 impl std::error::Error for CodeError {}
+
+/// Every global lives below `data_words`, so a program whose static data
+/// fits the machine's data memory can load all of its globals and inputs.
+pub(crate) fn check_data_fits(data_words: u32, m: &MachineDescription) -> Result<(), CodeError> {
+    if data_words > m.dmem_words {
+        return Err(CodeError::DataTooLarge {
+            data_words,
+            dmem_words: m.dmem_words,
+        });
+    }
+    Ok(())
+}
 
 impl VliwProgram {
     /// Number of bundles.
@@ -299,6 +320,7 @@ impl VliwProgram {
         if self.entry_func as usize >= self.functions.len() {
             return Err(CodeError::BadEntry);
         }
+        check_data_fits(self.data_words, m)?;
         for (fi, func) in self.functions.iter().enumerate() {
             if func.entry as usize >= self.bundles.len() {
                 return Err(CodeError::BadFuncEntry {

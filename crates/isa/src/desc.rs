@@ -517,6 +517,14 @@ mod tests {
         // Parses fine but has no mem/branch slot → MachineError via build.
         let e = parse_machine("machine \"x\" { registers 16 slot { alu } }").unwrap_err();
         assert!(e.message.contains("mem"));
+        // An I-cache with zero-byte lines, or of zero bytes, is no cache
+        // the simulator can model.
+        for icache in ["icache 8192 0 2 10", "icache 0 32 2 10"] {
+            let text =
+                format!("machine \"x\" {{ registers 16 slot {{ alu mem branch }} {icache} }}");
+            let e = parse_machine(&text).unwrap_err();
+            assert!(e.message.contains("I-cache"), "{icache}: {}", e.message);
+        }
     }
 
     #[test]

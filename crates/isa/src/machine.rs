@@ -186,6 +186,11 @@ pub enum MachineError {
     /// A scalar-target machine declared more issue slots than the in-order
     /// pipeline model supports (1..=2).
     ScalarTooWide(usize),
+    /// The machine declares zero register clusters.
+    NoClusters,
+    /// The instruction cache is not realizable: its line and total sizes
+    /// must be nonzero powers of two, with at least one line per way.
+    BadICache(ICacheConfig),
 }
 
 impl fmt::Display for MachineError {
@@ -228,6 +233,13 @@ impl fmt::Display for MachineError {
                     "scalar in-order pipelines issue at most 2 per cycle, but {w} slots given"
                 )
             }
+            MachineError::NoClusters => write!(f, "machine has no register clusters"),
+            MachineError::BadICache(c) => write!(
+                f,
+                "I-cache of {} B in {} B lines, {} ways: sizes must be nonzero powers \
+                 of two with at least one line per way",
+                c.size_bytes, c.line_bytes, c.ways
+            ),
         }
     }
 }
@@ -346,6 +358,9 @@ impl MachineDescription {
         if self.slots.is_empty() {
             return Err(MachineError::NoSlots);
         }
+        if self.clusters == 0 {
+            return Err(MachineError::NoClusters);
+        }
         if self.regs_per_cluster < 6 {
             return Err(MachineError::TooFewRegisters(self.regs_per_cluster));
         }
@@ -365,6 +380,15 @@ impl MachineDescription {
         ] {
             if lat == 0 {
                 return Err(MachineError::ZeroLatency(what));
+            }
+        }
+        if let Some(c) = self.icache {
+            // `is_power_of_two` is false for zero; zero ways model as one.
+            if !c.line_bytes.is_power_of_two()
+                || !c.size_bytes.is_power_of_two()
+                || c.size_bytes / c.line_bytes < c.ways.max(1)
+            {
+                return Err(MachineError::BadICache(c));
             }
         }
         if !self.custom_ops.is_empty() && !self.has_fu(FuKind::Custom) {

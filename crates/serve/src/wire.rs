@@ -37,8 +37,10 @@ pub const MAGIC: [u8; 8] = *b"ASIPSRV\0";
 /// `TierStats::tmp_reclaimed` to every stats-carrying payload; version 4
 /// dropped the prepared-engine counters from `CacheStats`; version 5
 /// retired kinds 1 and 18 (the `Stats` request and its reply), which now
-/// decode as [`ProtocolError::BadKind`].
-pub const WIRE_VERSION: u32 = 5;
+/// decode as [`ProtocolError::BadKind`]; version 6 added tag 5
+/// (`InvalidMachine`) to the `ToolchainError` inside an outcome. An
+/// `EvalRequest` still ends with its ISE budget as one `f64`.
+pub const WIRE_VERSION: u32 = 6;
 
 /// Upper bound on a frame payload (64 MiB). A declared length beyond this
 /// is rejected before any allocation — a garbage length field cannot make

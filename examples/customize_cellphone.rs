@@ -67,8 +67,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Verify the customized machine still runs the kernel correctly.
-    let compiled = tc.compile(&module, &custom_machine, Some(&profile))?;
-    let run = tc.run_compiled(w, &custom_machine, &compiled)?;
+    let compiled = tc.compile_for(&module, &custom_machine, Some(&profile))?;
+    let run = tc.run_artifact(w, &custom_machine, &compiled)?;
     println!(
         "\n{} on {}: {} cycles (golden output verified)",
         w.name, custom_machine.name, run.sim.cycles

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example isa_drift`
 
-use asip::core::Session;
+use asip::core::{CompiledArtifact, Session};
 use asip::dbt::{CodeCache, TRANSLATION_CYCLES_PER_OP};
 use asip::isa::MachineDescription;
 use asip::sim::Simulator;
@@ -18,7 +18,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let a = MachineDescription::ember4();
     let module = tc.frontend(&w.source)?;
     let profile = tc.profile(&module, &w.inputs, &w.args)?;
-    let binary = tc.compile(&module, &a, Some(&profile))?.program;
+    let CompiledArtifact::Vliw(binary) = tc.compile_for(&module, &a, Some(&profile))? else {
+        unreachable!("ember4 is a VLIW member");
+    };
+    let binary = binary.program;
 
     // Years later the product line has drifted: narrower issue, slower
     // memory, denser encoding. Old binaries must still run (Barrier 1).
@@ -53,7 +56,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let native_a = run(&a, &binary)?;
     let on_b = run(&b, &translated)?;
-    let recompiled = run(&b, &tc.compile(&module, &b, Some(&profile))?.program)?;
+    let CompiledArtifact::Vliw(native_b) = tc.compile_for(&module, &b, Some(&profile))? else {
+        unreachable!("a derivative of ember4 is a VLIW member");
+    };
+    let recompiled = run(&b, &native_b.program)?;
 
     let xlat = stats.ops_in as u64 * TRANSLATION_CYCLES_PER_OP;
     println!("native on ember4:        {native_a} cycles");

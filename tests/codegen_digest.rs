@@ -11,6 +11,10 @@
 //! extended machine and the `IseReport` at budgets 8, 16 and 32 on the same
 //! 16-register machines, so a faster search must select and rewrite exactly
 //! as before.
+//!
+//! A third digest pins the optimizer: the `Toolchain::frontend` module of
+//! every kernel, so a mid-end change that leaves codegen alone still has
+//! to keep its output or record a new constant.
 
 use asip::core::ise::{extend, IseConfig};
 use asip::core::Toolchain;
@@ -24,6 +28,8 @@ const ISE_DIGEST: u64 = 0xb52c_bacf_7a1a_2182;
 /// Digest of `extend`'s outputs (module, machine, report) on the
 /// 16-register machines at budgets 8, 16 and 32, kernel-major.
 const EXTEND_DIGEST: u64 = 0xdbb7_24c4_f632_8d28;
+/// Digest of the 18 optimized modules, kernel-major.
+const FRONTEND_DIGEST: u64 = 0x1b24_5a8c_7617_1af1;
 
 /// Incremental 64-bit FNV-1a.
 struct Fnv(u64);
@@ -119,6 +125,21 @@ fn ise_extend_outputs_are_byte_identical_to_the_recorded_digest() {
     assert_eq!(
         digest.0, EXTEND_DIGEST,
         "extend's outputs changed: {:016x}",
+        digest.0
+    );
+}
+
+#[test]
+fn optimized_modules_are_byte_identical_to_the_recorded_digest() {
+    let tc = Toolchain::default();
+    let mut digest = Fnv::new();
+    for w in asip::workloads::all() {
+        let module = tc.frontend(&w.source).expect("frontend");
+        digest.write(&module.encode_to_vec());
+    }
+    assert_eq!(
+        digest.0, FRONTEND_DIGEST,
+        "the optimizer's output changed: {:016x}",
         digest.0
     );
 }

@@ -1,13 +1,15 @@
 //! Property-based tests over the toolchain's core invariants.
 
 use asip::backend::{compile_module, BackendOptions};
+use asip::core::{EvalRequest, Session};
 use asip::ir::interp::run_module;
 use asip::ir::passes::{optimize, OptConfig};
 use asip::isa::custom::{CustomOpDef, PatNode, PatRef};
 use asip::isa::encoding::{decode_op, encode_op};
-use asip::isa::{MachineDescription, MachineOp, Opcode, Operand, Reg};
+use asip::isa::{ICacheConfig, MachineDescription, MachineOp, Opcode, Operand, Reg};
 use asip::sim::run_program;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn arb_opcode() -> impl Strategy<Value = Opcode> {
     prop::sample::select(vec![
@@ -146,4 +148,61 @@ proptest! {
         let back = asip::isa::desc::parse_machine(&text).unwrap();
         prop_assert!(asip::isa::desc::same_architecture(&m, &back));
     }
+
+    /// Any machine table evaluates to a result or a typed error, never a
+    /// panic, and a table `validate()` rejects never evaluates: the
+    /// cluster count, data memory and I-cache geometry vary on a VLIW, a
+    /// scalar and a clustered preset, with and without an ISE budget.
+    #[test]
+    fn machine_tables_evaluate_or_fail_typed(
+        base in prop::sample::select(vec![
+            MachineDescription::ember4(),
+            MachineDescription::scalar2(),
+            MachineDescription::ember4x2(),
+        ]),
+        clusters in prop::sample::select(vec![0u8, 1, 2, 3, 5]),
+        dmem_words in prop::sample::select(vec![0u32, 16, 4096, 1 << 20]),
+        icache in arb_icache(),
+        ise_budget in prop::sample::select(vec![0.0, 16.0]),
+    ) {
+        let mut m = base;
+        m.clusters = clusters;
+        m.dmem_words = dmem_words;
+        m.icache = icache;
+        let crc = asip::workloads::by_name("crc32").unwrap();
+        let req = EvalRequest::new(crc, m.clone()).with_ise(ise_budget);
+        let out = shared_session().eval(&req);
+        if let Err(reason) = m.validate() {
+            let err = out.result.expect_err("a table validate() rejects never evaluates");
+            prop_assert!(err.to_string().contains(&reason.to_string()), "{err}");
+        }
+    }
+}
+
+/// I-cache geometries: none, the default, and six that are not
+/// realizable (a zero or non-power-of-two size, fewer lines than ways).
+fn arb_icache() -> impl Strategy<Value = Option<ICacheConfig>> {
+    let geometry = |size_bytes, line_bytes, ways| {
+        Some(ICacheConfig {
+            size_bytes,
+            line_bytes,
+            ways,
+            miss_penalty: 10,
+        })
+    };
+    prop::sample::select(vec![
+        None,
+        geometry(8192, 32, 2),
+        geometry(8192, 0, 2),
+        geometry(0, 32, 2),
+        geometry(8192, 24, 2),
+        geometry(3000, 32, 2),
+        geometry(32, 32, 2),
+    ])
+}
+
+/// One session for every case, so the front half runs once.
+fn shared_session() -> &'static Session {
+    static SESSION: OnceLock<Session> = OnceLock::new();
+    SESSION.get_or_init(|| Session::builder().threads(1).build())
 }
