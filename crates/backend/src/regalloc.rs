@@ -10,7 +10,8 @@
 
 use crate::cluster::Homes;
 use crate::lir::{FrameRef, LFunc, LImm, LOp, LVal, RETV};
-use crate::sched::{effective_defs, effective_reads, for_each_bit, Liveness, ScheduledFunc, EMPTY};
+use crate::sched::{effective_defs, effective_reads, Liveness, ScheduledFunc, EMPTY};
+use asip_ir::bitset::for_each_bit;
 use asip_ir::inst::VReg;
 use asip_isa::{MachineDescription, Opcode, Reg};
 use std::fmt;

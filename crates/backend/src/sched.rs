@@ -9,6 +9,7 @@
 
 use crate::cluster::Homes;
 use crate::lir::{LBlock, LFunc, LOp, LTarget, MemKey, RETV};
+use asip_ir::bitset::{self, has_bit, set_bit, union_into};
 use asip_ir::inst::VReg;
 use asip_isa::{FuKind, MachineDescription, Opcode};
 use std::fmt;
@@ -116,27 +117,6 @@ fn dense(v: VReg, num_vregs: u32) -> usize {
     }
 }
 
-#[inline]
-fn has_bit(set: &[u64], i: usize) -> bool {
-    set[i / 64] >> (i % 64) & 1 != 0
-}
-
-#[inline]
-fn set_bit(set: &mut [u64], i: usize) {
-    set[i / 64] |= 1 << (i % 64);
-}
-
-/// Call `f` with the index of every set bit, in increasing order.
-pub(crate) fn for_each_bit(set: &[u64], mut f: impl FnMut(usize)) {
-    for (w, &word) in set.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            f(w * 64 + bits.trailing_zeros() as usize);
-            bits &= bits - 1;
-        }
-    }
-}
-
 /// Per-block live-in sets over a function's LIR virtual registers ([`RETV`]
 /// included), as one bitset row per block over [`dense`] indices, plus the
 /// branch-successor lists the fixpoint ran over.
@@ -189,9 +169,7 @@ impl Liveness {
     pub(crate) fn live_out_into(&self, b: usize, out: &mut [u64]) {
         out.fill(0);
         for &s in self.successors(b) {
-            for (o, &l) in out.iter_mut().zip(self.live_in(s as usize)) {
-                *o |= l;
-            }
+            union_into(out, self.live_in(s as usize));
         }
     }
 }
@@ -200,7 +178,7 @@ impl Liveness {
 pub(crate) fn lir_liveness(f: &LFunc) -> Liveness {
     let n = f.blocks.len();
     let nv = f.num_vregs;
-    let words = (nv as usize + 1).div_ceil(64);
+    let words = bitset::words(nv as usize + 1);
     let mut uses = vec![0u64; n * words];
     let mut defs = vec![0u64; n * words];
     let mut succ_start = Vec::with_capacity(n + 1);

@@ -884,6 +884,30 @@ mod tests {
     }
 
     #[test]
+    fn unverifiable_module_in_a_tier_degrades_to_recompute() {
+        // A verified disk container holding a well-formed module encoding
+        // that names a register at `num_vregs`: tables sized by
+        // `num_vregs` must never see it.
+        let dir = tmp_dir("unverifiable");
+        let mut bad = module("void main(int a) { emit(a); }");
+        bad.funcs[0].num_vregs = 0;
+        assert!(asip_ir::func::verify(&bad).is_err());
+        DiskStore::open(DiskTierConfig::new(&dir)).store(
+            StageKind::Parse,
+            b"k",
+            &bad.encode_to_vec(),
+        );
+        let cache = with_disk(&dir);
+        let m = module("void main(int a) { emit(a); }");
+        let back = store(&cache, "k", &m).unwrap();
+        assert_eq!(back, m, "an unverifiable module must recompute");
+        let s = cache.stats();
+        assert_eq!(s.parse.misses, 1, "{s}");
+        assert_eq!(s.disk.stale_drops, 1, "{s}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn key_hash_covers_length_and_seed() {
         // Zero-padded tails and empty keys must not collide.
         let keys: [&[u8]; 5] = [b"", b"\0", b"a", b"a\0", b"abcdefgh\0"];

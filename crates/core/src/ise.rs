@@ -16,6 +16,7 @@
 //! datapath shape is turned into a definition once, however many instances
 //! it has.
 
+use asip_ir::bitset::{self, has_bit, set_bit, union_into};
 use asip_ir::inst::{BlockId, FuncId, Inst, VReg, Val};
 use asip_ir::interp::Profile;
 use asip_ir::{Block, Module};
@@ -402,11 +403,7 @@ impl Dfg {
                     }
                     define(reaching, op.dst, i);
                 }
-                None => {
-                    for d in inst.defs() {
-                        define(reaching, d, i);
-                    }
-                }
+                None => inst.for_each_def(|d| define(reaching, d, i)),
             }
             def_of_use.push(slots);
         }
@@ -439,7 +436,7 @@ impl Dfg {
             })
             .collect();
 
-        let words = n.div_ceil(64);
+        let words = bitset::words(n);
         let mut ancestors = vec![0u64; n * words];
         for (i, slots) in def_of_use.iter().enumerate() {
             for d in slots.iter().flatten() {
@@ -447,10 +444,8 @@ impl Dfg {
                 // d < i: a reaching definition precedes its use.
                 let (done, row) = ancestors.split_at_mut(i * words);
                 let row = &mut row[..words];
-                for (w, a) in row.iter_mut().zip(&done[d * words..(d + 1) * words]) {
-                    *w |= a;
-                }
-                row[d / 64] |= 1 << (d % 64);
+                union_into(row, &done[d * words..(d + 1) * words]);
+                set_bit(row, d);
             }
         }
 
@@ -470,8 +465,8 @@ impl Dfg {
     }
 
     fn is_ancestor(&self, a: u16, of: u16) -> bool {
-        let a = a as usize;
-        self.ancestors[of as usize * self.words + a / 64] >> (a % 64) & 1 != 0
+        let row = of as usize * self.words;
+        has_bit(&self.ancestors[row..row + self.words], a as usize)
     }
 
     /// The datapath of a node set, or `None` when the set breaks a
@@ -681,9 +676,10 @@ fn rewrite_instance(
         if set.contains(j as u16) {
             continue;
         }
-        if other.defs().into_iter().any(|d| reads(d) || writes(d))
-            || other.uses().into_iter().any(writes)
-        {
+        let mut conflict = false;
+        other.for_each_def(|d| conflict |= reads(d) || writes(d));
+        other.for_each_use(|u| conflict |= writes(u));
+        if conflict {
             return false;
         }
     }

@@ -755,6 +755,29 @@ mod tests {
     }
 
     #[test]
+    fn unmodelable_icache_at_simulate_is_a_typed_error() {
+        // An artifact run on a table it was not compiled for: Compile's
+        // machine gate never saw this I-cache, the program validators do.
+        let tc = Toolchain::default();
+        let w = asip_workloads::by_name("fir").unwrap();
+        let m = MachineDescription::ember4();
+        let module = tc.frontend(&w.source).unwrap();
+        let art = tc.compile_for(&module, &m, None).unwrap();
+        let mut bad = m.clone();
+        let c = asip_isa::ICacheConfig {
+            line_bytes: 0,
+            ..bad.icache.unwrap_or_default()
+        };
+        bad.icache = Some(c);
+        let rule = asip_isa::MachineError::BadICache(c).to_string();
+        assert_eq!(bad.validate(), Err(asip_isa::MachineError::BadICache(c)));
+        match tc.run_artifact(&w, &bad, &art) {
+            Err(ToolchainError::Sim(SimError::InvalidProgram(msg))) => assert_eq!(msg, rule),
+            other => panic!("expected InvalidProgram({rule:?}), got {other:?}"),
+        }
+    }
+
+    #[test]
     fn wrong_expected_detected() {
         let tc = Toolchain::default();
         let mut w = asip_workloads::by_name("crc32").unwrap();

@@ -1,17 +1,24 @@
 //! Control-flow analyses: predecessors, orderings, dominators, natural loops.
 
 use crate::func::Function;
-use crate::inst::BlockId;
+use crate::inst::{BlockId, Terminator};
 
 /// Predecessor lists for every block.
 pub fn predecessors(f: &Function) -> Vec<Vec<BlockId>> {
     let mut preds = vec![Vec::new(); f.blocks.len()];
     for (id, b) in f.iter_blocks() {
-        for s in b.term.successors() {
-            preds[s.0 as usize].push(id);
-        }
+        b.term.for_each_successor(|s| preds[s.0 as usize].push(id));
     }
     preds
+}
+
+/// Successor `i` of a terminator, in branch order.
+fn successor(term: &Terminator, i: usize) -> Option<BlockId> {
+    match (term, i) {
+        (Terminator::Jump(b), 0) | (Terminator::Branch { t: b, .. }, 0) => Some(*b),
+        (Terminator::Branch { f: b, .. }, 1) => Some(*b),
+        _ => None,
+    }
 }
 
 /// Reverse postorder over reachable blocks, starting at the entry.
@@ -23,9 +30,7 @@ pub fn reverse_postorder(f: &Function) -> Vec<BlockId> {
     let mut stack: Vec<(BlockId, usize)> = vec![(f.entry, 0)];
     visited[f.entry.0 as usize] = true;
     while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-        let succs = f.block(b).term.successors();
-        if *i < succs.len() {
-            let s = succs[*i];
+        if let Some(s) = successor(&f.block(b).term, *i) {
             *i += 1;
             if !visited[s.0 as usize] {
                 visited[s.0 as usize] = true;
@@ -138,34 +143,35 @@ pub fn natural_loops(f: &Function) -> Vec<NaturalLoop> {
     let reach = reachable(f);
     let preds = predecessors(f);
     let mut loops = Vec::new();
+    let mut in_body = vec![false; f.blocks.len()];
     for (id, b) in f.iter_blocks() {
         if !reach[id.0 as usize] {
             continue;
         }
-        for s in b.term.successors() {
+        b.term.for_each_successor(|s| {
             // Back edge: successor dominates the source.
-            if dominates(&idom, s, id) {
-                // Collect the loop body by walking predecessors from the latch.
-                let header = s;
-                let latch = id;
-                let mut body = vec![header];
-                let mut stack = vec![latch];
-                while let Some(x) = stack.pop() {
-                    if body.contains(&x) {
-                        continue;
-                    }
-                    body.push(x);
-                    for &p in &preds[x.0 as usize] {
-                        stack.push(p);
-                    }
-                }
-                loops.push(NaturalLoop {
-                    header,
-                    latch,
-                    blocks: body,
-                });
+            if !dominates(&idom, s, id) {
+                return;
             }
-        }
+            // Collect the loop body by walking predecessors from the latch.
+            let (header, latch) = (s, id);
+            in_body.fill(false);
+            in_body[header.0 as usize] = true;
+            let mut body = vec![header];
+            let mut stack = vec![latch];
+            while let Some(x) = stack.pop() {
+                if std::mem::replace(&mut in_body[x.0 as usize], true) {
+                    continue;
+                }
+                body.push(x);
+                stack.extend_from_slice(&preds[x.0 as usize]);
+            }
+            loops.push(NaturalLoop {
+                header,
+                latch,
+                blocks: body,
+            });
+        });
     }
     // Deterministic order: by header, then latch.
     loops.sort_by_key(|l| (l.header, l.latch));

@@ -8,9 +8,11 @@
 //! only non-mechanical choice here is [`Profile`]: its backing `HashMap`
 //! iterates in arbitrary order, so entries are encoded **sorted by function
 //! id** — equal profiles always encode to identical bytes, which the cache
-//! relies on for deterministic write-through.
+//! relies on for deterministic write-through. A [`Module`] decode also
+//! runs [`verify`], so every decoded module meets the index invariants its
+//! users rely on.
 
-use crate::func::{Block, Function, GlobalData, LocalData, Module};
+use crate::func::{verify, Block, Function, GlobalData, LocalData, Module};
 use crate::inst::{
     Addr, AddrBase, BlockId, FuncId, GlobalId, Inst, LocalSlot, Terminator, VReg, Val,
 };
@@ -331,12 +333,21 @@ impl Codec for Module {
         self.custom_ops.encode(w);
     }
 
+    /// Decoding verifies: the analyses, the passes and the interpreter
+    /// index tables by register, block, global and function number, so a
+    /// well-formed encoding of a module that [`verify`] rejects is a
+    /// [`CodecError::Invalid`], never a value.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Module {
+        let module = Module {
             funcs: Vec::decode(r)?,
             globals: Vec::decode(r)?,
             custom_ops: Vec::decode(r)?,
-        })
+        };
+        verify(&module).map_err(|e| CodecError::Invalid {
+            what: "Module",
+            reason: e.to_string(),
+        })?;
+        Ok(module)
     }
 }
 
@@ -608,6 +619,22 @@ mod tests {
             Terminator::Ret(Some(Val::Imm(-1))),
         ];
         roundtrip(&terms);
+    }
+
+    #[test]
+    fn a_module_that_fails_verify_does_not_decode() {
+        let mut f = Function::new("main", 0, false);
+        f.blocks[0].insts.push(Inst::Emit {
+            val: Val::Reg(VReg(0)), // num_vregs is 0
+        });
+        let m = Module {
+            funcs: vec![f],
+            ..Module::default()
+        };
+        assert!(matches!(
+            Module::decode_all(&m.encode_to_vec()),
+            Err(CodecError::Invalid { what: "Module", .. })
+        ));
     }
 
     #[test]

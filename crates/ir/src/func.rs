@@ -2,6 +2,7 @@
 
 use crate::inst::{AddrBase, BlockId, FuncId, GlobalId, Inst, LocalSlot, Terminator, VReg};
 use asip_isa::CustomOpDef;
+use std::cell::Cell;
 use std::fmt;
 
 /// A basic block: straight-line instructions plus one terminator.
@@ -250,32 +251,40 @@ pub fn verify(module: &Module) -> Result<(), VerifyError> {
             });
         }
         for (bi, block) in func.iter_blocks() {
-            for succ in block.term.successors() {
+            let mut bad_succ = None;
+            block.term.for_each_successor(|succ| {
                 if succ.0 as usize >= func.blocks.len() {
-                    return Err(VerifyError::BadBlockRef {
-                        func: func.name.clone(),
-                        from: bi,
-                        to: succ,
-                    });
+                    bad_succ.get_or_insert(succ);
                 }
+            });
+            if let Some(to) = bad_succ {
+                return Err(VerifyError::BadBlockRef {
+                    func: func.name.clone(),
+                    from: bi,
+                    to,
+                });
             }
-            let check_vreg = |v: VReg| -> Result<(), VerifyError> {
-                if v.0 >= func.num_vregs {
-                    Err(VerifyError::BadVReg {
-                        func: func.name.clone(),
-                        block: bi,
-                        vreg: v,
-                    })
-                } else {
-                    Ok(())
+            // The first register at or above `num_vregs`, in operand order.
+            let bad_vreg = Cell::new(None);
+            let check_vreg = |v: VReg| {
+                if v.0 >= func.num_vregs && bad_vreg.get().is_none() {
+                    bad_vreg.set(Some(v));
                 }
             };
-            for r in block.term.uses() {
-                check_vreg(r)?;
+            let bad_vreg_err = |vreg: VReg| VerifyError::BadVReg {
+                func: func.name.clone(),
+                block: bi,
+                vreg,
+            };
+            block.term.for_each_use(check_vreg);
+            if let Some(v) = bad_vreg.get() {
+                return Err(bad_vreg_err(v));
             }
             for inst in &block.insts {
-                for r in inst.uses().into_iter().chain(inst.defs()) {
-                    check_vreg(r)?;
+                inst.for_each_use(check_vreg);
+                inst.for_each_def(check_vreg);
+                if let Some(v) = bad_vreg.get() {
+                    return Err(bad_vreg_err(v));
                 }
                 let check_addr = |base: AddrBase| -> Result<(), VerifyError> {
                     match base {

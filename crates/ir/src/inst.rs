@@ -257,92 +257,93 @@ pub enum Inst {
 }
 
 impl Inst {
-    /// The registers this instruction defines.
-    pub fn defs(&self) -> Vec<VReg> {
+    /// Call `f` with every register this instruction defines, in operand
+    /// order.
+    #[inline]
+    pub fn for_each_def(&self, mut f: impl FnMut(VReg)) {
         match self {
             Inst::Bin { dst, .. }
             | Inst::Un { dst, .. }
             | Inst::Select { dst, .. }
             | Inst::Lea { dst, .. }
-            | Inst::Load { dst, .. } => vec![*dst],
-            Inst::Call { dst, .. } => dst.iter().copied().collect(),
-            Inst::Custom { dsts, .. } => dsts.clone(),
-            Inst::Store { .. } | Inst::Emit { .. } => vec![],
+            | Inst::Load { dst, .. } => f(*dst),
+            Inst::Call { dst, .. } => dst.iter().copied().for_each(f),
+            Inst::Custom { dsts, .. } => dsts.iter().copied().for_each(f),
+            Inst::Store { .. } | Inst::Emit { .. } => {}
         }
     }
 
-    /// The registers this instruction reads.
-    pub fn uses(&self) -> Vec<VReg> {
-        fn add(out: &mut Vec<VReg>, v: &Val) {
+    /// Call `f` with every register this instruction reads, in operand
+    /// order (a register read twice is visited twice).
+    #[inline]
+    pub fn for_each_use(&self, mut f: impl FnMut(VReg)) {
+        let mut val = |v: &Val| {
             if let Val::Reg(r) = v {
-                out.push(*r);
-            }
-        }
-        fn add_addr(out: &mut Vec<VReg>, a: &Addr) {
-            if let AddrBase::Reg(r) = a.base {
-                out.push(r);
-            }
-        }
-        let mut out = Vec::new();
-        match self {
-            Inst::Bin { a, b, .. } => {
-                add(&mut out, a);
-                add(&mut out, b);
-            }
-            Inst::Un { a, .. } => add(&mut out, a),
-            Inst::Select { c, a, b, .. } => {
-                add(&mut out, c);
-                add(&mut out, a);
-                add(&mut out, b);
-            }
-            Inst::Lea { addr, .. } => add_addr(&mut out, addr),
-            Inst::Load { addr, .. } => add_addr(&mut out, addr),
-            Inst::Store { val, addr } => {
-                add(&mut out, val);
-                add_addr(&mut out, addr);
-            }
-            Inst::Call { args, .. } => args.iter().for_each(|v| add(&mut out, v)),
-            Inst::Custom { args, .. } => args.iter().for_each(|v| add(&mut out, v)),
-            Inst::Emit { val } => add(&mut out, val),
-        }
-        out
-    }
-
-    /// Rewrite every use of a register through `f`.
-    pub fn map_uses<F: FnMut(VReg) -> Val>(&mut self, mut f: F) {
-        let map_val = |v: &mut Val, f: &mut F| {
-            if let Val::Reg(r) = *v {
-                *v = f(r);
+                f(*r);
             }
         };
-        // Address bases must stay registers; map only reg→reg, keep reg on imm.
-        let map_addr = |a: &mut Addr, f: &mut F| {
-            if let AddrBase::Reg(r) = a.base {
-                match f(r) {
-                    Val::Reg(nr) => a.base = AddrBase::Reg(nr),
-                    Val::Imm(_) => {} // cannot fold an immediate base here
+        match self {
+            Inst::Bin { a, b, .. } => {
+                val(a);
+                val(b);
+            }
+            Inst::Un { a, .. } => val(a),
+            Inst::Select { c, a, b, .. } => {
+                val(c);
+                val(a);
+                val(b);
+            }
+            Inst::Lea { addr, .. } | Inst::Load { addr, .. } => {
+                if let AddrBase::Reg(r) = addr.base {
+                    f(r);
                 }
             }
-        };
-        match self {
-            Inst::Bin { a, b, .. } => {
-                map_val(a, &mut f);
-                map_val(b, &mut f);
+            Inst::Store { val: v, addr } => {
+                val(v);
+                if let AddrBase::Reg(r) = addr.base {
+                    f(r);
+                }
             }
+            Inst::Call { args, .. } | Inst::Custom { args, .. } => args.iter().for_each(val),
+            Inst::Emit { val: v } => val(v),
+        }
+    }
+
+    /// Rewrite every use of a register through `f`. Returns whether any
+    /// operand changed.
+    pub fn map_uses<F: FnMut(VReg) -> Val>(&mut self, mut f: F) -> bool {
+        let map_val = |v: &mut Val, f: &mut F| match *v {
+            Val::Reg(r) => {
+                let new = f(r);
+                let changed = new != *v;
+                *v = new;
+                changed
+            }
+            Val::Imm(_) => false,
+        };
+        // Address bases must stay registers; map only reg→reg, keep reg on imm.
+        let map_addr = |a: &mut Addr, f: &mut F| match a.base {
+            AddrBase::Reg(r) => match f(r) {
+                Val::Reg(nr) => {
+                    a.base = AddrBase::Reg(nr);
+                    nr != r
+                }
+                Val::Imm(_) => false, // cannot fold an immediate base here
+            },
+            AddrBase::Global(_) | AddrBase::Local(_) => false,
+        };
+        // `|`, not `||`: every operand is visited, in operand order.
+        match self {
+            Inst::Bin { a, b, .. } => map_val(a, &mut f) | map_val(b, &mut f),
             Inst::Un { a, .. } => map_val(a, &mut f),
             Inst::Select { c, a, b, .. } => {
-                map_val(c, &mut f);
-                map_val(a, &mut f);
-                map_val(b, &mut f);
+                map_val(c, &mut f) | map_val(a, &mut f) | map_val(b, &mut f)
             }
-            Inst::Lea { addr, .. } => map_addr(addr, &mut f),
-            Inst::Load { addr, .. } => map_addr(addr, &mut f),
-            Inst::Store { val, addr } => {
-                map_val(val, &mut f);
-                map_addr(addr, &mut f);
-            }
-            Inst::Call { args, .. } => args.iter_mut().for_each(|v| map_val(v, &mut f)),
-            Inst::Custom { args, .. } => args.iter_mut().for_each(|v| map_val(v, &mut f)),
+            Inst::Lea { addr, .. } | Inst::Load { addr, .. } => map_addr(addr, &mut f),
+            Inst::Store { val, addr } => map_val(val, &mut f) | map_addr(addr, &mut f),
+            Inst::Call { args, .. } | Inst::Custom { args, .. } => args
+                .iter_mut()
+                .fold(false, |changed, v| map_val(v, &mut f) | changed),
             Inst::Emit { val } => map_val(val, &mut f),
         }
     }
@@ -453,21 +454,25 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Successor blocks, in branch order.
-    pub fn successors(&self) -> Vec<BlockId> {
+    /// Call `f` with each successor block, in branch order.
+    #[inline]
+    pub fn for_each_successor(&self, mut f: impl FnMut(BlockId)) {
         match self {
-            Terminator::Jump(b) => vec![*b],
-            Terminator::Branch { t, f, .. } => vec![*t, *f],
-            Terminator::Ret(_) => vec![],
+            Terminator::Jump(b) => f(*b),
+            Terminator::Branch { t, f: fb, .. } => {
+                f(*t);
+                f(*fb);
+            }
+            Terminator::Ret(_) => {}
         }
     }
 
-    /// Registers read by the terminator.
-    pub fn uses(&self) -> Vec<VReg> {
+    /// Call `f` with the register the terminator reads, if any.
+    #[inline]
+    pub fn for_each_use(&self, mut f: impl FnMut(VReg)) {
         match self {
-            Terminator::Branch { c: Val::Reg(r), .. } => vec![*r],
-            Terminator::Ret(Some(Val::Reg(r))) => vec![*r],
-            _ => vec![],
+            Terminator::Branch { c: Val::Reg(r), .. } | Terminator::Ret(Some(Val::Reg(r))) => f(*r),
+            _ => {}
         }
     }
 
@@ -499,6 +504,18 @@ impl fmt::Display for Terminator {
 mod tests {
     use super::*;
 
+    fn defs(i: &Inst) -> Vec<VReg> {
+        let mut out = Vec::new();
+        i.for_each_def(|d| out.push(d));
+        out
+    }
+
+    fn uses(i: &Inst) -> Vec<VReg> {
+        let mut out = Vec::new();
+        i.for_each_use(|u| out.push(u));
+        out
+    }
+
     #[test]
     fn defs_and_uses() {
         let i = Inst::Bin {
@@ -507,15 +524,23 @@ mod tests {
             a: Val::Reg(VReg(1)),
             b: Val::Imm(4),
         };
-        assert_eq!(i.defs(), vec![VReg(3)]);
-        assert_eq!(i.uses(), vec![VReg(1)]);
+        assert_eq!(defs(&i), vec![VReg(3)]);
+        assert_eq!(uses(&i), vec![VReg(1)]);
 
         let s = Inst::Store {
             val: Val::Reg(VReg(2)),
             addr: Addr::reg(VReg(5)),
         };
-        assert!(s.defs().is_empty());
-        assert_eq!(s.uses(), vec![VReg(2), VReg(5)]);
+        assert!(defs(&s).is_empty());
+        assert_eq!(uses(&s), vec![VReg(2), VReg(5)]);
+
+        let c = Inst::Custom {
+            id: 0,
+            dsts: vec![VReg(7), VReg(8)],
+            args: vec![Val::Reg(VReg(1)), Val::Imm(2), Val::Reg(VReg(1))],
+        };
+        assert_eq!(defs(&c), vec![VReg(7), VReg(8)]);
+        assert_eq!(uses(&c), vec![VReg(1), VReg(1)]);
     }
 
     #[test]
@@ -580,17 +605,28 @@ mod tests {
             a: Val::Reg(VReg(1)),
             b: Val::Reg(VReg(2)),
         };
-        i.map_uses(|r| {
+        let to_seven = |r| {
             if r == VReg(1) {
                 Val::Imm(7)
             } else {
                 Val::Reg(r)
             }
-        });
-        assert_eq!(i.uses(), vec![VReg(2)]);
+        };
+        assert!(i.map_uses(to_seven));
+        assert_eq!(uses(&i), vec![VReg(2)]);
         if let Inst::Bin { a, .. } = &i {
             assert_eq!(*a, Val::Imm(7));
         }
+        assert!(!i.map_uses(to_seven), "nothing left to rewrite");
+
+        // An address base cannot take an immediate: no change to report.
+        let mut load = Inst::Load {
+            dst: VReg(3),
+            addr: Addr::reg(VReg(1)),
+        };
+        assert!(!load.map_uses(to_seven));
+        assert!(load.map_uses(|_| Val::Reg(VReg(4))));
+        assert_eq!(uses(&load), vec![VReg(4)]);
     }
 
     #[test]
@@ -600,9 +636,13 @@ mod tests {
             t: BlockId(1),
             f: BlockId(2),
         };
-        assert_eq!(t.successors(), vec![BlockId(1), BlockId(2)]);
-        assert_eq!(t.uses(), vec![VReg(0)]);
-        assert!(Terminator::Ret(None).successors().is_empty());
+        let mut succs = Vec::new();
+        t.for_each_successor(|s| succs.push(s));
+        assert_eq!(succs, vec![BlockId(1), BlockId(2)]);
+        let mut used = Vec::new();
+        t.for_each_use(|r| used.push(r));
+        assert_eq!(used, vec![VReg(0)]);
+        Terminator::Ret(None).for_each_successor(|s| panic!("ret has no successor {s}"));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //!
 //! * IR types and structural verification ([`inst`], [`func`]);
 //! * CFG analyses: predecessors, reverse postorder, dominators, natural
-//!   loops ([`cfg`](mod@cfg)) and dataflow liveness ([`liveness`]);
+//!   loops ([`cfg`](mod@cfg)) and dataflow liveness ([`liveness`]) over
+//!   the word bitsets of [`bitset`];
 //! * a reference **interpreter** that doubles as golden model and profiler
 //!   ([`interp`]);
 //! * the classic ILP **optimization pipeline**: constant folding, local
@@ -45,6 +46,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bitset;
 pub mod cfg;
 pub mod codec;
 pub mod func;

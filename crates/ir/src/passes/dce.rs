@@ -1,50 +1,60 @@
 //! Dead-code elimination driven by global liveness.
 
+use crate::bitset::{clear_bit, has_bit, set_bit};
 use crate::func::Function;
 use crate::liveness::liveness;
-use std::collections::BTreeSet;
 
 /// Remove instructions whose results are never used. Returns whether
 /// anything changed.
 pub fn run(f: &mut Function) -> bool {
     let mut changed = false;
-    // Iterate: removing an inst can kill the uses feeding it.
+    let mut live_now = Vec::new();
+    let mut keep = Vec::new();
+    // Iterate: removing an inst can kill the uses feeding it. One liveness
+    // serves a whole round; each block's backward scan already sees the
+    // removals below it in the same block.
     loop {
         let live = liveness(f);
         let mut removed = false;
+        // Whether a removed instruction read a register. Removing only
+        // readers of nothing (constant moves, global addresses) leaves
+        // every live set as it was, so a further round would find nothing.
+        let mut removed_a_read = false;
         for (bi, block) in f.blocks.iter_mut().enumerate() {
-            let mut live_now: BTreeSet<_> = live.live_out[bi].clone();
-            for r in block.term.uses() {
-                live_now.insert(r);
-            }
-            // Backward scan, collecting indices to drop.
-            let mut keep = vec![true; block.insts.len()];
+            live_now.clear();
+            live_now.extend_from_slice(live.live_out(bi));
+            block
+                .term
+                .for_each_use(|r| set_bit(&mut live_now, r.0 as usize));
+            // Backward scan, marking the instructions to drop.
+            keep.clear();
+            keep.resize(block.insts.len(), true);
+            let mut block_removed = false;
             for (i, inst) in block.insts.iter().enumerate().rev() {
-                let defs = inst.defs();
-                let dead = !defs.is_empty()
-                    && defs.iter().all(|d| !live_now.contains(d))
-                    && inst.is_removable_if_dead();
-                if dead {
+                let (mut defines, mut any_live) = (false, false);
+                inst.for_each_def(|d| {
+                    defines = true;
+                    any_live |= has_bit(&live_now, d.0 as usize);
+                });
+                if defines && !any_live && inst.is_removable_if_dead() {
                     keep[i] = false;
-                    removed = true;
+                    block_removed = true;
+                    inst.for_each_use(|_| removed_a_read = true);
                 } else {
-                    for d in defs {
-                        live_now.remove(&d);
-                    }
-                    for u in inst.uses() {
-                        live_now.insert(u);
-                    }
+                    inst.for_each_def(|d| clear_bit(&mut live_now, d.0 as usize));
+                    inst.for_each_use(|u| set_bit(&mut live_now, u.0 as usize));
                 }
             }
-            if removed {
+            if block_removed {
                 let mut it = keep.iter();
                 block
                     .insts
                     .retain(|_| *it.next().expect("keep mask aligned"));
             }
+            removed |= block_removed;
         }
         changed |= removed;
-        if !removed {
+        if !removed_a_read {
             break;
         }
     }

@@ -31,7 +31,6 @@ pub fn run(f: &mut Function) -> bool {
 /// Find and convert one hammock; returns true if a conversion happened.
 fn convert_one(f: &mut Function) -> bool {
     let preds = predecessors(f);
-    let live = liveness(f);
     for bi in 0..f.blocks.len() {
         let (c, t, fl) = match f.blocks[bi].term {
             Terminator::Branch { c, t, f: fl } if t != fl => (c, t, fl),
@@ -58,18 +57,18 @@ fn convert_one(f: &mut Function) -> bool {
             let jt = jump_target(t, f);
             let jf = jump_target(fl, f);
             if jt == jf && jt != t && jt != fl {
-                convert(f, b, c, Some(t), Some(fl), jt, &live);
+                convert(f, b, c, Some(t), Some(fl), jt);
                 return true;
             }
         }
         // Triangle: b -> t, f; t -> f (then-side only).
         if side_ok(t, f, &preds) && jump_target(t, f) == fl && fl != t {
-            convert(f, b, c, Some(t), None, fl, &live);
+            convert(f, b, c, Some(t), None, fl);
             return true;
         }
         // Triangle: b -> t, f; f -> t (else-side only).
         if side_ok(fl, f, &preds) && jump_target(fl, f) == t && t != fl {
-            convert(f, b, c, None, Some(fl), t, &live);
+            convert(f, b, c, None, Some(fl), t);
             return true;
         }
     }
@@ -85,8 +84,8 @@ fn convert(
     t_side: Option<BlockId>,
     f_side: Option<BlockId>,
     join: BlockId,
-    live: &crate::liveness::Liveness,
 ) {
+    let live = liveness(f);
     // Rename the defs of a side's instructions to fresh registers, tracking
     // the final name of each original register.
     let splice = |side: Option<BlockId>, f: &mut Function| -> (Vec<Inst>, BTreeMap<VReg, VReg>) {
@@ -115,13 +114,12 @@ fn convert(
     let mut merged: Vec<VReg> = t_map.keys().chain(f_map.keys()).copied().collect();
     merged.sort();
     merged.dedup();
-    let join_live = &live.live_in[join.0 as usize];
 
     let block = f.block_mut(b);
     block.insts.extend(t_insts);
     block.insts.extend(f_insts);
     for v in merged {
-        if !join_live.contains(&v) {
+        if !live.is_live_in(join.0 as usize, v) {
             continue;
         }
         let tv = t_map.get(&v).copied().map(Val::Reg).unwrap_or(Val::Reg(v));

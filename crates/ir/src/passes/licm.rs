@@ -13,69 +13,65 @@
 //!   definition cannot clobber a value the first iterations read from
 //!   outside).
 
+use crate::bitset::{self, has_bit, set_bit};
 use crate::cfg::{natural_loops, predecessors, NaturalLoop};
 use crate::func::{Block, Function};
-use crate::inst::{BlockId, Inst, Terminator, VReg};
-use crate::liveness::liveness;
-use std::collections::{BTreeMap, BTreeSet};
+use crate::inst::{BlockId, Terminator};
+use crate::liveness::{liveness, Liveness};
 
 /// Run LICM on every natural loop. Returns whether anything moved.
 pub fn run(f: &mut Function) -> bool {
     let mut changed = false;
-    // Loops are recomputed after each transformation because block ids shift
-    // when preheaders are inserted.
+    // One analysis (loops and liveness) serves every loop visited up to the
+    // first that hoists. Hoisting inserts a preheader and moves code, so
+    // the analysis is then recomputed.
     loop {
         let loops = natural_loops(f);
-        let mut moved_any = false;
-        for l in loops {
-            if hoist_one_loop(f, &l) {
-                moved_any = true;
-                changed = true;
-                break; // recompute analyses
-            }
-        }
-        if !moved_any {
+        if loops.is_empty() {
             break;
         }
+        let live = liveness(f);
+        if !loops.iter().any(|l| hoist_one_loop(f, l, &live)) {
+            break;
+        }
+        changed = true;
     }
     changed
 }
 
-fn hoist_one_loop(f: &mut Function, l: &NaturalLoop) -> bool {
-    let live = liveness(f);
-    let in_loop: BTreeSet<BlockId> = l.blocks.iter().copied().collect();
+fn hoist_one_loop(f: &mut Function, l: &NaturalLoop, live: &Liveness) -> bool {
+    let nv = f.num_vregs as usize;
 
     // Count definitions of every register inside the loop.
-    let mut def_count: BTreeMap<VReg, u32> = BTreeMap::new();
-    for &b in &in_loop {
+    let mut def_count = vec![0u32; nv];
+    for &b in &l.blocks {
         for inst in &f.block(b).insts {
-            for d in inst.defs() {
-                *def_count.entry(d).or_insert(0) += 1;
-            }
+            inst.for_each_def(|d| def_count[d.0 as usize] += 1);
         }
     }
 
     // Candidates: pure insts, invariant sources, single def, not live into
     // the header.
+    let header_live = live.live_in(l.header.0 as usize);
     let mut to_hoist: Vec<(BlockId, usize)> = Vec::new();
-    let mut hoisted_defs: BTreeSet<VReg> = BTreeSet::new();
+    let mut hoisted = vec![0u64; bitset::words(nv)];
     for &b in &l.blocks {
         for (i, inst) in f.block(b).insts.iter().enumerate() {
             if !inst.is_pure() {
                 continue;
             }
-            let srcs_invariant = inst
-                .uses()
-                .iter()
-                .all(|u| !def_count.contains_key(u) || hoisted_defs.contains(u));
-            let defs = inst.defs();
-            let single_def = defs.iter().all(|d| def_count.get(d) == Some(&1));
-            let not_live_in_header = defs
-                .iter()
-                .all(|d| !live.live_in[l.header.0 as usize].contains(d));
-            if srcs_invariant && single_def && not_live_in_header {
+            let mut ok = true;
+            inst.for_each_use(|u| {
+                let u = u.0 as usize;
+                ok &= def_count[u] == 0 || has_bit(&hoisted, u);
+            });
+            inst.for_each_def(|d| {
+                let d = d.0 as usize;
+                ok &= def_count[d] == 1 && !has_bit(header_live, d);
+            });
+            if ok {
                 to_hoist.push((b, i));
-                hoisted_defs.extend(defs);
+                inst.for_each_def(|d| set_bit(&mut hoisted, d.0 as usize));
             }
         }
     }
@@ -89,7 +85,7 @@ fn hoist_one_loop(f: &mut Function, l: &NaturalLoop) -> bool {
     let outside_preds: Vec<BlockId> = preds[l.header.0 as usize]
         .iter()
         .copied()
-        .filter(|p| !in_loop.contains(p))
+        .filter(|p| !l.contains(*p))
         .collect();
     if outside_preds.is_empty() {
         return false; // unreachable loop
@@ -106,38 +102,36 @@ fn hoist_one_loop(f: &mut Function, l: &NaturalLoop) -> bool {
             .map_blocks(|b| if b == header { pre } else { b });
     }
 
-    // Move the instructions, preserving their relative order. Indices are
-    // collected per block so removal works back-to-front.
-    let mut moved: Vec<Inst> = Vec::new();
-    let mut by_block: BTreeMap<BlockId, Vec<usize>> = BTreeMap::new();
-    for (b, i) in to_hoist {
-        by_block.entry(b).or_default().push(i);
-    }
-    // Collect in loop-block order to keep dependency order among hoisted ops.
-    for (&b, idxs) in &by_block {
-        for &i in idxs.iter() {
-            moved.push(f.block(b).insts[i].clone());
-        }
-    }
-    for (&b, idxs) in &by_block {
-        for &i in idxs.iter().rev() {
-            f.block_mut(b).insts.remove(i);
+    // Move the instructions out in block-id order, each block's in index
+    // order, keeping dependency order among hoisted ops.
+    to_hoist.sort_by_key(|&(b, _)| b);
+    let mut moved = Vec::with_capacity(to_hoist.len());
+    for run in to_hoist.chunk_by(|x, y| x.0 == y.0) {
+        let block = f.block_mut(run[0].0);
+        let mut picks = run.iter().map(|&(_, i)| i).peekable();
+        for (i, inst) in std::mem::take(&mut block.insts).into_iter().enumerate() {
+            if picks.next_if_eq(&i).is_some() {
+                moved.push(inst);
+            } else {
+                block.insts.push(inst);
+            }
         }
     }
     // Order hoisted instructions topologically by def-use among themselves.
-    let mut ordered: Vec<Inst> = Vec::new();
-    let mut placed: BTreeSet<VReg> = BTreeSet::new();
+    let mut ordered = Vec::with_capacity(moved.len());
+    let mut placed = vec![0u64; bitset::words(nv)];
     let mut pending = moved;
     while !pending.is_empty() {
         let before = pending.len();
         let mut rest = Vec::new();
         for inst in pending {
-            let ready = inst
-                .uses()
-                .iter()
-                .all(|u| !hoisted_defs.contains(u) || placed.contains(u));
+            let mut ready = true;
+            inst.for_each_use(|u| {
+                let u = u.0 as usize;
+                ready &= !has_bit(&hoisted, u) || has_bit(&placed, u);
+            });
             if ready {
-                placed.extend(inst.defs());
+                inst.for_each_def(|d| set_bit(&mut placed, d.0 as usize));
                 ordered.push(inst);
             } else {
                 rest.push(inst);
@@ -158,7 +152,7 @@ fn hoist_one_loop(f: &mut Function, l: &NaturalLoop) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::{Inst, Val};
+    use crate::inst::{Inst, VReg, Val};
     use crate::interp::run_module;
     use asip_isa::Opcode;
 

@@ -5,7 +5,7 @@
 //! redefined.
 
 use crate::func::Function;
-use crate::inst::{Inst, Val};
+use crate::inst::{Inst, Terminator, VReg, Val};
 use asip_isa::Opcode;
 use std::collections::HashMap;
 
@@ -28,86 +28,84 @@ enum ExprKey {
 pub fn run(f: &mut Function) -> bool {
     let mut changed = false;
     let nv = f.num_vregs as usize;
-    for block in &mut f.blocks {
-        let mut version = vec![0u32; nv];
-        // copies[r] = (value r currently equals, src version at record time)
-        let mut copies: HashMap<u32, (Val, u32)> = HashMap::new();
-        let mut exprs: HashMap<ExprKey, (u32, u32)> = HashMap::new(); // -> (vreg, version)
+    // Tables sized once per function and emptied per block. Versions are
+    // never reset: entries are compared only within one block, where a
+    // register's version still changes exactly at its definitions.
+    let mut version = vec![0u32; nv];
+    // copies[r] = (value r currently equals, src version at record time)
+    let mut copies: Vec<Option<(Val, u32)>> = vec![None; nv];
+    let mut copied: Vec<VReg> = Vec::new(); // registers with a `copies` entry
+    let mut exprs: HashMap<ExprKey, (u32, u32)> = HashMap::new(); // -> (vreg, version)
 
-        let key_of = |v: Val, version: &[u32]| -> Key {
-            match v {
-                Val::Imm(k) => Key::Imm(k),
-                Val::Reg(r) => Key::Reg(r.0, version[r.0 as usize]),
-            }
+    let key_of = |v: Val, version: &[u32]| -> Key {
+        match v {
+            Val::Imm(k) => Key::Imm(k),
+            Val::Reg(r) => Key::Reg(r.0, version[r.0 as usize]),
+        }
+    };
+    // The value `r` currently equals, if a copy of it is still valid.
+    let copy_of =
+        |r: VReg, copies: &[Option<(Val, u32)>], version: &[u32]| match copies[r.0 as usize] {
+            Some((Val::Reg(src), ver)) if version[src.0 as usize] != ver => None,
+            c => c.map(|(val, _)| val),
         };
+
+    for block in &mut f.blocks {
+        for r in copied.drain(..) {
+            copies[r.0 as usize] = None;
+        }
+        exprs.clear();
 
         for inst in &mut block.insts {
             // 1. Copy/constant propagate into operands.
-            let before = inst.clone();
-            inst.map_uses(|r| {
-                if let Some(&(val, ver)) = copies.get(&r.0) {
-                    let ok = match val {
-                        Val::Imm(_) => true,
-                        Val::Reg(src) => version[src.0 as usize] == ver,
-                    };
-                    if ok {
-                        return val;
-                    }
-                }
-                Val::Reg(r)
-            });
-            if *inst != before {
-                changed = true;
-            }
+            changed |= inst.map_uses(|r| copy_of(r, &copies, &version).unwrap_or(Val::Reg(r)));
 
             // 2. Value-number pure expressions.
             let pure = inst.is_pure();
             let expr = match inst {
-                Inst::Bin { op, a, b, .. } if pure => {
+                Inst::Bin { op, dst, a, b } if pure => {
                     let (mut ka, mut kb) = (key_of(*a, &version), key_of(*b, &version));
                     if op.is_commutative() && kb < ka {
                         std::mem::swap(&mut ka, &mut kb);
                     }
-                    Some(ExprKey::Bin(*op, ka, kb))
+                    Some((ExprKey::Bin(*op, ka, kb), *dst))
                 }
-                Inst::Un { op, a, .. } if *op != Opcode::Mov => {
-                    Some(ExprKey::Un(*op, key_of(*a, &version)))
+                Inst::Un { op, dst, a } if *op != Opcode::Mov => {
+                    Some((ExprKey::Un(*op, key_of(*a, &version)), *dst))
                 }
-                Inst::Select { c, a, b, .. } => Some(ExprKey::Select(
-                    key_of(*c, &version),
-                    key_of(*a, &version),
-                    key_of(*b, &version),
+                Inst::Select { dst, c, a, b } => Some((
+                    ExprKey::Select(
+                        key_of(*c, &version),
+                        key_of(*a, &version),
+                        key_of(*b, &version),
+                    ),
+                    *dst,
                 )),
                 _ => None,
             };
 
             let mut replaced = false;
-            if let Some(e) = expr {
-                let dst = inst.defs()[0];
+            if let Some((e, dst)) = expr {
                 if let Some(&(src, ver)) = exprs.get(&e) {
                     if version[src as usize] == ver && src != dst.0 {
                         *inst = Inst::Un {
                             op: Opcode::Mov,
                             dst,
-                            a: Val::Reg(crate::inst::VReg(src)),
+                            a: Val::Reg(VReg(src)),
                         };
                         changed = true;
                         replaced = true;
                     }
                 }
-                if !replaced {
-                    // Record after bumping the def's version below.
-                }
             }
 
             // 3. Kill and re-record definitions.
-            for d in inst.defs() {
+            inst.for_each_def(|d| {
                 version[d.0 as usize] += 1;
-                copies.remove(&d.0);
-            }
-            if let Some(e) = expr {
+                copies[d.0 as usize] = None;
+            });
+            if let Some((e, dst)) = expr {
                 if !replaced {
-                    let dst = inst.defs()[0];
                     exprs.insert(e, (dst.0, version[dst.0 as usize]));
                 }
             }
@@ -125,42 +123,20 @@ pub fn run(f: &mut Function) -> bool {
                 };
                 // A move onto itself carries no information.
                 if a.reg() != Some(*dst) {
-                    copies.insert(dst.0, (*a, ver));
+                    copies[dst.0 as usize] = Some((*a, ver));
+                    copied.push(*dst);
                 }
             }
         }
 
         // Propagate into the terminator too.
-        let subst = |v: Val| -> Val {
-            if let Val::Reg(r) = v {
-                if let Some(&(val, ver)) = copies.get(&r.0) {
-                    let ok = match val {
-                        Val::Imm(_) => true,
-                        Val::Reg(src) => version[src.0 as usize] == ver,
-                    };
-                    if ok {
-                        return val;
-                    }
-                }
-            }
-            v
-        };
-        match &mut block.term {
-            crate::inst::Terminator::Branch { c, .. } => {
-                let nc = subst(*c);
-                if nc != *c {
-                    *c = nc;
+        if let Terminator::Branch { c: v, .. } | Terminator::Ret(Some(v)) = &mut block.term {
+            if let Val::Reg(r) = *v {
+                if let Some(val) = copy_of(r, &copies, &version) {
+                    *v = val;
                     changed = true;
                 }
             }
-            crate::inst::Terminator::Ret(Some(v)) => {
-                let nv2 = subst(*v);
-                if nv2 != *v {
-                    *v = nv2;
-                    changed = true;
-                }
-            }
-            _ => {}
         }
     }
     changed

@@ -2,7 +2,9 @@
 //!
 //! Classic mid-90s ILP compiler schedule: inline, clean, if-convert, hoist,
 //! unroll, then clean again. Every pass is independently testable; the
-//! driver iterates cleanup passes to a (bounded) fixpoint.
+//! driver iterates cleanup passes to a (bounded) fixpoint, skips a pass
+//! while the function is unchanged since that pass last changed nothing,
+//! and records one `ir` span per pass run.
 
 pub mod constfold;
 pub mod dce;
@@ -13,7 +15,7 @@ pub mod lvn;
 pub mod simplify;
 pub mod unroll;
 
-use crate::func::Module;
+use crate::func::{Function, Module};
 
 pub use inline::InlineConfig;
 pub use unroll::UnrollConfig;
@@ -81,15 +83,75 @@ impl OptConfig {
     }
 }
 
+/// A function pass: returns whether it changed the function.
+type Pass = fn(&mut Function) -> bool;
+
+/// The cleanup passes, in the order each round runs them.
+const CLEANUP: [(&str, Pass); 4] = [
+    ("constfold", constfold::run),
+    ("lvn", lvn::run),
+    ("dce", dce::run),
+    ("simplify", simplify::run),
+];
+
+/// Which [`CLEANUP`] passes are at their fixpoint on one function: bit `p`
+/// is set while pass `p`'s last run changed nothing and no pass has changed
+/// the function since, so running it again would change nothing either.
+type Fixpoints = u8;
+
 /// Run the cleanup trio (fold, value-number, eliminate) plus CFG
 /// simplification to a bounded fixpoint on every function.
 pub fn cleanup(module: &mut Module) {
-    for f in &mut module.funcs {
+    let mut fixed = vec![0; module.funcs.len()];
+    cleanup_tracked(module, &mut fixed);
+}
+
+/// [`cleanup`], skipping each pass its function's [`Fixpoints`] mark as
+/// done. Records an `ir`/`cleanup` span whose detail is the rounds run.
+fn cleanup_tracked(module: &mut Module, fixed: &mut [Fixpoints]) {
+    let mut span = asip_obs::span("ir", "cleanup");
+    let mut rounds = 0;
+    for (f, fixed) in module.funcs.iter_mut().zip(fixed) {
         for _ in 0..16 {
-            let changed = constfold::run(f) | lvn::run(f) | dce::run(f) | simplify::run(f);
+            if *fixed == (1 << CLEANUP.len()) - 1 {
+                break;
+            }
+            rounds += 1;
+            let mut changed = false;
+            for (p, (name, pass)) in CLEANUP.iter().enumerate() {
+                if *fixed & (1 << p) != 0 {
+                    continue;
+                }
+                let _span = asip_obs::span("ir", name);
+                if pass(f) {
+                    changed = true;
+                    *fixed = 0;
+                } else {
+                    *fixed |= 1 << p;
+                }
+            }
             if !changed {
                 break;
             }
+        }
+    }
+    if span.is_recording() {
+        span.detail(format!("{rounds} rounds"));
+    }
+}
+
+/// Run `pass` on every function under an `ir` span, forgetting the
+/// cleanup fixpoints of each function it changes.
+fn per_function(
+    module: &mut Module,
+    fixed: &mut [Fixpoints],
+    name: &'static str,
+    mut pass: impl FnMut(&mut Function) -> bool,
+) {
+    let _span = asip_obs::span("ir", name);
+    for (f, fixed) in module.funcs.iter_mut().zip(fixed) {
+        if pass(f) {
+            *fixed = 0;
         }
     }
 }
@@ -97,29 +159,27 @@ pub fn cleanup(module: &mut Module) {
 /// Run the full pipeline.
 pub fn optimize(module: &mut Module, cfg: &OptConfig) {
     if cfg.inline {
+        let _span = asip_obs::span("ir", "inline");
         inline::run(module, &cfg.inline_cfg);
         if cfg.drop_dead_funcs {
             inline::drop_dead_funcs(module, &cfg.entry);
         }
     }
-    cleanup(module);
+    let mut fixed = vec![0; module.funcs.len()];
+    cleanup_tracked(module, &mut fixed);
     if cfg.if_convert {
-        for f in &mut module.funcs {
-            ifconv::run(f);
-        }
-        cleanup(module);
+        per_function(module, &mut fixed, "ifconv", ifconv::run);
+        cleanup_tracked(module, &mut fixed);
     }
     if cfg.licm {
-        for f in &mut module.funcs {
-            licm::run(f);
-        }
-        cleanup(module);
+        per_function(module, &mut fixed, "licm", licm::run);
+        cleanup_tracked(module, &mut fixed);
     }
     if cfg.unroll.factor > 1 {
-        for f in &mut module.funcs {
-            unroll::run(f, &cfg.unroll);
-        }
-        cleanup(module);
+        per_function(module, &mut fixed, "unroll", |f| {
+            unroll::run(f, &cfg.unroll)
+        });
+        cleanup_tracked(module, &mut fixed);
     }
 }
 

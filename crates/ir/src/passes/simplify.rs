@@ -1,7 +1,7 @@
 //! CFG simplification: jump threading, block merging, unreachable-code
 //! removal.
 
-use crate::cfg::{predecessors, reachable};
+use crate::cfg::reachable;
 use crate::func::Function;
 use crate::inst::{BlockId, Terminator};
 
@@ -64,35 +64,28 @@ fn thread_jumps(f: &mut Function) -> bool {
 /// exactly one predecessor.
 fn merge_blocks(f: &mut Function) -> bool {
     let mut changed = false;
-    loop {
-        let preds = predecessors(f);
-        let mut merged = false;
-        for i in 0..f.blocks.len() {
-            let target = match f.blocks[i].term {
-                Terminator::Jump(t) if t.0 as usize != i => t,
-                _ => continue,
-            };
-            if preds[target.0 as usize].len() != 1 || target == f.entry {
-                continue;
+    // A merge keeps every block's predecessor count: `c`'s out-edges move to
+    // `b`, and `c` is left as a self-loop, its own one predecessor. So the
+    // counts are computed once, and after a merge only `b`, which took
+    // `c`'s terminator, can have become mergeable.
+    let mut num_preds = vec![0u32; f.blocks.len()];
+    for b in &f.blocks {
+        b.term.for_each_successor(|s| num_preds[s.0 as usize] += 1);
+    }
+    for i in 0..f.blocks.len() {
+        while let Terminator::Jump(target) = f.blocks[i].term {
+            if target.0 as usize == i || num_preds[target.0 as usize] != 1 || target == f.entry {
+                break;
             }
-            // Move target's contents into block i.
+            // Move target's contents into block i. Leave the donor as an
+            // unreachable self-loop; drop_unreachable cleans it up.
             let donor = std::mem::replace(
                 &mut f.blocks[target.0 as usize],
-                crate::func::Block {
-                    insts: vec![],
-                    term: Terminator::Jump(target),
-                },
+                crate::func::Block::jump_to(target),
             );
-            // Leave the donor as an unreachable self-loop; drop_unreachable
-            // cleans it up.
             f.blocks[i].insts.extend(donor.insts);
             f.blocks[i].term = donor.term;
-            merged = true;
             changed = true;
-            break; // predecessor lists are stale; recompute
-        }
-        if !merged {
-            break;
         }
     }
     changed
@@ -105,17 +98,19 @@ fn drop_unreachable(f: &mut Function) -> bool {
         return false;
     }
     let mut remap = vec![BlockId(u32::MAX); f.blocks.len()];
-    let mut new_blocks = Vec::new();
-    for (i, keep) in reach.iter().enumerate() {
-        if *keep {
-            remap[i] = BlockId(new_blocks.len() as u32);
-            new_blocks.push(f.blocks[i].clone());
+    let mut kept = 0;
+    for (i, &keep) in reach.iter().enumerate() {
+        if keep {
+            remap[i] = BlockId(kept);
+            kept += 1;
         }
     }
-    for b in &mut new_blocks {
+    let mut keep = reach.iter();
+    f.blocks
+        .retain(|_| *keep.next().expect("one flag per block"));
+    for b in &mut f.blocks {
         b.term.map_blocks(|old| remap[old.0 as usize]);
     }
-    f.blocks = new_blocks;
     f.entry = remap[f.entry.0 as usize];
     debug_assert_eq!(f.entry, BlockId(0));
     true

@@ -1,7 +1,7 @@
 //! Machine-code containers: operations, bundles and whole VLIW programs.
 
 use crate::custom::CustomOpDef;
-use crate::machine::MachineDescription;
+use crate::machine::{ICacheConfig, MachineDescription, MachineError};
 use crate::op::Opcode;
 use crate::reg::{Operand, Reg};
 use std::fmt;
@@ -207,6 +207,9 @@ pub enum CodeError {
     BadFuncEntry { func: usize, entry: u32 },
     /// The static data does not fit the machine's data memory.
     DataTooLarge { data_words: u32, dmem_words: u32 },
+    /// The machine's I-cache geometry cannot be modelled (see
+    /// [`ICacheConfig::is_modelable`]).
+    BadICache(ICacheConfig),
 }
 
 impl fmt::Display for CodeError {
@@ -254,20 +257,26 @@ impl fmt::Display for CodeError {
                 f,
                 "{data_words} words of static data exceed the {dmem_words}-word data memory"
             ),
+            CodeError::BadICache(c) => MachineError::BadICache(*c).fmt(f),
         }
     }
 }
 
 impl std::error::Error for CodeError {}
 
-/// Every global lives below `data_words`, so a program whose static data
-/// fits the machine's data memory can load all of its globals and inputs.
-pub(crate) fn check_data_fits(data_words: u32, m: &MachineDescription) -> Result<(), CodeError> {
+/// The memories a program runs in. Every global lives below `data_words`,
+/// so a program whose static data fits the machine's data memory can load
+/// all of its globals and inputs; and the simulator must be able to model
+/// the machine's I-cache, which a table built by hand need not guarantee.
+pub(crate) fn check_memories(data_words: u32, m: &MachineDescription) -> Result<(), CodeError> {
     if data_words > m.dmem_words {
         return Err(CodeError::DataTooLarge {
             data_words,
             dmem_words: m.dmem_words,
         });
+    }
+    if let Some(c) = m.icache.filter(|c| !c.is_modelable()) {
+        return Err(CodeError::BadICache(c));
     }
     Ok(())
 }
@@ -320,7 +329,7 @@ impl VliwProgram {
         if self.entry_func as usize >= self.functions.len() {
             return Err(CodeError::BadEntry);
         }
-        check_data_fits(self.data_words, m)?;
+        check_memories(self.data_words, m)?;
         for (fi, func) in self.functions.iter().enumerate() {
             if func.entry as usize >= self.bundles.len() {
                 return Err(CodeError::BadFuncEntry {

@@ -56,6 +56,14 @@ pub enum CodecError {
         /// Unconsumed byte count.
         extra: usize,
     },
+    /// The bytes decoded to a value that breaks an invariant its users
+    /// index by (a register or block number out of range, say).
+    Invalid {
+        /// Type being decoded.
+        what: &'static str,
+        /// The broken invariant.
+        reason: String,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -68,6 +76,7 @@ impl fmt::Display for CodecError {
             }
             CodecError::Utf8 => f.write_str("invalid UTF-8 in string"),
             CodecError::Trailing { extra } => write!(f, "{extra} trailing bytes"),
+            CodecError::Invalid { what, reason } => write!(f, "invalid {what}: {reason}"),
         }
     }
 }

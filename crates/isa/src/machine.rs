@@ -138,6 +138,19 @@ pub struct ICacheConfig {
     pub miss_penalty: u32,
 }
 
+impl ICacheConfig {
+    /// Whether the simulator can model this geometry: line and total sizes
+    /// are nonzero powers of two, with at least one line per way (zero
+    /// ways model as one). Machine validation and program validation both
+    /// apply this one rule.
+    pub fn is_modelable(&self) -> bool {
+        // `is_power_of_two` is false for zero.
+        self.line_bytes.is_power_of_two()
+            && self.size_bytes.is_power_of_two()
+            && self.size_bytes / self.line_bytes >= self.ways.max(1)
+    }
+}
+
 impl Default for ICacheConfig {
     fn default() -> Self {
         ICacheConfig {
@@ -382,14 +395,8 @@ impl MachineDescription {
                 return Err(MachineError::ZeroLatency(what));
             }
         }
-        if let Some(c) = self.icache {
-            // `is_power_of_two` is false for zero; zero ways model as one.
-            if !c.line_bytes.is_power_of_two()
-                || !c.size_bytes.is_power_of_two()
-                || c.size_bytes / c.line_bytes < c.ways.max(1)
-            {
-                return Err(MachineError::BadICache(c));
-            }
+        if let Some(c) = self.icache.filter(|c| !c.is_modelable()) {
+            return Err(MachineError::BadICache(c));
         }
         if !self.custom_ops.is_empty() && !self.has_fu(FuKind::Custom) {
             return Err(MachineError::CustomOpsWithoutSlot);

@@ -123,7 +123,7 @@ impl ScalarProgram {
         if self.entry_func as usize >= self.functions.len() {
             return Err(CodeError::BadEntry);
         }
-        crate::code::check_data_fits(self.data_words, m)?;
+        crate::code::check_memories(self.data_words, m)?;
         for (fi, func) in self.functions.iter().enumerate() {
             if func.entry as usize >= self.insts.len() {
                 return Err(CodeError::BadFuncEntry {

@@ -30,8 +30,9 @@
 //!   is a pure function of the seed, so a chaos run's retry schedule is
 //!   reproducible.
 //! * **Quarantine** — after [`ShardPlan::quarantine_after`] consecutive
-//!   chunk failures a shard leaves the rotation (`serve.shard.quarantined`)
-//!   and is re-probed with a `Ping` at each round start; a revived worker
+//!   chunk failures a shard leaves the rotation (`serve.shard.quarantined`),
+//!   at once if its connection was refused (no worker listens there); it
+//!   is re-probed with a `Ping` at each round start, and a revived worker
 //!   (`serve.shard.revived`) rejoins the partition.
 //! * **Local fallback** — when every shard is quarantined and re-probing
 //!   revives none, a caller-supplied local evaluator (see
@@ -44,11 +45,12 @@
 //!   partial grid.
 
 use crate::client::{Client, ServeError, Timeouts};
-use crate::wire::MetricsReply;
+use crate::wire::{MetricsReply, ProtocolError};
 use asip_core::nxm::Grid;
 use asip_core::session::{EvalOutcome, EvalRequest, Session};
 use asip_isa::MachineDescription;
 use asip_workloads::Workload;
+use std::io;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -145,8 +147,9 @@ pub struct ShardPlan {
     /// finishing work.
     pub retries: u32,
     /// Consecutive chunk failures before a shard is quarantined out of
-    /// the rotation (default 2). Quarantined shards are re-probed with a
-    /// `Ping` at every round start and revived on answer.
+    /// the rotation (default 2); a refused connection quarantines at once.
+    /// Quarantined shards are re-probed with a `Ping` at every round start
+    /// and revived on answer.
     pub quarantine_after: u32,
     /// Backoff policy for busy retries and reconnects.
     pub retry: RetryPolicy,
@@ -298,6 +301,13 @@ impl<'a> ConnPool<'a> {
     }
 }
 
+/// Whether `e` is a refused connection: nothing listens at the worker's
+/// address, so re-sending before the `Ping` re-probe revives it would only
+/// fail again.
+fn is_refused(e: &ServeError) -> bool {
+    matches!(e, ServeError::Protocol(ProtocolError::Io(io)) if io.kind() == io::ErrorKind::ConnectionRefused)
+}
+
 /// Dispatch one chunk to one worker over its pooled connection, absorbing
 /// transient `Busy` rejections under the plan's [`RetryPolicy`] and the
 /// round `deadline`.
@@ -323,10 +333,9 @@ fn dispatch(
         if conn_attempt > 0 {
             OBS_RETRIES.add(1);
         }
-        let mut client = match pool.take(shard) {
-            Ok(c) => c,
-            Err(e) => return Err(last.unwrap_or(e)),
-        };
+        // A failed (re)connect is the worker's state now: report it, so a
+        // refused connection reads as one.
+        let mut client = pool.take(shard)?;
         let mut busy = 0;
         loop {
             match client.eval(reqs) {
@@ -601,7 +610,8 @@ fn run_sharded_inner(
         for (k, &cell) in pending.iter().enumerate() {
             chunks[k % active.len()].push(cell);
         }
-        let round: Mutex<Vec<(usize, bool)>> = Mutex::new(Vec::new());
+        // Per dispatched chunk: (shard, completed, connection refused).
+        let round: Mutex<Vec<(usize, bool, bool)>> = Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for (k, chunk) in chunks.iter().enumerate() {
                 if chunk.is_empty() {
@@ -618,22 +628,23 @@ fn run_sharded_inner(
                             for (&i, out) in chunk.iter().zip(outs) {
                                 slots[i] = Some(out);
                             }
-                            round.lock().unwrap().push((shard, true));
+                            round.lock().unwrap().push((shard, true, false));
                         }
                         // Short reply or dead/busy worker: whole chunk
                         // back to the pool, failure streak grows.
-                        Ok(_) | Err(_) => round.lock().unwrap().push((shard, false)),
+                        Ok(_) => round.lock().unwrap().push((shard, false, false)),
+                        Err(e) => round.lock().unwrap().push((shard, false, is_refused(&e))),
                     }
                 });
             }
         });
-        for (shard, ok) in round.into_inner().unwrap() {
+        for (shard, ok, refused) in round.into_inner().unwrap() {
             let h = &mut health[shard];
             if ok {
                 h.consecutive = 0;
             } else {
                 h.consecutive += 1;
-                if h.consecutive >= plan.quarantine_after.max(1) {
+                if refused || h.consecutive >= plan.quarantine_after.max(1) {
                     h.quarantined = true;
                     OBS_QUARANTINED.add(1);
                 }

@@ -9,6 +9,11 @@ use asip_core::session::{EvalOutcome, EvalRequest, Session};
 use asip_isa::codec::Codec;
 use asip_serve::{run_sharded, run_sharded_metrics, Client, ServeError, ShardPlan, WorkerPool};
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
+
+/// Held by the tests whose workers die, so one test's re-sent cells never
+/// land in another's reading of the process-wide `serve.redispatched`.
+static DEAD_WORKERS: Mutex<()> = Mutex::new(());
 
 fn worker_bin() -> &'static Path {
     Path::new(env!("CARGO_BIN_EXE_asip_serve_worker"))
@@ -119,6 +124,7 @@ fn coordinator_reuses_worker_connections() {
 
 #[test]
 fn killed_worker_cells_are_redispatched() {
+    let _serial = DEAD_WORKERS.lock().unwrap_or_else(|e| e.into_inner());
     let reqs = small_grid();
     let local_bytes = encode_all(&Session::builder().threads(2).build().eval_batch(&reqs));
 
@@ -135,10 +141,14 @@ fn killed_worker_cells_are_redispatched() {
         local_bytes,
         "failover must not perturb order or bytes"
     );
-    // Counters only grow, so other tests in this process cannot hide it.
-    assert!(
-        redispatched() > before,
-        "the dead shard's cells went out again in a later round"
+    // The first round deals cells alternately to shards 0 and 1. Shard
+    // 0's refused connection quarantines it at once, so each of its cells
+    // goes out again exactly once, to the survivor.
+    let held = reqs.len().div_ceil(2);
+    assert_eq!(
+        redispatched() - before,
+        held as u64,
+        "the dead shard's {held} cells went out again in one later round"
     );
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&cache_dir);
@@ -146,6 +156,7 @@ fn killed_worker_cells_are_redispatched() {
 
 #[test]
 fn all_workers_dead_is_typed_shard_failed() {
+    let _serial = DEAD_WORKERS.lock().unwrap_or_else(|e| e.into_inner());
     let reqs = small_grid();
     let cache_dir = fresh_dir("dead");
     let mut pool = spawn_pool(2, &cache_dir);
