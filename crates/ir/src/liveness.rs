@@ -18,11 +18,6 @@ pub struct Liveness {
 }
 
 impl Liveness {
-    /// `u64` words in one set row.
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
     /// The registers live at block `b`'s entry, as a bitset row.
     pub fn live_in(&self, b: usize) -> &[u64] {
         &self.live_in[b * self.words..(b + 1) * self.words]
