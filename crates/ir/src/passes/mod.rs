@@ -1,8 +1,8 @@
 //! The optimization pipeline.
 //!
 //! Classic mid-90s ILP compiler schedule: inline, clean, if-convert, hoist,
-//! unroll, then clean again. Every pass is independently testable; the
-//! driver iterates cleanup passes to a (bounded) fixpoint, skips a pass
+//! unroll, then clean again. Every pass is independently testable;
+//! [`optimize`] iterates cleanup passes to a (bounded) fixpoint, skips a pass
 //! while the function is unchanged since that pass last changed nothing,
 //! and records one `ir` span per pass run.
 
