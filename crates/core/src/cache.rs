@@ -917,5 +917,78 @@ mod tests {
             }
             assert_ne!(hash64(a, KEY_SEED), hash64(a, KEY_SEED + 1));
         }
+        // Across word, lane and block boundaries: keys that differ only in
+        // how many zero bytes end them, with and without a nonzero first
+        // byte, all hash apart, and each key hashes apart under two seeds.
+        let mut seen = std::collections::HashSet::new();
+        for first in [0u8, 1] {
+            for len in 0..=70 {
+                let mut key = vec![0u8; len];
+                if let Some(b) = key.first_mut() {
+                    *b = first;
+                }
+                if first == 1 && len == 0 {
+                    continue;
+                }
+                let h = hash64(&key, KEY_SEED);
+                assert!(seen.insert(h), "first byte {first}, length {len}");
+                assert_ne!(h, hash64(&key, KEY_SEED + 1), "length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_threads_share_one_cache_without_crossing_payloads() {
+        // Both threads store and load overlapping keys in every stage, in
+        // rounds a barrier releases together: each round adds new keys
+        // (both threads miss and race to store them) and revisits the old
+        // ones (hits), walking in opposite directions.
+        const PER_ROUND: usize = 12;
+        const ROUNDS: usize = 4;
+        let cache = bare(u64::MAX, !0);
+        let barrier = std::sync::Barrier::new(2);
+        let key = |k: usize| format!("key {k}").into_bytes();
+        let value = |stage: StageKind, k: usize| {
+            let mut v = key(k);
+            v.resize(v.len() + (k * 7 + stage as usize) % 29, stage as u8);
+            v
+        };
+        std::thread::scope(|scope| {
+            for t in 0..2 {
+                let (cache, barrier) = (&cache, &barrier);
+                scope.spawn(move || {
+                    for round in 1..=ROUNDS {
+                        barrier.wait();
+                        let n = round * PER_ROUND;
+                        for i in 0..n {
+                            let k = if t == 0 { i } else { n - 1 - i };
+                            for stage in StageKind::ALL {
+                                let want = value(stage, k);
+                                let got = cache
+                                    .get_or_compute(stage, &key(k), || Ok(want.clone()))
+                                    .unwrap();
+                                assert_eq!(got.payload(), want.encode_to_vec(), "{stage} {k}");
+                                assert_eq!(got.into_value(), want, "{stage} {k}");
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let s = cache.stats();
+        let keys = ROUNDS * PER_ROUND;
+        let resident: u64 = (0..keys)
+            .flat_map(|k| StageKind::ALL.map(|stage| (stage, k)))
+            .map(|(stage, k)| {
+                (key(k).len() + value(stage, k).encode_to_vec().len()) as u64 + ENTRY_OVERHEAD
+            })
+            .sum();
+        assert_eq!(s.mem.entries, (5 * keys) as u64, "{s}");
+        assert_eq!(s.mem.stores, (5 * keys) as u64, "{s}");
+        assert_eq!(s.mem.resident_bytes, resident, "{s}");
+        assert_eq!(s.evictions, 0, "{s}");
+        let lookups = 2 * 5 * PER_ROUND * (1..=ROUNDS).sum::<usize>();
+        assert_eq!(s.hits() + s.misses(), lookups as u64, "{s}");
+        assert_eq!(cache.len(), [keys; 5]);
     }
 }

@@ -314,4 +314,151 @@ mod tests {
         let hit = s.load(StageKind::Parse, b"k").unwrap();
         assert!(Arc::ptr_eq(&hit, &p), "a hit shares the stored buffer");
     }
+
+    /// The reference the tier must match: strict LRU over (stage, key)
+    /// with the tier's byte accounting and counters.
+    #[derive(Default)]
+    struct ModelLru {
+        budget: u64,
+        /// Resident entries, least recently stored or hit first.
+        order: Vec<(StageKind, Vec<u8>, Vec<u8>)>,
+        resident_bytes: u64,
+        hits: u64,
+        loads: u64,
+        stores: u64,
+        evictions: u64,
+    }
+
+    impl ModelLru {
+        fn bytes(key: &[u8], payload: &[u8]) -> u64 {
+            (key.len() + payload.len()) as u64 + ENTRY_OVERHEAD
+        }
+
+        fn position(&self, stage: StageKind, key: &[u8]) -> Option<usize> {
+            self.order.iter().position(|e| e.0 == stage && e.1 == key)
+        }
+
+        /// Move entry `i` to the most recent end; returns its payload.
+        fn touch(&mut self, i: usize) -> Vec<u8> {
+            let e = self.order.remove(i);
+            let payload = e.2.clone();
+            self.order.push(e);
+            payload
+        }
+
+        fn load(&mut self, stage: StageKind, key: &[u8]) -> Option<Vec<u8>> {
+            self.loads += 1;
+            let i = self.position(stage, key)?;
+            self.hits += 1;
+            Some(self.touch(i))
+        }
+
+        fn store(&mut self, stage: StageKind, key: &[u8], payload: &[u8]) {
+            if let Some(i) = self.position(stage, key) {
+                self.touch(i);
+                return;
+            }
+            let bytes = Self::bytes(key, payload);
+            if bytes > self.budget {
+                self.evictions += 1;
+                return;
+            }
+            self.stores += 1;
+            self.order.push((stage, key.to_vec(), payload.to_vec()));
+            self.resident_bytes += bytes;
+            while self.resident_bytes > self.budget {
+                let (_, k, p) = self.order.remove(0);
+                self.resident_bytes -= Self::bytes(&k, &p);
+                self.evictions += 1;
+            }
+        }
+    }
+
+    /// Whether (stage, key) is resident, read without stamping recency.
+    fn resident(s: &MemoryStore, stage: StageKind, key: &[u8]) -> bool {
+        let hash = s.hash(key);
+        s.lock().maps[stage as usize].find(hash, key).is_some()
+    }
+
+    #[test]
+    fn eviction_order_matches_a_reference_lru() {
+        const STAGES: [StageKind; 3] = [StageKind::Parse, StageKind::Compile, StageKind::Simulate];
+        const KEYS: usize = 5;
+        let key = |i: usize| format!("key-{}", "k".repeat(i)).into_bytes();
+        for seed in 1..=12u64 {
+            // splitmix64: a fixed, seeded sequence of operations.
+            let mut state = seed;
+            let mut next = |n: u64| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                ((z ^ (z >> 31)) % n) as usize
+            };
+            // Room for three or four entries; odd seeds force every key
+            // into a few buckets.
+            let budget = 4 * (ENTRY_OVERHEAD + 16);
+            let mask = if seed % 2 == 1 { 0b11 } else { !0 };
+            let s = MemoryStore::new(budget, mask);
+            let mut model = ModelLru {
+                budget,
+                ..ModelLru::default()
+            };
+            for step in 0..1_500 {
+                let stage = STAGES[next(STAGES.len() as u64)];
+                let k = key(next(KEYS as u64));
+                let what = match next(10) {
+                    0..=2 => {
+                        // A payload of its own length per step, so a
+                        // duplicate store carries different bytes.
+                        let p = vec![step as u8; next(24)];
+                        s.store(stage, &k, &payload(&p));
+                        model.store(stage, &k, &p);
+                        "store"
+                    }
+                    3 => {
+                        // Store again over a resident key: the first
+                        // payload stays and the entry becomes the newest.
+                        if let Some((stage, k, _)) = model
+                            .order
+                            .get(next(model.order.len().max(1) as u64))
+                            .cloned()
+                        {
+                            s.store(stage, &k, &payload(b"second"));
+                            model.store(stage, &k, b"second");
+                        }
+                        "duplicate store"
+                    }
+                    4 => {
+                        let p = vec![1u8; budget as usize];
+                        s.store(stage, &k, &payload(&p));
+                        model.store(stage, &k, &p);
+                        "oversize store"
+                    }
+                    _ => {
+                        let got = s.load(stage, &k);
+                        let want = model.load(stage, &k);
+                        assert_eq!(got.as_deref(), want.as_deref(), "seed {seed} step {step}");
+                        "load"
+                    }
+                };
+                let t = s.stats();
+                let at = format!("seed {seed} step {step} after {what}");
+                assert_eq!(t.hits, model.hits, "{at}");
+                assert_eq!(t.loads, model.loads, "{at}");
+                assert_eq!(t.stores, model.stores, "{at}");
+                assert_eq!(t.evictions, model.evictions, "{at}");
+                assert_eq!(t.resident_bytes, model.resident_bytes, "{at}");
+                assert_eq!(t.entries, model.order.len() as u64, "{at}");
+                for stage in STAGES {
+                    for i in 0..KEYS {
+                        let k = key(i);
+                        let want = model.position(stage, &k).is_some();
+                        assert_eq!(resident(&s, stage, &k), want, "{at}: {stage} {i}");
+                    }
+                }
+            }
+            assert!(model.evictions > 100 && model.hits > 100, "seed {seed}");
+        }
+    }
 }
