@@ -38,15 +38,15 @@
 //! keys are equal only if every input is.
 //!
 //! Both tiers compare keys **exactly**. The memory tier buckets entries by
-//! a 64-bit hash of the key, computed eight bytes at a time, and compares
-//! the stored key bytes on every probe, so a hash collision degrades to a
-//! bucket scan, never to a wrong artifact. (Tests force the degenerate
-//! all-collide case through [`CacheConfig::hash_mask`].) The disk tier
-//! names each file by two seeds of the same hash and stores the key bytes
-//! in a self-describing header (magic, [`FORMAT_VERSION`], stage kind,
-//! key, payload checksum) that a load re-verifies, so a file-name
-//! collision, a stale format or plain file corruption silently degrades to
-//! a recompute.
+//! a 64-bit hash of the key (four multiply-fold lanes per 32-byte block),
+//! and compares the stored key bytes on every probe, so a hash collision
+//! degrades to a bucket scan, never to a wrong artifact. (Tests force the
+//! degenerate all-collide case through [`CacheConfig::hash_mask`].) The
+//! disk tier names each file by two seeds of the same hash and stores the
+//! key bytes in a self-describing header (magic, [`FORMAT_VERSION`],
+//! stage kind, key, payload checksum) that a load re-verifies, so a
+//! file-name collision, a stale format or plain file corruption silently
+//! degrades to a recompute.
 //!
 //! # Artifacts travel as versioned bytes
 //!
@@ -346,26 +346,45 @@ impl fmt::Display for CacheStats {
 /// first file-name half.
 pub(crate) const KEY_SEED: u64 = 0;
 
-/// 64-bit hash of `bytes` from `seed`, eight bytes per step: each
-/// little-endian word is xored into the state, which is then multiplied by
-/// an odd constant to 128 bits and folded back by xoring the two halves.
-/// Both tiers compare keys exactly, so the hash only has to spread them;
-/// it makes no claim against crafted collisions.
+/// 64-bit hash of `bytes` from `seed`. The seed, xored with the length,
+/// starts four lanes, one per multiplier constant. Each 32-byte block
+/// gives each lane one little-endian word, which is xored into the lane;
+/// the lane is then multiplied by its odd constant to 128 bits and folded
+/// back by xoring the two halves. A final block holds the tail, padded
+/// with zeros, and the lanes fold into one word in order. No lane waits on
+/// another's multiply, so a long key hashes at the multiplier's throughput
+/// rather than its latency. Both tiers compare keys exactly, so the hash
+/// only has to spread them; it makes no claim against crafted collisions.
 pub(crate) fn hash64(bytes: &[u8], seed: u64) -> u64 {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let fold = |x: u64| {
-        let p = u128::from(x) * u128::from(K);
+    const K: [u64; 4] = [
+        0x9e37_79b9_7f4a_7c15,
+        0xbf58_476d_1ce4_e5b9,
+        0x94d0_49bb_1331_11eb,
+        0xd6e8_feb8_6659_fd93,
+    ];
+    let fold = |x: u64, k: u64| {
+        let p = u128::from(x) * u128::from(k);
         (p as u64) ^ ((p >> 64) as u64)
     };
-    let mut h = fold(seed ^ bytes.len() as u64);
-    let mut words = bytes.chunks_exact(8);
-    for word in &mut words {
-        h = fold(h ^ u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+    let absorb = |lanes: &mut [u64; 4], block: &[u8]| {
+        for ((lane, k), word) in lanes.iter_mut().zip(K).zip(block.chunks_exact(8)) {
+            let word = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+            *lane = fold(*lane ^ word, k);
+        }
+    };
+    let start = seed ^ bytes.len() as u64;
+    let mut lanes = K.map(|k| fold(start, k));
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        absorb(&mut lanes, block);
     }
-    let rest = words.remainder();
-    let mut tail = [0u8; 8];
+    let rest = blocks.remainder();
+    let mut tail = [0u8; 32];
     tail[..rest.len()].copy_from_slice(rest);
-    fold(h ^ u64::from_le_bytes(tail))
+    absorb(&mut lanes, &tail);
+    lanes
+        .into_iter()
+        .fold(start, |h, lane| fold(h ^ lane, K[0]))
 }
 
 /// Per-stage **self wall time** histograms: the full wall clock of each

@@ -11,6 +11,11 @@
 //!   simulate/   …
 //! ```
 //!
+//! File names follow `hash64`, so a build whose hash differs misses the
+//! entries an older build wrote, and those age out under the byte budget
+//! like any cold entry; the entry format and
+//! [`FORMAT_VERSION`](super::FORMAT_VERSION) do not depend on the hash.
+//!
 //! Each `.art` file is a versioned, self-describing container (the
 //! `entry` module): magic, format version, stage kind, the **stage key's
 //! bytes**, the artifact payload, and a trailing checksum. A load

@@ -1,16 +1,24 @@
 //! The memory tier: the in-process, LRU byte-budgeted store.
 //!
 //! Payloads are shared `Arc<[u8]>` buffers in buckets indexed by the
-//! key's 64-bit hash (computed eight bytes at a time, then masked by
-//! [`CacheConfig::hash_mask`](super::CacheConfig::hash_mask)). Each entry
-//! keeps its key bytes, compared exactly on every probe, so a hash
-//! collision degrades to a bucket scan, never a wrong artifact. A hit
-//! clones the `Arc` under the lock, not the bytes. One global
-//! least-recently-used queue across all stages enforces the byte budget.
-//! An entry larger than the whole budget is never admitted — flushing
-//! every resident entry for an artifact that cannot stay would be pure
-//! churn — but still counts as an eviction so the non-retention shows up
-//! in [`TierStats`].
+//! key's 64-bit hash (`hash64`, masked by
+//! [`CacheConfig::hash_mask`](super::CacheConfig::hash_mask)), computed
+//! before the lock is taken. Each entry keeps its key bytes, compared
+//! exactly on every probe, so a hash collision degrades to a bucket scan,
+//! never a wrong artifact. A hit holds the tier's lock for the bucket
+//! lookup, the key compare and a recency stamp, and clones the `Arc`, not
+//! the bytes.
+//!
+//! One global least-recently-used order across all stages enforces the
+//! byte budget, kept lazily but exactly: every store and hit stamps its
+//! entry with the next tick, and the eviction queue holds each entry once,
+//! under the tick it was queued at. Eviction pops the coldest queued
+//! entry; one stamped since is queued again at its stamp, and one that
+//! was not is the least recently used entry, so it goes. A hit therefore
+//! never touches the queue. An entry larger than the whole budget is never
+//! admitted — flushing every resident entry for an artifact that cannot
+//! stay would be pure churn — but still counts as an eviction so the
+//! non-retention shows up in [`TierStats`].
 //!
 //! Only the owning [`ArtifactCache`](super::ArtifactCache) writes this
 //! tier, and only bytes it encoded or decode-checked, so the cache serves
@@ -36,7 +44,10 @@ struct Entry {
     /// The key bytes, compared exactly on every bucket probe.
     key: Box<[u8]>,
     payload: Arc<[u8]>,
+    /// The tick the entry was stored at; unique, so it names the entry.
     id: u64,
+    /// The tick of the entry's last store or hit.
+    tick: u64,
 }
 
 /// One stage's hash-indexed store. Buckets hold every entry whose masked
@@ -47,10 +58,10 @@ struct StageMap {
 }
 
 impl StageMap {
-    fn find(&self, hash: u64, key: &[u8]) -> Option<&Entry> {
+    fn find(&mut self, hash: u64, key: &[u8]) -> Option<&mut Entry> {
         self.buckets
-            .get(&hash)?
-            .iter()
+            .get_mut(&hash)?
+            .iter_mut()
             .find(|e| e.key.as_ref() == key)
     }
 
@@ -58,22 +69,12 @@ impl StageMap {
         self.buckets.entry(hash).or_default().push(entry);
     }
 
-    fn remove_id(&mut self, hash: u64, id: u64) -> Option<Entry> {
-        let bucket = self.buckets.get_mut(&hash)?;
-        let i = bucket.iter().position(|e| e.id == id)?;
-        let e = bucket.swap_remove(i);
-        if bucket.is_empty() {
-            self.buckets.remove(&hash);
-        }
-        Some(e)
-    }
-
     fn len(&self) -> usize {
         self.buckets.values().map(Vec::len).sum()
     }
 }
 
-/// Where an LRU queue entry lives, for typed removal on eviction.
+/// Where a queued entry lives, for its eviction.
 #[derive(Clone, Copy)]
 struct Loc {
     stage: usize,
@@ -85,51 +86,42 @@ struct Loc {
 #[derive(Default)]
 struct Inner {
     maps: [StageMap; 5],
-    /// Recency queue: tick → entry location; the first entry is coldest.
-    lru: BTreeMap<u64, Loc>,
-    /// Entry id → its current tick in `lru` (moved on every touch).
-    tick_of: HashMap<u64, u64>,
+    /// Eviction queue: each entry once, under the tick it was queued at,
+    /// which is at most its current tick; the first entry is coldest.
+    queue: BTreeMap<u64, Loc>,
     next_tick: u64,
-    next_id: u64,
     resident_bytes: u64,
 }
 
 impl Inner {
-    fn touch(&mut self, id: u64) {
-        if let Some(old) = self.tick_of.get(&id).copied() {
-            if let Some(loc) = self.lru.remove(&old) {
-                let tick = self.next_tick;
-                self.next_tick += 1;
-                self.lru.insert(tick, loc);
-                self.tick_of.insert(id, tick);
-            }
-        }
-    }
-
-    fn remember(&mut self, loc: Loc) {
-        let tick = self.next_tick;
+    /// The next recency tick.
+    fn tick(&mut self) -> u64 {
         self.next_tick += 1;
-        self.lru.insert(tick, loc);
-        self.tick_of.insert(loc.id, tick);
-        self.resident_bytes += loc.bytes;
+        self.next_tick
     }
 
-    fn remove(&mut self, loc: Loc) -> bool {
-        self.tick_of.remove(&loc.id);
-        let removed = self.maps[loc.stage].remove_id(loc.hash, loc.id).is_some();
-        self.resident_bytes = self.resident_bytes.saturating_sub(loc.bytes);
-        removed
-    }
-
-    /// Evict the coldest entry; returns false when the cache is empty.
+    /// Evict the least recently used entry; returns false when the tier is
+    /// empty.
     fn evict_one(&mut self) -> bool {
-        let Some((tick, loc)) = self.lru.pop_first() else {
-            return false;
-        };
-        debug_assert_eq!(self.tick_of.get(&loc.id), Some(&tick));
-        let removed = self.remove(loc);
-        debug_assert!(removed, "LRU queue and stage maps must stay in sync");
-        true
+        const SYNC: &str = "the eviction queue and the stage maps hold the same entries";
+        while let Some((queued, loc)) = self.queue.pop_first() {
+            let map = &mut self.maps[loc.stage];
+            let bucket = map.buckets.get_mut(&loc.hash).expect(SYNC);
+            let i = bucket.iter().position(|e| e.id == loc.id).expect(SYNC);
+            let tick = bucket[i].tick;
+            if tick != queued {
+                // Hit since it was queued: queue it again as of that hit.
+                self.queue.insert(tick, loc);
+                continue;
+            }
+            bucket.swap_remove(i);
+            if bucket.is_empty() {
+                map.buckets.remove(&loc.hash);
+            }
+            self.resident_bytes -= loc.bytes;
+            return true;
+        }
+        false
     }
 }
 
@@ -177,10 +169,10 @@ impl MemoryStore {
         span.note("load");
         let hash = self.hash(key);
         let mut inner = self.lock();
-        let (id, payload) = inner.maps[stage as usize]
-            .find(hash, key)
-            .map(|e| (e.id, e.payload.clone()))?;
-        inner.touch(id);
+        let tick = inner.tick();
+        let entry = inner.maps[stage as usize].find(hash, key)?;
+        entry.tick = tick;
+        let payload = entry.payload.clone();
         drop(inner);
         self.hits.fetch_add(1, Ordering::Relaxed);
         OBS_HITS.add(1);
@@ -196,12 +188,12 @@ impl MemoryStore {
         let hash = self.hash(key);
         let bytes = key.len() as u64 + payload.len() as u64 + ENTRY_OVERHEAD;
         let mut inner = self.lock();
+        let tick = inner.tick();
         // First insert wins: a racing worker (or a promotion racing a
         // computed store) may have stored this key already; the payloads
         // are identical deterministic encodings, so keep the resident one.
         if let Some(e) = inner.maps[stage as usize].find(hash, key) {
-            let id = e.id;
-            inner.touch(id);
+            e.tick = tick;
             return;
         }
         if bytes > self.byte_budget {
@@ -214,22 +206,23 @@ impl MemoryStore {
             return;
         }
         self.stores.fetch_add(1, Ordering::Relaxed);
-        let id = inner.next_id;
-        inner.next_id += 1;
         inner.maps[stage as usize].insert(
             hash,
             Entry {
                 key: key.into(),
                 payload: payload.clone(),
-                id,
+                id: tick,
+                tick,
             },
         );
-        inner.remember(Loc {
+        let loc = Loc {
             stage: stage as usize,
             hash,
-            id,
+            id: tick,
             bytes,
-        });
+        };
+        inner.queue.insert(tick, loc);
+        inner.resident_bytes += bytes;
         let mut evicted = 0u64;
         while inner.resident_bytes > self.byte_budget && inner.evict_one() {
             evicted += 1;

@@ -362,12 +362,9 @@ fn put_run_inputs(key: &mut Writer, inputs: &[(String, Vec<i32>)], args: &[i32])
     key.put_u32(inputs.len() as u32);
     for (name, data) in inputs {
         key.put_str(name);
-        data.encode(key);
+        key.put_i32s(data);
     }
-    key.put_u32(args.len() as u32);
-    for &a in args {
-        key.put_i32(a);
-    }
+    key.put_i32s(args);
 }
 
 impl Toolchain {

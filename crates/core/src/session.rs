@@ -38,10 +38,10 @@
 //!
 //! # Determinism
 //!
-//! `eval_batch` executes cells on scoped worker threads pulling from a
-//! shared cursor, and writes each outcome into its request's slot: the
-//! result vector is **request-ordered and byte-identical regardless of
-//! thread count**. Artifacts are deterministic functions of their stage
+//! `eval_batch` executes cells on the calling thread and scoped worker
+//! threads, all pulling from a shared cursor, and writes each outcome into
+//! its request's slot: the result vector is **request-ordered and
+//! byte-identical regardless of thread count**. Artifacts are deterministic functions of their stage
 //! keys and round-trip the cache's versioned binary codec exactly, so
 //! cache hits (from either tier), racing recomputes, LRU evictions and
 //! disk warm starts can never change a measurement — only the
@@ -412,46 +412,43 @@ impl Session {
         out
     }
 
-    /// Evaluate a batch of cells on a pool of [`Session::threads`] joined
-    /// worker threads: the returned vector is request-ordered and
-    /// identical for any thread count.
+    /// Evaluate a batch of cells on [`Session::threads`] threads, the
+    /// caller's and joined workers: the returned vector is request-ordered
+    /// and identical for any thread count.
     pub fn eval_batch(&self, reqs: &[EvalRequest]) -> Vec<EvalOutcome> {
         par_map(self.threads, reqs, |r| self.eval(r))
     }
 }
 
-/// Map `f` over `items` on a pool of `min(threads, items)` scoped worker
-/// threads, returning the results in item order.
+/// Map `f` over `items` on `min(threads, items)` threads, the calling
+/// thread and scoped workers, returning the results in item order.
 ///
-/// Workers pull items from a shared cursor (long items never leave threads
-/// idle) and write each result into its item's slot, so the output is the
-/// same for any thread count. Each worker is joined before the call
-/// returns. A scope alone returns once its threads' closures end, while
-/// the threads may still be exiting and holding their glibc malloc arenas;
-/// the next pool's workers then attach new arenas, and how many a process
-/// ends up keeping resident would depend on thread timing. Joined, every
-/// pool reuses the same arenas.
+/// Every thread pulls items from a shared cursor (long items never leave
+/// threads idle) and writes each result into its item's slot, so the
+/// output is the same for any thread count. The caller works its share
+/// rather than waiting, so a call spawns one thread fewer than it uses.
+/// Each worker is joined before the call returns, and a panic on any
+/// thread propagates to the caller. A scope alone returns once its
+/// threads' closures end, while the threads may still be exiting and
+/// holding their glibc malloc arenas; the next pool's workers then attach
+/// new arenas, and how many a process ends up keeping resident would
+/// depend on thread timing. Joined, every pool's workers reuse the same
+/// arenas, and the caller keeps its own.
 fn par_map<T: Sync, R: Send>(threads: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let n = items.len();
-    let threads = threads.min(n).max(1);
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     let cursor = AtomicUsize::new(0);
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        let out = f(&items[i]);
+        slots.lock().expect("no thread panics holding the slots")[i] = Some(out);
+    };
     std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let out = f(&items[i]);
-                    slots.lock().expect("no worker panics holding the slots")[i] = Some(out);
-                })
-            })
-            .collect();
+        let workers: Vec<_> = (1..threads.min(n)).map(|_| scope.spawn(work)).collect();
+        work();
         for w in workers {
             if let Err(panic) = w.join() {
                 std::panic::resume_unwind(panic);
@@ -460,15 +457,35 @@ fn par_map<T: Sync, R: Send>(threads: usize, items: &[T], f: impl Fn(&T) -> R + 
     });
     slots
         .into_inner()
-        .expect("every worker was joined without a panic")
+        .expect("every thread finished without a panic")
         .into_iter()
-        .map(|o| o.expect("every slot is filled by a worker"))
+        .map(|o| o.expect("every slot is filled"))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_map_keeps_item_order_and_propagates_a_panic() {
+        let items: Vec<u32> = (0..40).collect();
+        let doubled: Vec<u32> = items.iter().map(|i| i * 2).collect();
+        for threads in [0, 1, 2, 3, 8] {
+            assert_eq!(par_map(threads, &items, |i| i * 2), doubled, "{threads}");
+            assert_eq!(par_map(threads, &items[..0], |i| i * 2), []);
+            // Whichever thread draws the item, its panic reaches the caller.
+            let panic = std::panic::catch_unwind(|| {
+                par_map(threads, &items, |&i| {
+                    assert_ne!(i, 29, "item 29");
+                    i
+                })
+            })
+            .unwrap_err();
+            let msg = panic.downcast_ref::<String>().map(String::as_str);
+            assert!(msg.is_some_and(|m| m.contains("item 29")), "{threads}");
+        }
+    }
 
     #[test]
     fn builder_defaults_are_sensible() {

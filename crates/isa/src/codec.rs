@@ -163,6 +163,17 @@ impl Writer {
     pub fn put_raw(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
     }
+
+    /// Write a `u32` count, then each word as [`Writer::put_i32`] would:
+    /// the bytes `vs.to_vec().encode(w)` writes, in one call.
+    pub fn put_i32s(&mut self, vs: &[i32]) {
+        self.put_u32(vs.len() as u32);
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * vs.len(), 0);
+        for (out, v) in self.buf[start..].chunks_exact_mut(4).zip(vs) {
+            out.copy_from_slice(&v.to_le_bytes());
+        }
+    }
 }
 
 /// Cursor over encoded bytes; every getter checks bounds.
@@ -268,6 +279,32 @@ impl<'a> Reader<'a> {
     /// fields like magic numbers.
     pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         self.take(n)
+    }
+
+    /// Read what [`Writer::put_i32s`] writes: a `u32` count, then that
+    /// many words. A count the remaining input cannot hold is
+    /// [`CodecError::BadLen`], raised before anything is allocated.
+    pub fn get_i32s(&mut self) -> Result<Vec<i32>, CodecError> {
+        let len = self.get_u32()?;
+        if len as usize > self.remaining() / 4 {
+            return Err(CodecError::BadLen {
+                len,
+                remaining: self.remaining(),
+            });
+        }
+        let mut out = vec![0; len as usize];
+        self.read_i32s(&mut out)?;
+        Ok(out)
+    }
+
+    /// Fill `out` with the next `out.len()` little-endian `i32` words (no
+    /// count).
+    pub fn read_i32s(&mut self, out: &mut [i32]) -> Result<(), CodecError> {
+        let bytes = self.take(4 * out.len())?;
+        for (v, b) in out.iter_mut().zip(bytes.chunks_exact(4)) {
+            *v = i32::from_le_bytes(b.try_into().expect("4-byte chunk"));
+        }
+        Ok(())
     }
 }
 
@@ -940,6 +977,39 @@ mod tests {
         roundtrip(&vec![1i32, -2, 3]);
         roundtrip(&Some(vec![String::from("x")]));
         roundtrip(&Option::<u32>::None);
+    }
+
+    #[test]
+    fn i32_runs_are_the_vec_encoding() {
+        for v in [vec![], vec![7], vec![1, -2, i32::MIN, i32::MAX, 0]] {
+            let mut w = Writer::new();
+            w.put_i32s(&v);
+            let bytes = w.into_bytes();
+            assert_eq!(bytes, v.encode_to_vec());
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.get_i32s(), Ok(v.clone()));
+            r.finish().unwrap();
+            let mut words = vec![0; v.len()];
+            let mut r = Reader::new(&bytes[4..]);
+            r.read_i32s(&mut words).unwrap();
+            assert_eq!(words, v);
+        }
+        // A word count the input cannot hold, though it fits in bytes.
+        let mut w = Writer::new();
+        w.put_u32(3);
+        w.put_raw(&[0; 11]);
+        assert_eq!(
+            Reader::new(&w.into_bytes()).get_i32s(),
+            Err(CodecError::BadLen {
+                len: 3,
+                remaining: 11
+            })
+        );
+        let mut words = [0; 3];
+        assert_eq!(
+            Reader::new(&[0; 11]).read_i32s(&mut words),
+            Err(CodecError::Truncated)
+        );
     }
 
     #[test]

@@ -234,7 +234,7 @@ fn nonzero_runs(memory: &[i32]) -> Vec<(usize, usize)> {
 /// kilobytes, not the machine's whole `dmem`.
 impl Codec for SimResult {
     fn encode(&self, w: &mut Writer) {
-        self.output.encode(w);
+        w.put_i32s(&self.output);
         w.put_u64(self.cycles);
         w.put_u64(self.interlock_stalls);
         w.put_u64(self.icache_stalls);
@@ -249,15 +249,12 @@ impl Codec for SimResult {
         w.put_u32(runs.len() as u32);
         for &(start, end) in &runs {
             w.put_u32(start as u32);
-            w.put_u32((end - start) as u32);
-            for &v in &self.memory[start..end] {
-                w.put_i32(v);
-            }
+            w.put_i32s(&self.memory[start..end]);
         }
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let output = Vec::<i32>::decode(r)?;
+        let output = r.get_i32s()?;
         let cycles = r.get_u64()?;
         let interlock_stalls = r.get_u64()?;
         let icache_stalls = r.get_u64()?;
@@ -278,9 +275,7 @@ impl Codec for SimResult {
                     remaining: mem_len.saturating_sub(start),
                 });
             }
-            for slot in memory.iter_mut().skip(start).take(count) {
-                *slot = r.get_i32()?;
-            }
+            r.read_i32s(&mut memory[start..start + count])?;
         }
         Ok(SimResult {
             output,
