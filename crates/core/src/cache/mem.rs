@@ -101,7 +101,9 @@ impl Inner {
     }
 
     /// Evict the least recently used entry; returns false when the tier is
-    /// empty.
+    /// empty. Every other entry is queued under a later tick than the
+    /// popped one, and no entry's tick is below the tick it is queued
+    /// under, so a popped entry not stamped since is the coldest.
     fn evict_one(&mut self) -> bool {
         const SYNC: &str = "the eviction queue and the stage maps hold the same entries";
         while let Some((queued, loc)) = self.queue.pop_first() {
