@@ -15,11 +15,17 @@
 //! A third digest pins the optimizer: the `Toolchain::frontend` module of
 //! every kernel, so a mid-end change that leaves codegen alone still has
 //! to keep its output or record a new constant.
+//!
+//! A fourth digest pins the binary translator: every kernel compiled for
+//! `ember4`, translated to every VLIW preset and to the drifted members of
+//! the ISA-drift experiment, so a change to how the translator reads a
+//! program must emit exactly the same programs and typed errors.
 
 use asip::core::ise::{extend, IseConfig};
-use asip::core::Toolchain;
+use asip::core::{CompiledArtifact, Toolchain};
+use asip::dbt::translate_program;
 use asip::isa::codec::Codec;
-use asip::isa::{FuKind, MachineDescription};
+use asip::isa::{Encoding, FuKind, MachineDescription};
 
 /// Digest of the 144 grid artifacts, kernel-major.
 const GRID_DIGEST: u64 = 0x5058_bca5_304f_130e;
@@ -30,6 +36,10 @@ const ISE_DIGEST: u64 = 0xb52c_bacf_7a1a_2182;
 const EXTEND_DIGEST: u64 = 0xdbb7_24c4_f632_8d28;
 /// Digest of the 18 optimized modules, kernel-major.
 const FRONTEND_DIGEST: u64 = 0x1b24_5a8c_7617_1af1;
+/// Digest of the `ember4` programs translated to every VLIW preset and
+/// drifted member (program bytes and stats, or the error's message),
+/// kernel-major.
+const TRANSLATE_DIGEST: u64 = 0x6269_016f_f16a_3b25;
 
 /// Incremental 64-bit FNV-1a.
 struct Fnv(u64);
@@ -140,6 +150,58 @@ fn optimized_modules_are_byte_identical_to_the_recorded_digest() {
     assert_eq!(
         digest.0, FRONTEND_DIGEST,
         "the optimizer's output changed: {:016x}",
+        digest.0
+    );
+}
+
+#[test]
+fn translated_programs_are_byte_identical_to_the_recorded_digest() {
+    let tc = Toolchain::default();
+    let a = MachineDescription::ember4();
+    // The VLIW presets, then the drifted members of `exp_isa_drift`
+    // (`asip_bench::drift`), restated.
+    let mut targets = MachineDescription::presets();
+    targets.push(a.derive("drift-narrow2", |m| m.slots.truncate(2)));
+    targets.push(a.derive("drift-slowmem", |m| {
+        m.lat_mem = 4;
+        m.lat_mul = 3;
+    }));
+    targets.push(a.derive("drift-compact", |m| m.encoding = Encoding::Compact16));
+
+    let mut digest = Fnv::new();
+    let (mut translated, mut failed) = (0, 0);
+    for w in asip::workloads::all() {
+        let module = tc.frontend(&w.source).expect("frontend");
+        let profile = tc.profile(&module, &w.inputs, &w.args).expect("profile");
+        let prog = match tc.compile_for(&module, &a, Some(&profile)) {
+            Ok(CompiledArtifact::Vliw(p)) => p.program,
+            other => panic!("{} on {}: {other:?}", w.name, a.name),
+        };
+        for to in &targets {
+            match translate_program(&prog, &a, to) {
+                Ok((out, s)) => {
+                    translated += 1;
+                    digest.write(&out.encode_to_vec());
+                    for v in [
+                        s.ops_in,
+                        s.ops_out,
+                        s.bundles_in,
+                        s.bundles_out,
+                        s.hazards_ordered,
+                    ] {
+                        digest.write(&(v as u64).to_le_bytes());
+                    }
+                }
+                Err(e) => {
+                    failed += 1;
+                    digest.write(e.to_string().as_bytes());
+                }
+            }
+        }
+    }
+    assert_eq!(
+        digest.0, TRANSLATE_DIGEST,
+        "translation changed: {:016x} ({translated} programs, {failed} errors)",
         digest.0
     );
 }
