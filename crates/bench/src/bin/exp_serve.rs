@@ -23,21 +23,16 @@
 
 use asip_core::nxm::Grid;
 use asip_core::session::{EvalOutcome, EvalRequest};
-use asip_isa::codec::Codec;
+use asip_isa::codec::{fnv1a, Codec, FNV1A_BASIS};
 use asip_serve::shard::{format_shard_table, run_sharded_metrics};
 use asip_serve::{ShardMode, ShardPlan, WorkerPool};
 
 /// FNV-1a over the request-ordered encoded outcomes: the byte-identity
 /// digest CI compares across execution modes.
 fn grid_digest(outcomes: &[EvalOutcome]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for out in outcomes {
-        for b in out.encode_to_vec() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    outcomes
+        .iter()
+        .fold(FNV1A_BASIS, |h, out| fnv1a(h, &out.encode_to_vec()))
 }
 
 fn main() {
@@ -94,12 +89,6 @@ fn main() {
             // Coordinator-side resilience tally, grep-able by the chaos CI
             // job: nonzero retries/faults prove the injection was live.
             let snap = asip_obs::snapshot();
-            let counter = |name: &str| {
-                snap.counters
-                    .iter()
-                    .find(|c| c.name == name)
-                    .map_or(0, |c| c.value)
-            };
             let faults: u64 = snap
                 .counters
                 .iter()
@@ -108,13 +97,13 @@ fn main() {
                 .sum();
             println!(
                 "[serve] resilience: retries={} timeouts={} quarantined={} revived={} local-fallback={} faults={} redispatched={}",
-                counter("serve.retries"),
-                counter("serve.timeouts"),
-                counter("serve.shard.quarantined"),
-                counter("serve.shard.revived"),
-                counter("serve.shard.local_fallback"),
+                snap.counter("serve.retries"),
+                snap.counter("serve.timeouts"),
+                snap.counter("serve.shard.quarantined"),
+                snap.counter("serve.shard.revived"),
+                snap.counter("serve.shard.local_fallback"),
                 faults,
-                counter("serve.redispatched"),
+                snap.counter("serve.redispatched"),
             );
             let disk_hits: u64 = metrics.iter().flatten().map(|m| m.cache.disk.hits).sum();
             println!("[serve] disk hits across workers: {disk_hits}");

@@ -20,7 +20,7 @@
 //! to a counted, silent recompute.
 
 use super::StageKind;
-use asip_isa::codec::{CodecError, Reader, Writer};
+use asip_isa::codec::{fnv1a, CodecError, Reader, Writer, FNV1A_BASIS};
 
 /// Version stamp of the persisted artifact format. Bump whenever any
 /// artifact [`Codec`](asip_isa::codec::Codec), any stage key or this
@@ -60,16 +60,6 @@ impl From<CodecError> for EntryError {
     }
 }
 
-/// 64-bit FNV-1a over `bytes`: the entry checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Wrap `payload` in the versioned container for (stage, key).
 pub(crate) fn encode_entry(stage: StageKind, key: &[u8], payload: &[u8]) -> Vec<u8> {
     let mut w = Writer::new();
@@ -79,7 +69,7 @@ pub(crate) fn encode_entry(stage: StageKind, key: &[u8], payload: &[u8]) -> Vec<
     w.put_bytes(key);
     w.put_bytes(payload);
     let mut bytes = w.into_bytes();
-    let checksum = fnv1a64(&bytes);
+    let checksum = fnv1a(FNV1A_BASIS, &bytes);
     bytes.extend_from_slice(&checksum.to_le_bytes());
     bytes
 }
@@ -116,7 +106,7 @@ pub(crate) fn decode_entry<'a>(
     r.finish()?;
     // Checked last so the error diagnoses *what* mismatched when the
     // header itself is intact.
-    if fnv1a64(content) != checksum {
+    if fnv1a(FNV1A_BASIS, content) != checksum {
         return Err(EntryError::BadChecksum);
     }
     Ok(payload)

@@ -343,7 +343,7 @@ impl Shape {
 fn op_name(nodes: &[PatNode]) -> String {
     let mut h: u32 = 0x811C_9DC5;
     for n in nodes {
-        h = h.wrapping_mul(0x0100_0193) ^ (asip_isa::encoding::opcode_id(n.op) as u32);
+        h = h.wrapping_mul(0x0100_0193) ^ u32::from(asip_isa::codec::opcode_tag(n.op));
         h = h.wrapping_mul(0x0100_0193) ^ (nodes.len() as u32);
     }
     format!("ise{}", h % 100_000)

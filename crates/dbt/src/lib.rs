@@ -4,9 +4,9 @@
 //! is run-time translation that makes family members that are "what we would
 //! today call mutually incompatible" behave compatibly. This crate
 //! implements that substrate for the VLIW family: a **rebundling
-//! translator** that takes the encoded instruction stream compiled for
-//! member A and emits a correct program for member B (different width, slot
-//! mix, latencies, encoding), plus a **code cache** that amortizes
+//! translator** that reads the bundles of a program compiled for member A
+//! and emits a correct program for member B (different width, slot mix,
+//! latencies, encoding), plus a **code cache** that amortizes
 //! translation cost across runs — enough to measure the drift experiment's
 //! overheads honestly.
 

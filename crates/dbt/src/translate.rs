@@ -12,10 +12,9 @@
 //!   dependences stay sequential;
 //! * branch targets are remapped through the bundle correspondence table.
 //!
-//! The translator consumes the *encoded* instruction stream (the real
-//! binary), not compiler data structures.
+//! The translator reads the source program's bundles directly, remaps its
+//! function entries, and copies its data and custom-op directories.
 
-use asip_isa::encoding::{decode_text_section, encode_text_section, DecodeError};
 use asip_isa::{Bundle, MachineDescription, MachineOp, Opcode, VliwProgram};
 use std::collections::HashMap;
 use std::fmt;
@@ -56,8 +55,6 @@ pub enum DbtError {
         /// Bundle index in the source binary.
         bundle: usize,
     },
-    /// The binary stream failed to decode.
-    Decode(DecodeError),
 }
 
 impl fmt::Display for DbtError {
@@ -75,18 +72,11 @@ impl fmt::Display for DbtError {
                     "bundle {bundle}: parallel register swap needs a scratch register"
                 )
             }
-            DbtError::Decode(e) => write!(f, "binary decode failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for DbtError {}
-
-impl From<DecodeError> for DbtError {
-    fn from(e: DecodeError) -> Self {
-        DbtError::Decode(e)
-    }
-}
 
 /// Order one source bundle's ops so that every reader of a register
 /// precedes (or co-issues with) the op that writes it, preserving
@@ -174,8 +164,8 @@ fn order_bundle_ops(ops: &[&MachineOp]) -> (Vec<Vec<usize>>, usize) {
     (sccs, hazards)
 }
 
-/// Rebundle a decoded instruction stream for the target machine. Returns
-/// the new bundles and a map `source bundle -> first target bundle`.
+/// Rebundle a program's bundles for the target machine. Returns the new
+/// bundles and a map `source bundle -> first target bundle`.
 fn rebundle(
     bundles: &[Bundle],
     to: &MachineDescription,
@@ -291,16 +281,11 @@ pub fn translate_program(
             to: to.name.clone(),
         });
     }
-    // Round-trip through the real binary encoding: the translator's input
-    // is a word stream, as it would be in a deployed system.
-    let words = encode_text_section(prog);
-    let bundles = decode_text_section(&words)?;
-
     let mut stats = TranslationStats {
-        bundles_in: bundles.len(),
+        bundles_in: prog.bundles.len(),
         ..Default::default()
     };
-    let (mut new_bundles, start_of) = rebundle(&bundles, to, &mut stats)?;
+    let (mut new_bundles, start_of) = rebundle(&prog.bundles, to, &mut stats)?;
 
     // Remap branch targets (calls carry function ids — untouched; function
     // entries are remapped below).

@@ -7,7 +7,9 @@
 //! little-endian [`Writer`]/[`Reader`] pair, a [`Codec`] trait, and
 //! mechanical implementations for every ISA container type. The IR and
 //! backend crates implement [`Codec`] for their own types on top of these
-//! primitives.
+//! primitives. It is the one byte format for machine code
+//! ([`opcode_tag`] numbers the opcodes), and [`fnv1a`] is the checksum
+//! that disk cache entries and wire frames end with.
 //!
 //! # Format discipline
 //!
@@ -308,6 +310,19 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The 64-bit FNV-1a offset basis: the state [`fnv1a`] starts from.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the 64-bit FNV-1a state `h`. The hash of `a` is
+/// `fnv1a(FNV1A_BASIS, a)`, and `fnv1a(fnv1a(FNV1A_BASIS, a), b)` is the
+/// hash of `a` followed by `b`. Disk cache entries and wire frames end
+/// with this checksum.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Binary encode/decode for one artifact (or artifact component) type.
 ///
 /// `decode(encode(x)) == x` is the contract; the workspace round-trip
@@ -458,8 +473,9 @@ impl Codec for ActivityCounts {
     }
 }
 
-/// Stable wire tag of an opcode. Custom ops carry their id as a payload.
-fn opcode_tag(op: Opcode) -> u8 {
+/// Stable tag of an opcode, 0–42: its first byte in every encoding of
+/// machine code. Custom ops carry their id as a payload after it.
+pub fn opcode_tag(op: Opcode) -> u8 {
     use Opcode::*;
     match op {
         Add => 0,

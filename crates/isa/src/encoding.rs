@@ -1,22 +1,15 @@
-//! Instruction encoding: code-size models and a concrete bitstream format.
+//! Instruction encoding as a code-size model.
 //!
-//! Two distinct concerns live here. The *size model* answers "how many bytes
-//! does this program occupy in the ROM / I-cache" for each of the three
-//! encoding schemes of [`Encoding`] — that drives the paper's "visible
-//! instruction compression" experiment (§1.2) and the I-cache simulation.
-//! The *bitstream codec* is a real, lossless serialization of machine
-//! operations used by the binary-translation substrate (§2.2), so that "a
-//! binary" in this repository is an actual word stream, not a Rust object.
+//! The model answers "how many bytes does this program occupy in the ROM /
+//! I-cache" for each of the three encoding schemes of [`Encoding`]: that
+//! drives the paper's "visible instruction compression" experiment (§1.2)
+//! and the I-cache simulation. The byte format of machine code, which the
+//! artifact cache stores and the wire carries, is [`crate::codec`].
 
 use crate::code::{Bundle, MachineOp, VliwProgram};
 use crate::machine::{Encoding, MachineDescription};
 use crate::op::Opcode;
 use crate::reg::{Operand, Reg};
-use std::fmt;
-
-// ---------------------------------------------------------------------------
-// Size model
-// ---------------------------------------------------------------------------
 
 /// Whether an operation fits the 16-bit compact form of
 /// [`Encoding::Compact16`]: at most two register operands from the first
@@ -97,380 +90,10 @@ pub fn code_bytes(prog: &VliwProgram, m: &MachineDescription, enc: Encoding) -> 
     prog.bundles.iter().map(|b| bundle_bytes(b, m, enc)).sum()
 }
 
-// ---------------------------------------------------------------------------
-// Bitstream codec
-// ---------------------------------------------------------------------------
-
-/// Error decoding a bitstream back into machine operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The word stream ended in the middle of an operation.
-    Truncated,
-    /// Unknown opcode identifier.
-    BadOpcode(u8),
-    /// Field inconsistency (e.g. arity out of bounds).
-    Malformed(&'static str),
-}
-
-impl fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DecodeError::Truncated => write!(f, "bitstream truncated mid-operation"),
-            DecodeError::BadOpcode(b) => write!(f, "unknown opcode id {b:#x}"),
-            DecodeError::Malformed(s) => write!(f, "malformed bitstream: {s}"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// Stable numeric id for each opcode (part of the binary format).
-pub fn opcode_id(op: Opcode) -> u8 {
-    use Opcode::*;
-    match op {
-        Add => 0,
-        Sub => 1,
-        And => 2,
-        Or => 3,
-        Xor => 4,
-        Shl => 5,
-        Shr => 6,
-        Sra => 7,
-        Min => 8,
-        Max => 9,
-        Abs => 10,
-        Sxtb => 11,
-        Sxth => 12,
-        CmpEq => 13,
-        CmpNe => 14,
-        CmpLt => 15,
-        CmpLe => 16,
-        CmpGt => 17,
-        CmpGe => 18,
-        CmpLtu => 19,
-        CmpGeu => 20,
-        Select => 21,
-        Mov => 22,
-        Mul => 23,
-        MulH => 24,
-        Div => 25,
-        Rem => 26,
-        Ldw => 27,
-        Stw => 28,
-        Br => 29,
-        BrT => 30,
-        BrF => 31,
-        Call => 32,
-        Ret => 33,
-        Halt => 34,
-        MovFromSp => 35,
-        AddSp => 36,
-        MovFromLr => 37,
-        MovToLr => 38,
-        Emit => 39,
-        CopyX => 40,
-        Nop => 41,
-        Custom(_) => 42,
-    }
-}
-
-/// Inverse of [`opcode_id`]; custom ops recover their payload from the
-/// encoded custom field.
-pub fn opcode_from_id(id: u8, custom: u16) -> Result<Opcode, DecodeError> {
-    use Opcode::*;
-    Ok(match id {
-        0 => Add,
-        1 => Sub,
-        2 => And,
-        3 => Or,
-        4 => Xor,
-        5 => Shl,
-        6 => Shr,
-        7 => Sra,
-        8 => Min,
-        9 => Max,
-        10 => Abs,
-        11 => Sxtb,
-        12 => Sxth,
-        13 => CmpEq,
-        14 => CmpNe,
-        15 => CmpLt,
-        16 => CmpLe,
-        17 => CmpGt,
-        18 => CmpGe,
-        19 => CmpLtu,
-        20 => CmpGeu,
-        21 => Select,
-        22 => Mov,
-        23 => Mul,
-        24 => MulH,
-        25 => Div,
-        26 => Rem,
-        27 => Ldw,
-        28 => Stw,
-        29 => Br,
-        30 => BrT,
-        31 => BrF,
-        32 => Call,
-        33 => Ret,
-        34 => Halt,
-        35 => MovFromSp,
-        36 => AddSp,
-        37 => MovFromLr,
-        38 => MovToLr,
-        39 => Emit,
-        40 => CopyX,
-        41 => Nop,
-        42 => Custom(custom),
-        other => return Err(DecodeError::BadOpcode(other)),
-    })
-}
-
-fn pack_reg(r: Reg) -> u32 {
-    (u32::from(r.cluster) << 16) | u32::from(r.index)
-}
-
-fn unpack_reg(w: u32) -> Reg {
-    Reg {
-        cluster: ((w >> 16) & 0xFF) as u8,
-        index: (w & 0xFFFF) as u16,
-    }
-}
-
-/// Serialize one machine operation to the word stream.
-pub fn encode_op(op: &MachineOp, out: &mut Vec<u32>) {
-    let custom = match op.opcode {
-        Opcode::Custom(k) => k,
-        _ => 0,
-    };
-    let w0 = u32::from(opcode_id(op.opcode))
-        | ((op.dsts.len() as u32 & 0xF) << 8)
-        | ((op.srcs.len() as u32 & 0xF) << 12)
-        | (u32::from(custom) << 16);
-    out.push(w0);
-    out.push(op.imm as u32);
-    out.push(op.target);
-    let mut mask = 0u32;
-    for (i, s) in op.srcs.iter().enumerate() {
-        if matches!(s, Operand::Imm(_)) {
-            mask |= 1 << i;
-        }
-    }
-    out.push(mask);
-    for &d in &op.dsts {
-        out.push(pack_reg(d));
-    }
-    for &s in &op.srcs {
-        match s {
-            Operand::Reg(r) => out.push(pack_reg(r)),
-            Operand::Imm(v) => out.push(v as u32),
-        }
-    }
-}
-
-/// Deserialize one operation starting at `pos`; returns the op and the new
-/// position.
-///
-/// # Errors
-///
-/// [`DecodeError`] if the stream is truncated or structurally invalid.
-pub fn decode_op(words: &[u32], pos: usize) -> Result<(MachineOp, usize), DecodeError> {
-    let need = |p: usize| -> Result<u32, DecodeError> {
-        words.get(p).copied().ok_or(DecodeError::Truncated)
-    };
-    let w0 = need(pos)?;
-    let id = (w0 & 0xFF) as u8;
-    let ndst = ((w0 >> 8) & 0xF) as usize;
-    let nsrc = ((w0 >> 12) & 0xF) as usize;
-    let custom = (w0 >> 16) as u16;
-    if ndst > 2 || nsrc > 8 {
-        return Err(DecodeError::Malformed("operand arity out of range"));
-    }
-    let opcode = opcode_from_id(id, custom)?;
-    let imm = need(pos + 1)? as i32;
-    let target = need(pos + 2)?;
-    let mask = need(pos + 3)?;
-    let mut p = pos + 4;
-    let mut dsts = Vec::with_capacity(ndst);
-    for _ in 0..ndst {
-        dsts.push(unpack_reg(need(p)?));
-        p += 1;
-    }
-    let mut srcs = Vec::with_capacity(nsrc);
-    for i in 0..nsrc {
-        let w = need(p)?;
-        p += 1;
-        if mask & (1 << i) != 0 {
-            srcs.push(Operand::Imm(w as i32));
-        } else {
-            srcs.push(Operand::Reg(unpack_reg(w)));
-        }
-    }
-    Ok((
-        MachineOp {
-            opcode,
-            dsts,
-            srcs,
-            imm,
-            target,
-        },
-        p,
-    ))
-}
-
-/// Serialize a whole bundle: header word `(width | occupied-slot mask << 8)`
-/// followed by each occupied slot's operation.
-pub fn encode_bundle(b: &Bundle, out: &mut Vec<u32>) {
-    let mut mask = 0u32;
-    for (i, _) in b.ops() {
-        mask |= 1 << i;
-    }
-    out.push((b.slots.len() as u32 & 0xFF) | (mask << 8));
-    for (_, op) in b.ops() {
-        encode_op(op, out);
-    }
-}
-
-/// Deserialize a bundle; returns the bundle and the next position.
-///
-/// # Errors
-///
-/// [`DecodeError`] on truncation or malformed content.
-pub fn decode_bundle(words: &[u32], pos: usize) -> Result<(Bundle, usize), DecodeError> {
-    let hdr = words.get(pos).copied().ok_or(DecodeError::Truncated)?;
-    let width = (hdr & 0xFF) as usize;
-    let mask = hdr >> 8;
-    if width > 24 {
-        return Err(DecodeError::Malformed("bundle width out of range"));
-    }
-    let mut b = Bundle::empty(width);
-    let mut p = pos + 1;
-    for slot in 0..width {
-        if mask & (1 << slot) != 0 {
-            let (op, np) = decode_op(words, p)?;
-            b.slots[slot] = Some(op);
-            p = np;
-        }
-    }
-    Ok((b, p))
-}
-
-/// Serialize a program's instruction stream (bundles only; the directories
-/// travel in the [`VliwProgram`] container).
-pub fn encode_text_section(prog: &VliwProgram) -> Vec<u32> {
-    let mut out = Vec::new();
-    out.push(prog.bundles.len() as u32);
-    for b in &prog.bundles {
-        encode_bundle(b, &mut out);
-    }
-    out
-}
-
-/// Deserialize an instruction stream produced by [`encode_text_section`].
-///
-/// # Errors
-///
-/// [`DecodeError`] on truncation or malformed content.
-pub fn decode_text_section(words: &[u32]) -> Result<Vec<Bundle>, DecodeError> {
-    let n = *words.first().ok_or(DecodeError::Truncated)? as usize;
-    let mut bundles = Vec::with_capacity(n);
-    let mut pos = 1;
-    for _ in 0..n {
-        let (b, np) = decode_bundle(words, pos)?;
-        bundles.push(b);
-        pos = np;
-    }
-    Ok(bundles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::MachineDescription;
-
-    fn sample_ops() -> Vec<MachineOp> {
-        let mut ldw = MachineOp::new(
-            Opcode::Ldw,
-            vec![Reg::new(0, 3)],
-            vec![Operand::Reg(Reg::new(0, 2))],
-        );
-        ldw.imm = -8;
-        let mut br = MachineOp::new(Opcode::BrT, vec![], vec![Operand::Reg(Reg::new(1, 4))]);
-        br.target = 17;
-        vec![
-            MachineOp::new(
-                Opcode::Add,
-                vec![Reg::new(0, 1)],
-                vec![Operand::Reg(Reg::new(0, 2)), Operand::Imm(-5)],
-            ),
-            ldw,
-            br,
-            MachineOp::new(
-                Opcode::Custom(7),
-                vec![Reg::new(0, 1), Reg::new(0, 2)],
-                vec![
-                    Operand::Reg(Reg::new(0, 3)),
-                    Operand::Imm(9),
-                    Operand::Reg(Reg::new(0, 4)),
-                ],
-            ),
-            MachineOp::nop(),
-        ]
-    }
-
-    #[test]
-    fn op_roundtrip() {
-        for op in sample_ops() {
-            let mut words = Vec::new();
-            encode_op(&op, &mut words);
-            let (back, used) = decode_op(&words, 0).unwrap();
-            assert_eq!(back, op);
-            assert_eq!(used, words.len());
-        }
-    }
-
-    #[test]
-    fn bundle_roundtrip_preserves_slots() {
-        let mut b = Bundle::empty(4);
-        let ops = sample_ops();
-        b.slots[1] = Some(ops[0].clone());
-        b.slots[3] = Some(ops[1].clone());
-        let mut words = Vec::new();
-        encode_bundle(&b, &mut words);
-        let (back, used) = decode_bundle(&words, 0).unwrap();
-        assert_eq!(back, b);
-        assert_eq!(used, words.len());
-    }
-
-    #[test]
-    fn text_section_roundtrip() {
-        let mut b0 = Bundle::empty(2);
-        b0.slots[0] = Some(sample_ops()[0].clone());
-        let mut b1 = Bundle::empty(2);
-        b1.slots[1] = Some(sample_ops()[2].clone());
-        let prog = VliwProgram {
-            bundles: vec![b0, b1, Bundle::empty(2)],
-            ..Default::default()
-        };
-        let words = encode_text_section(&prog);
-        let back = decode_text_section(&words).unwrap();
-        assert_eq!(back, prog.bundles);
-    }
-
-    #[test]
-    fn truncated_stream_rejected() {
-        let mut words = Vec::new();
-        encode_op(&sample_ops()[3], &mut words);
-        for cut in 0..words.len() {
-            assert!(decode_op(&words[..cut], 0).is_err());
-        }
-    }
-
-    #[test]
-    fn unknown_opcode_rejected() {
-        let words = vec![0xFF, 0, 0, 0];
-        assert_eq!(decode_op(&words, 0), Err(DecodeError::BadOpcode(0xFF)));
-    }
 
     #[test]
     fn size_model_orders_schemes() {

@@ -14,7 +14,7 @@
 //! * **executable custom operations** — dataflow graphs of base ops collapsed
 //!   into single instructions, evaluable by any simulator ([`custom`]);
 //! * **machine code** containers with static validation ([`code`]);
-//! * **encoding** models and a lossless bitstream codec ([`encoding`]);
+//! * **code-size** models of the instruction encodings ([`encoding`]);
 //! * first-order **hardware models** for area, cycle time and energy
 //!   ([`hwmodel`]);
 //! * the lazily-zeroed **data-memory image** that the IR interpreter and

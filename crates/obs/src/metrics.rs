@@ -164,20 +164,23 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Quantile estimate: the upper bound of the bucket holding the
-    /// rank-`ceil(q * count)` observation. `0` when empty.
+    /// rank-`ceil(q * n)` observation, where `n` is the sum of the bucket
+    /// counts. `0` when empty.
+    ///
+    /// The rank is not taken over `count`: a snapshot taken while a
+    /// [`Histogram::record`] is in flight can read the count ahead of the
+    /// buckets, and a rank past the last bucket has no bound to report.
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let n = self.buckets.iter().fold(0u64, |n, b| n.saturating_add(b.1));
+        let rank = ((q * n as f64).ceil() as u64).clamp(1, n.max(1));
         let mut seen = 0u64;
-        for &(i, n) in &self.buckets {
-            seen += n;
+        for &(i, c) in &self.buckets {
+            seen = seen.saturating_add(c);
             if seen >= rank {
                 return bucket_upper_bound(i as usize);
             }
         }
-        bucket_upper_bound(BUCKETS - 1)
+        0
     }
 
     /// Mean observation (integer division; `0` when empty).
@@ -365,6 +368,34 @@ mod tests {
             .expect("hist line");
         assert!(h.contains("count=1"));
         assert!(h.contains("buckets=2:1"));
+    }
+
+    #[test]
+    fn quantiles_read_the_bucket_holding_the_rank() {
+        let h = HistogramSnapshot {
+            name: "h".into(),
+            count: 100,
+            sum_ns: 0,
+            buckets: vec![(4, 50), (8, 49), (20, 1)],
+        };
+        assert_eq!(h.quantile_ns(0.5), (1 << 4) - 1);
+        assert_eq!(h.quantile_ns(0.99), (1 << 8) - 1);
+        assert_eq!(h.quantile_ns(1.0), (1 << 20) - 1);
+    }
+
+    #[test]
+    fn quantiles_of_a_torn_snapshot_stay_in_its_buckets() {
+        // Taken between a record's count and bucket adds: the count reads
+        // one ahead of the bucket sums.
+        let h = HistogramSnapshot {
+            name: "torn".into(),
+            count: 3,
+            sum_ns: 30,
+            buckets: vec![(4, 2)],
+        };
+        assert_eq!(h.quantile_ns(0.5), 15);
+        assert_eq!(h.quantile_ns(0.99), 15);
+        assert_eq!(h.quantile_ns(1.0), 15);
     }
 
     #[test]

@@ -455,9 +455,10 @@ pub fn format_shard_table(metrics: &[Option<MetricsReply>]) -> String {
             ));
             continue;
         };
-        let cells = m.counter("serve.cells");
-        let busy = m.counter("serve.busy_rejections");
+        let cells = m.metrics.counter("serve.cells");
+        let busy = m.metrics.counter("serve.busy_rejections");
         let (p50, p99) = m
+            .metrics
             .histogram("cell.eval_ns")
             .map_or((0, 0), |h| (h.quantile_ns(0.5), h.quantile_ns(0.99)));
         let stages = [
@@ -492,19 +493,19 @@ pub fn format_shard_table(metrics: &[Option<MetricsReply>]) -> String {
             "serve.faults.crash",
         ]
         .iter()
-        .map(|n| m.counter(n))
+        .map(|n| m.metrics.counter(n))
         .sum();
-        let timeouts = m.counter("serve.timeouts");
+        let timeouts = m.metrics.counter("serve.timeouts");
         if faults > 0 || timeouts > 0 {
             out.push_str(&format!(" faults={faults} timeouts={timeouts}"));
         }
         // Superblock trace activity, present only when the worker's
         // engine actually formed traces.
-        let formed = m.counter("sim.trace.formed");
+        let formed = m.metrics.counter("sim.trace.formed");
         if formed > 0 {
-            let entries = m.counter("sim.trace.entries");
-            let side_exits = m.counter("sim.trace.side_exits");
-            let fallbacks = m.counter("sim.trace.fallbacks");
+            let entries = m.metrics.counter("sim.trace.entries");
+            let side_exits = m.metrics.counter("sim.trace.side_exits");
+            let fallbacks = m.metrics.counter("sim.trace.fallbacks");
             #[allow(clippy::cast_precision_loss)]
             let side_pct = if entries == 0 {
                 0.0

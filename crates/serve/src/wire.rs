@@ -24,7 +24,8 @@
 
 use asip_core::cache::CacheStats;
 use asip_core::session::{EvalOutcome, EvalRequest};
-use asip_isa::codec::{Codec, CodecError, Reader, Writer};
+use asip_isa::codec::{fnv1a, Codec, CodecError, Reader, Writer, FNV1A_BASIS};
+use asip_obs::{CounterSnapshot, HistogramSnapshot, Snapshot};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -46,19 +47,6 @@ pub const WIRE_VERSION: u32 = 6;
 /// is rejected before any allocation — a garbage length field cannot make
 /// a reader balloon or hang.
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
-
-/// FNV-1a offset basis / prime (the same constants the cache tiers use).
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_BASIS;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Everything that can go wrong reading a frame. Malformed input is always
 /// one of these — never a panic.
@@ -124,85 +112,77 @@ impl From<CodecError> for ProtocolError {
     }
 }
 
-/// One named counter in a [`MetricsReply`] (the wire mirror of
-/// `asip_obs::CounterSnapshot`; the protocol crate keeps its own types so
-/// the observability spine never grows a wire dependency).
+/// The `Metrics` RPC response body: the worker process's full metrics
+/// snapshot plus its session cache counters, so a shard coordinator can
+/// print per-shard cells, busy rejections, latency quantiles and cache hit
+/// ratios without any shared state.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireCounter {
-    /// Dotted metric name (`"cache.mem.evictions"`, `"serve.cells"`, …).
-    pub name: String,
-    /// Current value.
-    pub value: u64,
+pub struct MetricsReply {
+    /// Every registered counter and histogram, sorted by name.
+    pub metrics: Snapshot,
+    /// The serving session's cache counters.
+    pub cache: CacheStats,
 }
 
-impl Codec for WireCounter {
+impl MetricsReply {
+    /// Snapshot this process's metrics registry alongside `cache`.
+    pub fn from_process(cache: CacheStats) -> MetricsReply {
+        MetricsReply {
+            metrics: asip_obs::snapshot(),
+            cache,
+        }
+    }
+}
+
+impl Codec for MetricsReply {
     fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.name);
-        w.put_u64(self.value);
+        encode_snapshot(&self.metrics, w);
+        self.cache.encode(w);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(WireCounter {
-            name: r.get_str()?,
-            value: r.get_u64()?,
+        Ok(MetricsReply {
+            metrics: decode_snapshot(r)?,
+            cache: Codec::decode(r)?,
         })
     }
 }
 
-/// One named log2-bucketed histogram in a [`MetricsReply`] (wire mirror of
-/// `asip_obs::HistogramSnapshot`).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WireHistogram {
-    /// Dotted metric name (`"cell.eval_ns"`, `"stage.compile.self_ns"`, …).
-    pub name: String,
-    /// Total recorded values.
-    pub count: u64,
-    /// Sum of recorded values (nanoseconds for latency histograms).
-    pub sum_ns: u64,
-    /// Occupied log2 buckets as `(index, count)`; bucket `i` holds values
-    /// up to `2^i - 1`.
-    pub buckets: Vec<(u8, u64)>,
-}
-
-impl WireHistogram {
-    /// Upper bound of the bucket holding the rank-`q` value (the same
-    /// estimate `asip_obs` reports); 0 when the histogram is empty.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        #[allow(clippy::cast_precision_loss, clippy::cast_sign_loss)]
-        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for &(i, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return if i == 0 {
-                    0
-                } else if usize::from(i) >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << i) - 1
-                };
-            }
-        }
-        u64::MAX
+/// Encode a metrics snapshot: the counters, then the histograms, each as a
+/// `u32` count and its entries. These are functions, not a [`Codec`] impl,
+/// because neither the trait nor [`Snapshot`] belongs to this crate.
+fn encode_snapshot(snap: &Snapshot, w: &mut Writer) {
+    w.put_u32(snap.counters.len() as u32);
+    for c in &snap.counters {
+        w.put_str(&c.name);
+        w.put_u64(c.value);
     }
-}
-
-impl Codec for WireHistogram {
-    fn encode(&self, w: &mut Writer) {
-        w.put_str(&self.name);
-        w.put_u64(self.count);
-        w.put_u64(self.sum_ns);
-        w.put_u32(self.buckets.len() as u32);
-        for &(i, n) in &self.buckets {
+    w.put_u32(snap.histograms.len() as u32);
+    for h in &snap.histograms {
+        w.put_str(&h.name);
+        w.put_u64(h.count);
+        w.put_u64(h.sum_ns);
+        w.put_u32(h.buckets.len() as u32);
+        for &(i, n) in &h.buckets {
             w.put_u8(i);
             w.put_u64(n);
         }
     }
+}
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+/// Decode what [`encode_snapshot`] writes.
+fn decode_snapshot(r: &mut Reader<'_>) -> Result<Snapshot, CodecError> {
+    let len = r.get_len()?;
+    let mut counters = Vec::with_capacity(len);
+    for _ in 0..len {
+        counters.push(CounterSnapshot {
+            name: r.get_str()?,
+            value: r.get_u64()?,
+        });
+    }
+    let len = r.get_len()?;
+    let mut histograms = Vec::with_capacity(len);
+    for _ in 0..len {
         let name = r.get_str()?;
         let count = r.get_u64()?;
         let sum_ns = r.get_u64()?;
@@ -211,84 +191,17 @@ impl Codec for WireHistogram {
         for _ in 0..len {
             buckets.push((r.get_u8()?, r.get_u64()?));
         }
-        Ok(WireHistogram {
+        histograms.push(HistogramSnapshot {
             name,
             count,
             sum_ns,
             buckets,
-        })
+        });
     }
-}
-
-/// The `Metrics` RPC response body: the worker process's full metrics
-/// snapshot plus its session cache counters, so a shard coordinator can
-/// print per-shard cells, busy rejections, latency quantiles and cache hit
-/// ratios without any shared state.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsReply {
-    /// Every registered counter, sorted by name.
-    pub counters: Vec<WireCounter>,
-    /// Every registered histogram, sorted by name.
-    pub histograms: Vec<WireHistogram>,
-    /// The serving session's cache counters.
-    pub cache: CacheStats,
-}
-
-impl MetricsReply {
-    /// Snapshot this process's metrics registry alongside `cache`.
-    pub fn from_process(cache: CacheStats) -> MetricsReply {
-        let snap = asip_obs::snapshot();
-        MetricsReply {
-            counters: snap
-                .counters
-                .into_iter()
-                .map(|c| WireCounter {
-                    name: c.name,
-                    value: c.value,
-                })
-                .collect(),
-            histograms: snap
-                .histograms
-                .into_iter()
-                .map(|h| WireHistogram {
-                    name: h.name,
-                    count: h.count,
-                    sum_ns: h.sum_ns,
-                    buckets: h.buckets,
-                })
-                .collect(),
-            cache,
-        }
-    }
-
-    /// The named counter's value; 0 when absent.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map_or(0, |c| c.value)
-    }
-
-    /// The named histogram, when present.
-    pub fn histogram(&self, name: &str) -> Option<&WireHistogram> {
-        self.histograms.iter().find(|h| h.name == name)
-    }
-}
-
-impl Codec for MetricsReply {
-    fn encode(&self, w: &mut Writer) {
-        self.counters.encode(w);
-        self.histograms.encode(w);
-        self.cache.encode(w);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(MetricsReply {
-            counters: Vec::decode(r)?,
-            histograms: Vec::decode(r)?,
-            cache: Codec::decode(r)?,
-        })
-    }
+    Ok(Snapshot {
+        counters,
+        histograms,
+    })
 }
 
 /// Every message the protocol carries, requests and responses alike.
@@ -395,7 +308,7 @@ impl Message {
         frame.push(self.kind());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         frame.extend_from_slice(&payload);
-        let sum = fnv1a(&frame);
+        let sum = fnv1a(FNV1A_BASIS, &frame);
         frame.extend_from_slice(&sum.to_le_bytes());
         frame
     }
@@ -436,7 +349,7 @@ impl Message {
         let body_end = 17 + len;
         let declared =
             u64::from_le_bytes(bytes[body_end..body_end + 8].try_into().expect("8 bytes"));
-        if declared != fnv1a(&bytes[..body_end]) {
+        if declared != fnv1a(FNV1A_BASIS, &bytes[..body_end]) {
             return Err(ProtocolError::BadChecksum);
         }
         if bytes.len() != body_end + 8 {
@@ -527,12 +440,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Message, ProtocolError> {
     r.read_exact(&mut rest)?;
     let body_end = rest.len() - 8;
     let declared = u64::from_le_bytes(rest[body_end..].try_into().expect("8 bytes"));
-    let mut sum = fnv1a(&head);
-    for &b in &rest[..body_end] {
-        sum ^= u64::from(b);
-        sum = sum.wrapping_mul(FNV_PRIME);
-    }
-    if declared != sum {
+    if declared != fnv1a(fnv1a(FNV1A_BASIS, &head), &rest[..body_end]) {
         return Err(ProtocolError::BadChecksum);
     }
     let msg = Message::decode_payload(kind, &rest[..body_end])?;
@@ -568,32 +476,20 @@ mod tests {
         roundtrip(&Message::Pong);
         roundtrip(&Message::Metrics);
         roundtrip(&Message::MetricsReply(Box::new(MetricsReply {
-            counters: vec![WireCounter {
-                name: "cache.mem.evictions".into(),
-                value: 3,
-            }],
-            histograms: vec![WireHistogram {
-                name: "cell.eval_ns".into(),
-                count: 4,
-                sum_ns: 1000,
-                buckets: vec![(8, 3), (10, 1)],
-            }],
+            metrics: Snapshot {
+                counters: vec![CounterSnapshot {
+                    name: "cache.mem.evictions".into(),
+                    value: 3,
+                }],
+                histograms: vec![HistogramSnapshot {
+                    name: "cell.eval_ns".into(),
+                    count: 4,
+                    sum_ns: 1000,
+                    buckets: vec![(8, 3), (10, 1)],
+                }],
+            },
             cache: CacheStats::default(),
         })));
-    }
-
-    #[test]
-    fn wire_histogram_quantiles() {
-        let h = WireHistogram {
-            name: "h".into(),
-            count: 100,
-            sum_ns: 0,
-            buckets: vec![(4, 50), (8, 49), (20, 1)],
-        };
-        assert_eq!(h.quantile_ns(0.5), (1 << 4) - 1);
-        assert_eq!(h.quantile_ns(0.99), (1 << 8) - 1);
-        assert_eq!(h.quantile_ns(1.0), (1 << 20) - 1);
-        assert_eq!(WireHistogram::default().quantile_ns(0.5), 0);
     }
 
     #[test]
@@ -619,7 +515,7 @@ mod tests {
             let mut bad = good.clone();
             bad[12] = kind;
             let body_end = bad.len() - 8;
-            let sum = fnv1a(&bad[..body_end]).to_le_bytes();
+            let sum = fnv1a(FNV1A_BASIS, &bad[..body_end]).to_le_bytes();
             bad[body_end..].copy_from_slice(&sum);
             assert!(
                 matches!(

@@ -37,7 +37,7 @@ fn admission_overload_answers_typed_busy() {
     let outs = client.eval(std::slice::from_ref(&req)).unwrap();
     assert_eq!(outs.len(), 1);
 
-    let metrics = client.metrics().unwrap();
+    let metrics = client.metrics().unwrap().metrics;
     assert_eq!(metrics.counter("serve.busy_rejections"), 1);
     assert_eq!(
         metrics.counter("serve.cells"),

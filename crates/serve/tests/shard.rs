@@ -104,7 +104,7 @@ fn coordinator_reuses_worker_connections() {
         local_bytes,
         "pooled dispatch must not perturb order or bytes"
     );
-    let m = metrics[0].as_ref().expect("live worker scrapes");
+    let m = &metrics[0].as_ref().expect("live worker scrapes").metrics;
     assert_eq!(
         m.counter("serve.connections"),
         1,

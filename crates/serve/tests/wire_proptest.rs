@@ -5,10 +5,8 @@
 
 use asip_core::session::EvalRequest;
 use asip_isa::MachineDescription;
-use asip_serve::wire::{
-    Message, MetricsReply, ProtocolError, WireCounter, WireHistogram, MAGIC, MAX_PAYLOAD,
-    WIRE_VERSION,
-};
+use asip_obs::{CounterSnapshot, HistogramSnapshot, Snapshot};
+use asip_serve::wire::{Message, MetricsReply, ProtocolError, MAGIC, MAX_PAYLOAD, WIRE_VERSION};
 use proptest::prelude::*;
 
 /// FNV-1a, restated here so the tests can re-stamp checksums on frames
@@ -54,20 +52,22 @@ fn message_for(seed: u64) -> Message {
         },
         4 => Message::Metrics,
         5 => Message::MetricsReply(Box::new(MetricsReply {
-            counters: (0..seed % 5)
-                .map(|i| WireCounter {
-                    name: format!("c.{i}"),
-                    value: seed.rotate_left(i as u32),
-                })
-                .collect(),
-            histograms: (0..seed % 3)
-                .map(|i| WireHistogram {
-                    name: format!("h.{i}"),
-                    count: seed % 100,
-                    sum_ns: seed.rotate_right(5),
-                    buckets: (0..(seed % 4) as u8).map(|b| (b * 7, seed % 13)).collect(),
-                })
-                .collect(),
+            metrics: Snapshot {
+                counters: (0..seed % 5)
+                    .map(|i| CounterSnapshot {
+                        name: format!("c.{i}"),
+                        value: seed.rotate_left(i as u32),
+                    })
+                    .collect(),
+                histograms: (0..seed % 3)
+                    .map(|i| HistogramSnapshot {
+                        name: format!("h.{i}"),
+                        count: seed % 100,
+                        sum_ns: seed.rotate_right(5),
+                        buckets: (0..(seed % 4) as u8).map(|b| (b * 7, seed % 13)).collect(),
+                    })
+                    .collect(),
+            },
             cache: Default::default(),
         })),
         _ => Message::Pong,

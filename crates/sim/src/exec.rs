@@ -226,11 +226,11 @@ fn flat_src(o: &Operand, regs_per: u32) -> Src {
     }
 }
 
-/// Decode one machine operation against the machine tables. `fn_entry`
-/// resolves a function id to its entry index in the target container;
-/// `lat_extra` is added to the machine latency (the scalar engine passes
-/// its no-forwarding penalty, the VLIW engine 0).
-pub(crate) fn decode_op(
+/// Lower one machine operation to its decoded form against the machine
+/// tables. `fn_entry` resolves a function id to its entry index in the
+/// target container; `lat_extra` is added to the machine latency (the
+/// scalar engine passes its no-forwarding penalty, the VLIW engine 0).
+pub(crate) fn lower_op(
     op: &MachineOp,
     m: &MachineDescription,
     fn_entry: &[u32],
@@ -489,7 +489,7 @@ impl Decoded {
                     self.interlock.push(r);
                 }
             }
-            let op = decode_op(
+            let op = lower_op(
                 op,
                 &self.machine,
                 &self.entries,

@@ -5,8 +5,7 @@ use asip::core::{EvalRequest, Session};
 use asip::ir::interp::run_module;
 use asip::ir::passes::{optimize, OptConfig};
 use asip::isa::custom::{CustomOpDef, PatNode, PatRef};
-use asip::isa::encoding::{decode_op, encode_op};
-use asip::isa::{ICacheConfig, MachineDescription, MachineOp, Opcode, Operand, Reg};
+use asip::isa::{ICacheConfig, MachineDescription, Opcode};
 use asip::sim::run_program;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -31,28 +30,6 @@ fn arb_opcode() -> impl Strategy<Value = Opcode> {
 }
 
 proptest! {
-    /// The bitstream codec round-trips arbitrary well-formed operations.
-    #[test]
-    fn encoding_roundtrip(
-        op in arb_opcode(),
-        d in 0u16..32,
-        s1 in 0u16..32,
-        imm in any::<i32>(),
-        use_imm in any::<bool>(),
-    ) {
-        let srcs = if use_imm {
-            vec![Operand::Reg(Reg::new(0, s1)), Operand::Imm(imm)]
-        } else {
-            vec![Operand::Reg(Reg::new(0, s1)), Operand::Reg(Reg::new(0, d))]
-        };
-        let mop = MachineOp::new(op, vec![Reg::new(0, d)], srcs);
-        let mut words = Vec::new();
-        encode_op(&mop, &mut words);
-        let (back, used) = decode_op(&words, 0).unwrap();
-        prop_assert_eq!(back, mop);
-        prop_assert_eq!(used, words.len());
-    }
-
     /// Custom-op datapaths agree with scalar evaluation of the same DAG.
     #[test]
     fn custom_op_eval_matches_scalar(
