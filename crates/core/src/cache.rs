@@ -31,19 +31,21 @@
 //! machine, the backend options, the workload's inputs and arguments, and
 //! the **payload bytes of its parent artifacts** (the optimized module for
 //! Profile and Compile, the profile for Compile, the compiled program for
-//! Simulate). A parent that came from the cache goes into its child's key
-//! as the bytes the cache holds, so a warm evaluation never renders or
-//! re-encodes a module or a program to look up the next stage. Codec
-//! encodings delimit themselves, so the concatenation is injective: two
-//! keys are equal only if every input is.
+//! Simulate). A parent goes into its child's key as the payload the cache
+//! holds, shared rather than copied (see the `key` module), so a warm
+//! evaluation never renders, re-encodes or copies a module or a program
+//! to look up the next stage. Codec encodings delimit themselves, so the
+//! concatenation is injective: two keys are equal only if every input is.
 //!
 //! Both tiers compare keys **exactly**. The memory tier buckets entries by
-//! a 64-bit hash of the key (four multiply-fold lanes per 32-byte block),
-//! and compares the stored key bytes on every probe, so a hash collision
-//! degrades to a bucket scan, never to a wrong artifact. (Tests force the
-//! degenerate all-collide case through [`CacheConfig::hash_mask`].) The
-//! disk tier names each file by two seeds of the same hash and stores the
-//! key bytes in a self-describing header (magic, [`FORMAT_VERSION`],
+//! a 64-bit hash of the key (four multiply-fold lanes per 32-byte block,
+//! with each shared parent entering as the hash of its bytes), and
+//! compares the stored key on every probe, a shared parent by pointer
+//! before bytes, so a hash collision degrades to a bucket scan, never to
+//! a wrong artifact. (Tests force the degenerate all-collide case through
+//! [`CacheConfig::hash_mask`].) The disk tier names each file by the same
+//! hash of the flat key bytes under two seeds and stores those bytes in
+//! a self-describing header (magic, [`FORMAT_VERSION`],
 //! stage kind, key, payload checksum) that a load re-verifies, so a
 //! file-name collision, a stale format or plain file corruption silently
 //! degrades to a recompute.
@@ -66,9 +68,11 @@
 
 mod disk;
 mod entry;
+mod key;
 mod mem;
 
 pub use entry::FORMAT_VERSION;
+pub(crate) use key::{Key, KeyWriter, Payload};
 
 use crate::pipeline::ToolchainError;
 use asip_isa::codec::Codec;
@@ -78,7 +82,6 @@ use std::cell::OnceCell;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Default memory-tier byte budget (256 MiB) when neither
@@ -563,7 +566,7 @@ impl ArtifactCache {
     pub(crate) fn get_or_compute<V: Codec>(
         &self,
         stage: StageKind,
-        key: &[u8],
+        key: &Key,
         compute: impl FnOnce() -> Result<V, ToolchainError>,
     ) -> Result<Staged<V>, ToolchainError> {
         // Symmetric timing: the frame measures this call's *entire* wall
@@ -584,7 +587,7 @@ impl ArtifactCache {
                     let staged = Staged::new(v);
                     self.mem.store(stage, key, &staged.payload);
                     if let Some(disk) = &self.disk {
-                        disk.store(stage, key, &staged.payload);
+                        disk.store(stage, &key.to_bytes(), &staged.payload);
                     }
                     staged
                 })
@@ -597,21 +600,23 @@ impl ArtifactCache {
 
     /// The cached artifact for (stage, key): a memory hit as it is, or a
     /// disk hit that decodes, promoted into memory.
-    fn probe<V: Codec>(&self, stage: StageKind, key: &[u8]) -> Option<Staged<V>> {
+    fn probe<V: Codec>(&self, stage: StageKind, key: &Key) -> Option<Staged<V>> {
         if let Some(payload) = self.mem.load(stage, key) {
             return Some(Staged::verified(payload));
         }
         let disk = self.disk.as_ref()?;
-        let payload = disk.load(stage, key)?;
+        let flat = key.to_bytes();
+        let payload = disk.load(stage, &flat)?;
         match V::decode_all(&payload) {
             Ok(value) => {
+                let payload = Payload::new(payload);
                 self.mem.store(stage, key, &payload);
                 Some(Staged::decoded(payload, value))
             }
             // Verified container, undecodable payload (e.g. encoded by a
             // build with different tag assignments): drop and recompute.
             Err(_) => {
-                disk.invalidate(stage, key);
+                disk.invalidate(stage, &flat);
                 None
             }
         }
@@ -620,10 +625,10 @@ impl ArtifactCache {
 
 /// A stage's artifact as the pipeline passes it from stage to stage: the
 /// payload bytes the cache holds, and the value, decoded on first use. A
-/// child stage copies the payload into its key and reads the value only
+/// child stage shares the payload in its key and reads the value only
 /// when it misses.
 pub(crate) struct Staged<V> {
-    payload: Arc<[u8]>,
+    payload: Payload,
     value: OnceCell<V>,
 }
 
@@ -631,13 +636,13 @@ impl<V: Codec> Staged<V> {
     /// A value computed in this process, encoded once.
     fn new(value: V) -> Staged<V> {
         Staged {
-            payload: value.encode_to_vec().into(),
+            payload: Payload::new(value.encode_to_vec().into()),
             value: OnceCell::from(value),
         }
     }
 
     /// A payload from the memory tier, which holds only verified bytes.
-    fn verified(payload: Arc<[u8]>) -> Staged<V> {
+    fn verified(payload: Payload) -> Staged<V> {
         Staged {
             payload,
             value: OnceCell::new(),
@@ -645,7 +650,7 @@ impl<V: Codec> Staged<V> {
     }
 
     /// A payload with the value its decode check produced.
-    fn decoded(payload: Arc<[u8]>, value: V) -> Staged<V> {
+    fn decoded(payload: Payload, value: V) -> Staged<V> {
         Staged {
             payload,
             value: OnceCell::from(value),
@@ -653,7 +658,7 @@ impl<V: Codec> Staged<V> {
     }
 
     /// The artifact's codec encoding.
-    pub(crate) fn payload(&self) -> &[u8] {
+    pub(crate) fn payload(&self) -> &Payload {
         &self.payload
     }
 
@@ -733,7 +738,9 @@ mod tests {
 
     fn store(cache: &ArtifactCache, key: &str, m: &Module) -> Result<Module, ToolchainError> {
         cache
-            .get_or_compute(StageKind::Parse, key.as_bytes(), || Ok(m.clone()))
+            .get_or_compute(StageKind::Parse, &Key::from(key.as_bytes()), || {
+                Ok(m.clone())
+            })
             .map(Staged::into_value)
     }
 
@@ -984,9 +991,11 @@ mod tests {
                             for stage in StageKind::ALL {
                                 let want = value(stage, k);
                                 let got = cache
-                                    .get_or_compute(stage, &key(k), || Ok(want.clone()))
+                                    .get_or_compute(stage, &Key::from(&key(k)[..]), || {
+                                        Ok(want.clone())
+                                    })
                                     .unwrap();
-                                assert_eq!(got.payload(), want.encode_to_vec(), "{stage} {k}");
+                                assert_eq!(got.payload()[..], want.encode_to_vec(), "{stage} {k}");
                                 assert_eq!(got.into_value(), want, "{stage} {k}");
                             }
                         }

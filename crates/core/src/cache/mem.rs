@@ -1,13 +1,12 @@
 //! The memory tier: the in-process, LRU byte-budgeted store.
 //!
 //! Payloads are shared `Arc<[u8]>` buffers in buckets indexed by the
-//! key's 64-bit hash (`hash64`, masked by
+//! key's 64-bit hash ([`Key::hash`], masked by
 //! [`CacheConfig::hash_mask`](super::CacheConfig::hash_mask)), computed
-//! before the lock is taken. Each entry keeps its key bytes, compared
-//! exactly on every probe, so a hash collision degrades to a bucket scan,
-//! never a wrong artifact. A hit holds the tier's lock for the bucket
-//! lookup, the key compare and a recency stamp, and clones the `Arc`, not
-//! the bytes.
+//! when the key was built. Each entry keeps its key, compared exactly on
+//! every probe, so a hash collision degrades to a bucket scan, never a
+//! wrong artifact. A hit holds the tier's lock for the bucket lookup, the
+//! key compare and a recency stamp, and clones the `Arc`, not the bytes.
 //!
 //! One global least-recently-used order across all stages enforces the
 //! byte budget, kept lazily but exactly: every store and hit stamps its
@@ -24,10 +23,10 @@
 //! tier, and only bytes it encoded or decode-checked, so the cache serves
 //! a hit without decoding it.
 
-use super::{hash64, StageKind, TierStats, KEY_SEED};
+use super::{Key, Payload, StageKind, TierStats};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Fixed per-entry bookkeeping overhead added to every size estimate.
 pub(crate) const ENTRY_OVERHEAD: u64 = 96;
@@ -41,9 +40,9 @@ static OBS_STORES: asip_obs::Counter = asip_obs::Counter::new("cache.mem.stores"
 static OBS_EVICTIONS: asip_obs::Counter = asip_obs::Counter::new("cache.mem.evictions");
 
 struct Entry {
-    /// The key bytes, compared exactly on every bucket probe.
-    key: Box<[u8]>,
-    payload: Arc<[u8]>,
+    /// The key, compared exactly on every bucket probe.
+    key: Key,
+    payload: Payload,
     /// The tick the entry was stored at; unique, so it names the entry.
     id: u64,
     /// The tick of the entry's last store or hit.
@@ -58,11 +57,11 @@ struct StageMap {
 }
 
 impl StageMap {
-    fn find(&mut self, hash: u64, key: &[u8]) -> Option<&mut Entry> {
+    fn find(&mut self, hash: u64, key: &Key) -> Option<&mut Entry> {
         self.buckets
             .get_mut(&hash)?
             .iter_mut()
-            .find(|e| e.key.as_ref() == key)
+            .find(|e| e.key == *key)
     }
 
     fn insert(&mut self, hash: u64, entry: Entry) {
@@ -153,8 +152,8 @@ impl MemoryStore {
         }
     }
 
-    fn hash(&self, key: &[u8]) -> u64 {
-        hash64(key, KEY_SEED) & self.hash_mask
+    fn hash(&self, key: &Key) -> u64 {
+        key.hash() & self.hash_mask
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -164,7 +163,7 @@ impl MemoryStore {
     }
 
     /// Look up the payload stored for (stage, key); `None` on miss.
-    pub(crate) fn load(&self, stage: StageKind, key: &[u8]) -> Option<Arc<[u8]>> {
+    pub(crate) fn load(&self, stage: StageKind, key: &Key) -> Option<Payload> {
         OBS_LOADS.add(1);
         self.loads.fetch_add(1, Ordering::Relaxed);
         let mut span = asip_obs::span("cache", "mem");
@@ -183,7 +182,7 @@ impl MemoryStore {
 
     /// Store a payload for (stage, key): bytes the owning cache encoded or
     /// decode-checked.
-    pub(crate) fn store(&self, stage: StageKind, key: &[u8], payload: &Arc<[u8]>) {
+    pub(crate) fn store(&self, stage: StageKind, key: &Key, payload: &Payload) {
         OBS_STORES.add(1);
         let mut span = asip_obs::span("cache", "mem");
         span.note("store");
@@ -211,7 +210,7 @@ impl MemoryStore {
         inner.maps[stage as usize].insert(
             hash,
             Entry {
-                key: key.into(),
+                key: key.clone(),
                 payload: payload.clone(),
                 id: tick,
                 tick,
@@ -269,23 +268,27 @@ impl MemoryStore {
 mod tests {
     use super::*;
 
-    fn payload(bytes: &[u8]) -> Arc<[u8]> {
-        Arc::from(bytes)
+    fn payload(bytes: &[u8]) -> Payload {
+        Payload::new(bytes.into())
+    }
+
+    fn key(bytes: &[u8]) -> Key {
+        Key::from(bytes)
     }
 
     #[test]
     fn store_load_and_clear() {
         let s = MemoryStore::new(u64::MAX, !0);
-        assert_eq!(s.load(StageKind::Parse, b"k"), None);
-        s.store(StageKind::Parse, b"k", &payload(b"payload"));
+        assert_eq!(s.load(StageKind::Parse, &key(b"k")), None);
+        s.store(StageKind::Parse, &key(b"k"), &payload(b"payload"));
         assert_eq!(
-            s.load(StageKind::Parse, b"k").as_deref(),
+            s.load(StageKind::Parse, &key(b"k")).as_deref(),
             Some(&b"payload"[..])
         );
         // Same key, different stage: distinct entries.
-        assert_eq!(s.load(StageKind::Compile, b"k"), None);
+        assert_eq!(s.load(StageKind::Compile, &key(b"k")), None);
         s.clear();
-        assert_eq!(s.load(StageKind::Parse, b"k"), None);
+        assert_eq!(s.load(StageKind::Parse, &key(b"k")), None);
         let t = s.stats();
         assert_eq!(t.entries, 0);
         assert_eq!(t.resident_bytes, 0);
@@ -294,8 +297,8 @@ mod tests {
     #[test]
     fn first_insert_wins_on_duplicate_store() {
         let s = MemoryStore::new(u64::MAX, !0);
-        s.store(StageKind::Parse, b"k", &payload(b"one"));
-        s.store(StageKind::Parse, b"k", &payload(b"one"));
+        s.store(StageKind::Parse, &key(b"k"), &payload(b"one"));
+        s.store(StageKind::Parse, &key(b"k"), &payload(b"one"));
         let t = s.stats();
         assert_eq!(t.stores, 1);
         assert_eq!(t.entries, 1);
@@ -305,9 +308,12 @@ mod tests {
     fn hits_share_the_stored_payload() {
         let s = MemoryStore::new(u64::MAX, !0);
         let p = payload(b"bytes");
-        s.store(StageKind::Parse, b"k", &p);
-        let hit = s.load(StageKind::Parse, b"k").unwrap();
-        assert!(Arc::ptr_eq(&hit, &p), "a hit shares the stored buffer");
+        s.store(StageKind::Parse, &key(b"k"), &p);
+        let hit = s.load(StageKind::Parse, &key(b"k")).unwrap();
+        assert!(
+            std::ptr::eq(hit.as_ptr(), p.as_ptr()),
+            "a hit shares the stored buffer"
+        );
     }
 
     /// The reference the tier must match: strict LRU over (stage, key)
@@ -371,8 +377,9 @@ mod tests {
 
     /// Whether (stage, key) is resident, read without stamping recency.
     fn resident(s: &MemoryStore, stage: StageKind, key: &[u8]) -> bool {
-        let hash = s.hash(key);
-        s.lock().maps[stage as usize].find(hash, key).is_some()
+        let key = Key::from(key);
+        let hash = s.hash(&key);
+        s.lock().maps[stage as usize].find(hash, &key).is_some()
     }
 
     #[test]
@@ -407,7 +414,7 @@ mod tests {
                         // A payload of its own length per step, so a
                         // duplicate store carries different bytes.
                         let p = vec![step as u8; next(24)];
-                        s.store(stage, &k, &payload(&p));
+                        s.store(stage, &Key::from(&k[..]), &payload(&p));
                         model.store(stage, &k, &p);
                         "store"
                     }
@@ -419,19 +426,19 @@ mod tests {
                             .get(next(model.order.len().max(1) as u64))
                             .cloned()
                         {
-                            s.store(stage, &k, &payload(b"second"));
+                            s.store(stage, &Key::from(&k[..]), &payload(b"second"));
                             model.store(stage, &k, b"second");
                         }
                         "duplicate store"
                     }
                     4 => {
                         let p = vec![1u8; budget as usize];
-                        s.store(stage, &k, &payload(&p));
+                        s.store(stage, &Key::from(&k[..]), &payload(&p));
                         model.store(stage, &k, &p);
                         "oversize store"
                     }
                     _ => {
-                        let got = s.load(stage, &k);
+                        let got = s.load(stage, &Key::from(&k[..]));
                         let want = model.load(stage, &k);
                         assert_eq!(got.as_deref(), want.as_deref(), "seed {seed} step {step}");
                         "load"

@@ -40,11 +40,12 @@
 //! | Compile | module payload, machine, [`BackendOptions`], profile payload or a "none" tag |
 //! | Simulate | machine, [`SimOptions::max_cycles`], compiled-artifact payload, inputs, args |
 //!
-//! A parent artifact enters its child's key as its cached payload bytes,
-//! so the keys chain: a cell's Compile key holds the exact module its
-//! Optimize stage produced. The machine's encoding carries its target, so
-//! a VLIW and a scalar compile of otherwise equal tables never alias, and
-//! the artifact payload opens with its own target tag.
+//! A parent artifact enters its child's key as its cached payload, shared
+//! rather than copied, so the keys chain: a cell's Compile key holds the
+//! exact module its Optimize stage produced. The machine's encoding
+//! carries its target, so a VLIW and a scalar compile of otherwise equal
+//! tables never alias, and the artifact payload opens with its own target
+//! tag.
 //!
 //! A Compile miss first checks the machine with
 //! [`MachineDescription::validate`]: a table the toolchain cannot target
@@ -93,8 +94,8 @@
 //! self time goes to its `stage.<name>.self_ns` histogram in
 //! [`asip_obs`], and each simulation run's wall time to `sim.run_ns`.
 
-use crate::cache::Staged;
 pub use crate::cache::{ArtifactCache, CacheConfig, CacheStats, StageKind, StageStats};
+use crate::cache::{KeyWriter, Payload, Staged};
 use crate::ise::{extend, IseConfig};
 use crate::session::EvalRun;
 use asip_backend::{
@@ -335,17 +336,17 @@ impl Codec for SimEntry {
 /// a caller holds encode to the same bytes a stage result carries, so
 /// both kinds of input share every cache entry.
 pub(crate) enum Input<'a, V> {
-    /// A value the caller holds, encoded into the key.
+    /// A value the caller holds, encoded into a payload for the key.
     Value(&'a V),
-    /// A stage result, whose payload is copied into the key as it is.
+    /// A stage result, whose payload the key shares as it is.
     Staged(&'a Staged<V>),
 }
 
 impl<V: Codec> Input<'_, V> {
-    fn put(&self, key: &mut Writer) {
+    fn put(&self, key: &mut KeyWriter) {
         match self {
-            Input::Value(v) => v.encode(key),
-            Input::Staged(s) => key.put_raw(s.payload()),
+            Input::Value(v) => key.parent(&Payload::new(v.encode_to_vec().into())),
+            Input::Staged(s) => key.parent(s.payload()),
         }
     }
 
@@ -412,10 +413,10 @@ impl Toolchain {
     }
 
     fn parse_stage(&self, source: &str) -> Result<Staged<Module>, ToolchainError> {
-        let mut key = Writer::new();
-        key.put_str(source);
+        let mut key = KeyWriter::new();
+        key.writer().put_str(source);
         self.cache
-            .get_or_compute(StageKind::Parse, &key.into_bytes(), || {
+            .get_or_compute(StageKind::Parse, &key.finish(), || {
                 Ok(asip_tinyc::compile(source)?)
             })
     }
@@ -431,11 +432,11 @@ impl Toolchain {
     }
 
     fn optimize_stage(&self, source: &str) -> Result<Staged<Module>, ToolchainError> {
-        let mut key = Writer::new();
-        self.opt.encode(&mut key);
-        key.put_str(source);
+        let mut key = KeyWriter::new();
+        self.opt.encode(key.writer());
+        key.writer().put_str(source);
         self.cache
-            .get_or_compute(StageKind::Optimize, &key.into_bytes(), || {
+            .get_or_compute(StageKind::Optimize, &key.finish(), || {
                 // Parse times itself under its own stage.
                 let mut module = self.parse_stage(source)?.into_value();
                 optimize(&mut module, &self.opt);
@@ -465,11 +466,11 @@ impl Toolchain {
         inputs: &[(String, Vec<i32>)],
         args: &[i32],
     ) -> Result<Staged<Profile>, ToolchainError> {
-        let mut key = Writer::new();
+        let mut key = KeyWriter::new();
         module.put(&mut key);
-        put_run_inputs(&mut key, inputs, args);
+        put_run_inputs(key.writer(), inputs, args);
         self.cache
-            .get_or_compute(StageKind::Profile, &key.into_bytes(), || {
+            .get_or_compute(StageKind::Profile, &key.finish(), || {
                 let mut interp = Interp::new(module.get(), InterpOptions::default());
                 for (name, data) in inputs {
                     interp.write_global(name, data);
@@ -503,19 +504,19 @@ impl Toolchain {
         machine: &MachineDescription,
         profile: Option<Input<'_, Profile>>,
     ) -> Result<Staged<CompiledArtifact>, ToolchainError> {
-        let mut key = Writer::new();
+        let mut key = KeyWriter::new();
         module.put(&mut key);
-        machine.encode(&mut key);
-        self.backend.encode(&mut key);
+        machine.encode(key.writer());
+        self.backend.encode(key.writer());
         match &profile {
-            None => key.put_u8(0),
+            None => key.writer().put_u8(0),
             Some(p) => {
-                key.put_u8(1);
+                key.writer().put_u8(1);
                 p.put(&mut key);
             }
         }
         self.cache
-            .get_or_compute(StageKind::Compile, &key.into_bytes(), || {
+            .get_or_compute(StageKind::Compile, &key.finish(), || {
                 machine.validate()?;
                 let module = module.get();
                 let profile = profile.as_ref().map(Input::get);
@@ -639,14 +640,14 @@ impl Toolchain {
         machine: &MachineDescription,
         compiled: Input<'_, CompiledArtifact>,
     ) -> Result<WorkloadRun, ToolchainError> {
-        let mut key = Writer::new();
-        machine.encode(&mut key);
-        key.put_u64(self.sim.max_cycles);
+        let mut key = KeyWriter::new();
+        machine.encode(key.writer());
+        key.writer().put_u64(self.sim.max_cycles);
         compiled.put(&mut key);
-        put_run_inputs(&mut key, &w.inputs, &w.args);
+        put_run_inputs(key.writer(), &w.inputs, &w.args);
         let entry = self
             .cache
-            .get_or_compute(StageKind::Simulate, &key.into_bytes(), || {
+            .get_or_compute(StageKind::Simulate, &key.finish(), || {
                 let compiled = compiled.get();
                 let sim = match compiled {
                     CompiledArtifact::Vliw(p) => self.simulate_vliw(w, machine, p)?,
